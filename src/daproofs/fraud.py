@@ -7,6 +7,14 @@ state root after the producer's fee payout). A codec proof demonstrates
 that the content of one committed row or column, reconstructed from
 proven shares, does not hash to its committed axis root.
 
+The slice rule, shared by prover and verifier: a period is an optional
+pre-state trace (absent only at block start, where the previous block's
+state root stands in), then at most p transfers, then a post-state
+trace. Whatever follows the last trace is the block-final slice: it has
+no post-state trace, possibly no transfers, and its replay is checked
+against the header state root after the fee payout. Both layouts (in-band
+traces and the double tree) replay a slice through the same fold.
+
 Verification never raises on attacker-supplied input: any structural
 defect, failed membership proof, or unusable witness makes the verifier
 return False. A proof only verifies True when every share and witness is
@@ -73,8 +81,9 @@ class HeaderStore:
     def get(self, block_hash: bytes) -> Optional[BlockHeader]:
         return self.headers.get(block_hash)
 
-    def prev_state_root(self, header: BlockHeader) -> Optional[bytes]:
-        prev = self.headers.get(header.prev_hash)
+    def prev_state_root(self, header: Union[BlockHeader, DoubleTreeHeader]) -> Optional[bytes]:
+        """State root of the parent block, in either layout, if known."""
+        prev = self.headers.get(header.prev_hash) or self.dt_headers.get(header.prev_hash)
         return prev.state_root if prev else None
 
     def reject(self, block_hash: bytes) -> None:
@@ -131,6 +140,69 @@ def _trim_to_period(messages: Sequence[ParsedMessage], at_block_start: bool) -> 
     return []
 
 
+def _replay_disagrees(
+    pre_root: Optional[bytes],
+    txs: Sequence[Transaction],
+    witnesses: Sequence[StateWitness],
+    post_root: Optional[bytes],
+    payout_witness: Optional[StateWitness],
+    header: Union[BlockHeader, DoubleTreeHeader],
+) -> bool:
+    """Stateless replay of one slice; True iff it disagrees with the commitment.
+
+    Folds root_transition over the transfers from pre_root, then compares
+    against post_root or, for the block-final slice (no post_root), against
+    the header state root after the producer's fee payout. An unknown
+    pre-root, a misplaced or missing payout witness, or an unusable witness
+    makes the slice unconvincing (False).
+    """
+    if pre_root is None or (post_root is not None and payout_witness is not None):
+        return False
+    inter: Union[bytes, object] = pre_root
+    try:
+        for tx, witness in zip(txs, witnesses):
+            inter = root_transition(inter, tx, witness)
+        if post_root is not None:
+            return inter is ERR or inter != post_root
+        producer = header.additional_data
+        if len(producer) == 32 and inter is not ERR:
+            if payout_witness is None:
+                return False
+            inter = root_fee_payout(inter, producer, payout_witness)
+    except WitnessError:
+        return False
+    return inter is ERR or inter != header.state_root
+
+
+def _replay_period(
+    tree: StateTree,
+    txs: Sequence[Transaction],
+    declared_post: Optional[bytes],
+    producer: bytes,
+    state_root: bytes,
+) -> Optional[tuple[list[StateWitness], Optional[StateWitness]]]:
+    """Replay one period on the prover's full tree, advancing it in place.
+
+    None means the period lands on declared_post (or, for the block-final
+    slice, on state_root after the fee payout). Otherwise returns what a
+    proof of the slice needs: the transfer witnesses, padded with empty
+    ones (never examined by the ERR fold) after an illegal transfer, and
+    the payout witness of a block-final slice that replayed cleanly.
+    """
+    witnesses: list[StateWitness] = []
+    for tx in txs:
+        witnesses.append(make_tx_witness(tree, tx))
+        if apply_transaction(tree, tx) is ERR:
+            witnesses += [StateWitness(())] * (len(txs) - len(witnesses))
+            return witnesses, None
+    if declared_post is not None:
+        return None if tree.root() == declared_post else (witnesses, None)
+    payout_witness = make_witness(tree, payout_keys(producer))
+    if apply_fee_payout(tree, producer) == state_root:
+        return None
+    return witnesses, payout_witness
+
+
 def verify_transition_fraud_proof(
     proof: TransitionFraudProof, store: HeaderStore, p: int = DEFAULT_PERIOD
 ) -> bool:
@@ -177,43 +249,20 @@ def verify_transition_fraud_proof(
     if len(proof.witnesses) != len(slice_.txs):
         return False
 
-    if slice_.pre_root is not None:
-        inter: Union[bytes, object] = slice_.pre_root
-    else:
-        prev_root = store.prev_state_root(header)
-        if prev_root is None:
-            return False
-        inter = prev_root
-
-    try:
-        for tx, witness in zip(slice_.txs, proof.witnesses):
-            inter = root_transition(inter, tx, witness)
-    except WitnessError:
-        return False
-
-    if slice_.post_root is not None:
-        if proof.payout_witness is not None:
-            return False
-        return inter is ERR or inter != slice_.post_root
-
-    # Block-final slice: the header's state root includes the fee payout.
-    producer = header.additional_data
-    if len(producer) == 32 and inter is not ERR:
-        if proof.payout_witness is None:
-            return False
-        try:
-            inter = root_fee_payout(inter, producer, proof.payout_witness)
-        except WitnessError:
-            return False
-    return inter is ERR or inter != header.state_root
+    pre_root = slice_.pre_root
+    if pre_root is None:
+        pre_root = store.prev_state_root(header)
+    return _replay_disagrees(
+        pre_root, slice_.txs, proof.witnesses, slice_.post_root, proof.payout_witness, header
+    )
 
 
 def _period_boundaries(parsed: Sequence[ParsedMessage]) -> list[tuple[int, int]]:
     """(start, end) message index ranges, one per period, end exclusive.
 
-    The final range runs to the end of the message list even when the
-    last message is a boundary trace: the block-final slice replays the
-    fee payout against the header root.
+    Each range runs from its pre-root trace through its post-root trace;
+    the final range is whatever follows the last trace, which is just
+    that trace when the data ends on a boundary.
     """
     ranges = []
     start = 0
@@ -232,7 +281,8 @@ def generate_transition_fraud_proof(
 
     Returns None when every period replays to its boundary trace and the
     header state root matches the final payout. The prover needs the full
-    block data and the previous block's state.
+    block data and the previous block's state. Data that violates the
+    period criterion raises PeriodError.
     """
     header = built.header
     payload_size = built.matrix.share_size - 2
@@ -243,64 +293,32 @@ def generate_transition_fraud_proof(
         msgs = parsed[start:end]
         if not msgs:
             continue
-        is_final = end == len(parsed)
-        declared_post = msgs[-1].message.body if not is_final else None
-
-        witnesses: list[StateWitness] = []
-        inter: Union[bytes, object] = tree.root()
-        failed = False
-        for pm in msgs:
-            if pm.message.is_trace:
-                continue
-            tx = pm.message.as_transaction()
-            witnesses.append(make_tx_witness(tree, tx))
-            if apply_transaction(tree, tx) is ERR:
-                failed = True
-                inter = ERR
-                break
-            inter = tree.root()
-
-        payout_witness = None
-        if declared_post is not None:
-            mismatch = failed or inter != declared_post
+        slice_ = parse_period([pm.message for pm in msgs], built.p)
+        replay = _replay_period(
+            tree, slice_.txs, slice_.post_root, built.producer, header.state_root
+        )
+        if replay is None:
+            continue
+        witnesses, payout_witness = replay
+        y = msgs[0].start // payload_size
+        if slice_.post_root is None:
+            end_share = len(built.shares) - 1
         else:
-            if not failed:
-                payout_witness = make_witness(tree, payout_keys(built.producer))
-                apply_fee_payout(tree, built.producer)
-                inter = tree.root()
-            mismatch = failed or inter != header.state_root
-
-        if mismatch:
-            y = msgs[0].start // payload_size
-            if declared_post is None:
-                end_share = len(built.shares) - 1
-            else:
-                end_share = (msgs[-1].end - 1) // payload_size
-            share_run = built.shares[y : end_share + 1]
-            share_proofs = []
-            for offset in range(len(share_run)):
-                r, c = divmod(y + offset, built.matrix.k)
-                _, sp = rs2d.prove_share(built.matrix, r, c, ROW)
-                share_proofs.append(sp)
-            # align witnesses with what a verifier will parse out of the run;
-            # a replay cut short by ERR pads with empty witnesses, which the
-            # absorbing fold never examines
-            reparsed = _trim_to_period(
-                parse_shares_with_spans(share_run), at_block_start=(y == 0)
-            )
-            slice_ = parse_period([pm.message for pm in reparsed], built.p)
-            witnesses = witnesses[: len(slice_.txs)]
-            while len(witnesses) < len(slice_.txs):
-                witnesses.append(StateWitness(()))
-            return TransitionFraudProof(
-                block_hash=header.block_hash(),
-                start_index=y,
-                shares=tuple(share_run),
-                origins=tuple([ROW] * len(share_run)),
-                share_proofs=tuple(share_proofs),
-                witnesses=tuple(witnesses),
-                payout_witness=payout_witness,
-            )
+            end_share = (msgs[-1].end - 1) // payload_size
+        share_run = built.shares[y : end_share + 1]
+        share_proofs = [
+            rs2d.prove_share(built.matrix, *divmod(y + offset, built.matrix.k), ROW)[1]
+            for offset in range(len(share_run))
+        ]
+        return TransitionFraudProof(
+            block_hash=header.block_hash(),
+            start_index=y,
+            shares=tuple(share_run),
+            origins=tuple([ROW] * len(share_run)),
+            share_proofs=tuple(share_proofs),
+            witnesses=tuple(witnesses),
+            payout_witness=payout_witness,
+        )
     return None
 
 
@@ -325,8 +343,10 @@ def generate_codec_fraud_proof(
 ) -> CodecFraudProof:
     """Wrap a recovery fault into a verifiable proof.
 
-    Every decode input must carry its data-root proof; recovery tracks
-    those for shares that arrived from the network.
+    Every decode input must carry its data-root proof. Recovery tracks
+    those for shares that arrived from the network and proves the cells it
+    filled itself through the axis that filled them; a share that arrived
+    without a proof raises ValueError.
     """
     if any(proof is None for proof in fault.proofs):
         raise ValueError("codec fault lacks share proofs for some inputs")
@@ -472,39 +492,15 @@ def verify_double_tree_fraud_proof(
             return False
 
     if proof.pre_trace is not None:
-        inter: Union[bytes, object] = proof.pre_trace[0]
+        pre_root: Optional[bytes] = proof.pre_trace[0]
+    elif prev_state_root is not None:
+        pre_root = prev_state_root
     else:
-        if prev_state_root is None:
-            prev = store.headers.get(header.prev_hash)
-            dt_prev = store.dt_headers.get(header.prev_hash)
-            if prev is not None:
-                prev_state_root = prev.state_root
-            elif dt_prev is not None:
-                prev_state_root = dt_prev.state_root
-        if prev_state_root is None:
-            return False
-        inter = prev_state_root
-
-    try:
-        for tx, witness in zip(proof.txs, proof.witnesses):
-            inter = root_transition(inter, tx, witness)
-    except WitnessError:
-        return False
-
-    if proof.post_trace is not None:
-        if proof.payout_witness is not None:
-            return False
-        return inter is ERR or inter != proof.post_trace[0]
-
-    producer = header.additional_data
-    if len(producer) == 32 and inter is not ERR:
-        if proof.payout_witness is None:
-            return False
-        try:
-            inter = root_fee_payout(inter, producer, proof.payout_witness)
-        except WitnessError:
-            return False
-    return inter is ERR or inter != header.state_root
+        pre_root = store.prev_state_root(header)
+    post_root = proof.post_trace[0] if proof.post_trace is not None else None
+    return _replay_disagrees(
+        pre_root, proof.txs, proof.witnesses, post_root, proof.payout_witness, header
+    )
 
 
 def generate_double_tree_fraud_proof(
@@ -525,32 +521,12 @@ def generate_double_tree_fraud_proof(
         has_post = x + 1 < len(built.traces)
         declared_post = built.traces[x + 1] if has_post else None
 
-        witnesses = []
-        inter: Union[bytes, object] = tree.root()
-        failed = False
-        for tx in txs:
-            witnesses.append(make_tx_witness(tree, tx))
-            if apply_transaction(tree, tx) is ERR:
-                failed = True
-                inter = ERR
-                break
-            inter = tree.root()
-
-        payout_witness = None
-        if declared_post is not None:
-            mismatch = failed or inter != declared_post
-        else:
-            if not failed:
-                payout_witness = make_witness(tree, payout_keys(built.producer))
-                apply_fee_payout(tree, built.producer)
-                inter = tree.root()
-            mismatch = failed or inter != header.state_root
-
-        if mismatch:
+        replay = _replay_period(tree, txs, declared_post, built.producer, header.state_root)
+        if replay is not None:
+            witnesses, payout_witness = replay
             pre = None
             if x >= 0:
-                pre_proof = merkle.prove(built.traces, x)
-                pre = (built.traces[x], pre_proof, x)
+                pre = (built.traces[x], merkle.prove(built.traces, x), x)
             post = None
             if declared_post is not None:
                 post = (declared_post, merkle.prove(built.traces, x + 1))

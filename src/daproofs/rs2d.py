@@ -340,10 +340,29 @@ def _axis_cells(partial: PartialMatrix, axis: int, j: int) -> list[Optional[byte
     return [partial.cells[r][j] for r in range(partial.width)]
 
 
+def _fill_proof(
+    commitment: DataCommitment, x: int, y: int, axis: int, content: list[bytes]
+) -> ShareProof:
+    """Proof of recovered cell (x, y) through the axis whose decoded content
+    (already checked against its root) filled it."""
+    j, pos = (x, y) if axis == ROW else (y, x)
+    top_leaves = list(commitment.row_roots) + list(commitment.column_roots)
+    root_proof = merkle.prove(top_leaves, j if axis == ROW else commitment.matrix_width + j)
+    return ShareProof(commitment.axis_root(axis, j), merkle.prove(content, pos), root_proof)
+
+
 def _decode_axis(
-    partial: PartialMatrix, axis: int, j: int, committed_root: bytes
+    partial: PartialMatrix,
+    axis: int,
+    j: int,
+    commitment: DataCommitment,
+    filled_by: dict[tuple[int, int], tuple[int, list[bytes]]],
 ) -> tuple[Optional[list[bytes]], Optional[CodecFault]]:
-    """Decode one axis from its k best inputs and check the committed root."""
+    """Decode one axis from its k best inputs and check the committed root.
+
+    filled_by maps each recovered cell to (axis that filled it, that axis's
+    decoded content); a fault proves such inputs through that axis.
+    """
     k = partial.k
     cells = _axis_cells(partial, axis, j)
     candidates = [pos for pos, cell in enumerate(cells) if cell is not None]
@@ -357,14 +376,19 @@ def _decode_axis(
     candidates.sort(key=lambda pos: (origin_of(pos) is None, pos))
     chosen = sorted(candidates[:k])
     decoded = rs_decode([(pos, cells[pos]) for pos in chosen], k)
+    committed_root = commitment.axis_root(axis, j)
     if merkle.root(decoded) != committed_root:
         triples = []
         proofs = []
         for pos in chosen:
             x, y = (j, pos) if axis == ROW else (pos, j)
             origin = partial.origins[x][y]
+            proof = partial.proofs[x][y]
+            if origin is None and (x, y) in filled_by:
+                origin, content = filled_by[(x, y)]
+                proof = _fill_proof(commitment, x, y, origin, content)
             triples.append((cells[pos], pos, ROW if origin is None else origin))
-            proofs.append(partial.proofs[x][y])
+            proofs.append(proof)
         return None, CodecFault(axis, j, committed_root, tuple(triples), tuple(proofs))
     return decoded, None
 
@@ -384,6 +408,7 @@ def recover_matrix(
     w = partial.width
     k = partial.k
     verified = [[False] * w for _ in range(2)]  # [axis][j]
+    filled_by: dict[tuple[int, int], tuple[int, list[bytes]]] = {}
 
     changed = True
     while changed:
@@ -398,15 +423,14 @@ def recover_matrix(
                     continue
                 if w - len(holes) < k:
                     continue
-                decoded, fault = _decode_axis(
-                    partial, axis, j, commitment.axis_root(axis, j)
-                )
+                decoded, fault = _decode_axis(partial, axis, j, commitment, filled_by)
                 if fault is not None:
                     return fault
                 assert decoded is not None
                 for pos in holes:
                     x, y = (j, pos) if axis == ROW else (pos, j)
                     partial.cells[x][y] = decoded[pos]
+                    filled_by[(x, y)] = (axis, decoded)
                 verified[axis][j] = True
                 changed = True
 
@@ -419,7 +443,7 @@ def recover_matrix(
         for j in range(w):
             if verified[axis][j]:
                 continue
-            _, fault = _decode_axis(partial, axis, j, commitment.axis_root(axis, j))
+            _, fault = _decode_axis(partial, axis, j, commitment, filled_by)
             if fault is not None:
                 return fault
 

@@ -126,22 +126,6 @@ class StateWitness:
         return {key for key, _, _ in self.entries}
 
 
-class _TreeView:
-    """Adapter running the transfer rules against a full tree."""
-
-    def __init__(self, tree: StateTree) -> None:
-        self.tree = tree
-
-    def get(self, key: bytes) -> bytes:
-        return self.tree.get(key)
-
-    def update(self, key: bytes, value: bytes) -> None:
-        self.tree.update(key, value)
-
-    def root(self) -> bytes:
-        return self.tree.root()
-
-
 def _apply_rules(view, tx: Transaction) -> Optional[bytes]:
     """Run the transfer on any get/update/root view; None means illegal."""
     sender = AccountValue.decode(view.get(tx.sender))
@@ -168,7 +152,7 @@ def apply_transaction(tree: StateTree, tx: Transaction) -> StateRoot:
 
     The tree is only modified when the transfer is legal.
     """
-    result = _apply_rules(_TreeView(tree), tx)
+    result = _apply_rules(tree, tx)
     return ERR if result is None else result
 
 
@@ -222,17 +206,23 @@ def root_transition(state_root: StateRoot, tx: Transaction, witness: StateWitnes
     return ERR if result is None else result
 
 
+def _apply_payout(view, producer: bytes) -> Optional[bytes]:
+    """Credit accrued fees to the producer and reset the accumulator, on a
+    full tree or a witness subtree; None means no fees had accrued."""
+    fees = AccountValue.decode(view.get(FEES_KEY))
+    if fees.balance == 0:
+        return None
+    account = AccountValue.decode(view.get(producer))
+    view.update(producer, AccountValue(account.balance + fees.balance, account.nonce).encode())
+    view.update(FEES_KEY, b"")
+    return view.root()
+
+
 def apply_fee_payout(tree: StateTree, producer: bytes) -> bytes:
     """Credit accrued fees to the producer and reset the accumulator."""
     if len(producer) != 32:
         raise ValueError("producer key must be 32 bytes")
-    fees = AccountValue.decode(tree.get(FEES_KEY))
-    if fees.balance == 0:
-        return tree.root()
-    account = AccountValue.decode(tree.get(producer))
-    tree.update(producer, AccountValue(account.balance + fees.balance, account.nonce).encode())
-    tree.update(FEES_KEY, b"")
-    return tree.root()
+    return _apply_payout(tree, producer) or tree.root()
 
 
 def collect_fees(tree: StateTree, producer: bytes) -> StateTree:
@@ -251,15 +241,7 @@ def root_fee_payout(state_root: bytes, producer: bytes, witness: StateWitness) -
     subtree = WitnessSubtree.from_entries(state_root, witness.entries)
     if set(payout_keys(producer)) - subtree.covered:
         raise WitnessError("witness does not cover payout keys")
-    fees = AccountValue.decode(subtree.get(FEES_KEY))
-    if fees.balance == 0:
-        return state_root
-    account = AccountValue.decode(subtree.get(producer))
-    subtree.update(
-        producer, AccountValue(account.balance + fees.balance, account.nonce).encode()
-    )
-    subtree.update(FEES_KEY, b"")
-    return subtree.root()
+    return _apply_payout(subtree, producer) or state_root
 
 
 def total_supply(tree: StateTree) -> int:

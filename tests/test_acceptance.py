@@ -193,9 +193,9 @@ FUZZ_SHARE = 256
 FUZZ_P = 3
 
 
-def fuzz_chain(mode, corrupt="trace", seed=0):
+def fuzz_chain(mode, corrupt="trace", seed=0, tx_count=7):
     tree, keys = funded_state()
-    txs = transfer_chain(keys, 7, random.Random(seed))
+    txs = transfer_chain(keys, tx_count, random.Random(seed))
     genesis = genesis_header(tree)
     built = build_block(
         genesis, tree, txs, k=FUZZ_K, share_size=FUZZ_SHARE, p=FUZZ_P,
@@ -377,16 +377,23 @@ def test_criterion_6_fraud_proof_round_trips_and_fuzz():
 
     trace_built, trace_tree, _ = fuzz_chain("invalid-transition", corrupt="trace")
     header_built, header_tree, _ = fuzz_chain("invalid-transition", corrupt="header")
+    # data ending on a trace: the block-final slice is payout-only
+    aligned_built, aligned_tree, _ = fuzz_chain(
+        "invalid-transition", corrupt="header", tx_count=2 * FUZZ_P
+    )
     code_built, code_tree, _ = fuzz_chain("invalid-code")
     own_store = HeaderStore()
     own_store.add(genesis)
-    for built in (trace_built, header_built, code_built):
+    for built in (trace_built, header_built, aligned_built, code_built):
         own_store.add(built.header)
 
     trace_proof = generate_transition_fraud_proof(trace_built, trace_tree)
     header_proof = generate_transition_fraud_proof(header_built, header_tree)
+    payout_only_proof = generate_transition_fraud_proof(aligned_built, aligned_tree)
+    assert not payout_only_proof.witnesses and payout_only_proof.payout_witness is not None
     assert verify_transition_fraud_proof(trace_proof, own_store, FUZZ_P)
     assert verify_transition_fraud_proof(header_proof, own_store, FUZZ_P)
+    assert verify_transition_fraud_proof(payout_only_proof, own_store, FUZZ_P)
 
     partial = PartialMatrix.from_matrix(code_built.matrix, with_proofs=True)
     fault = rs2d.recover_matrix(partial, code_built.commitment)
@@ -395,6 +402,17 @@ def test_criterion_6_fraud_proof_round_trips_and_fuzz():
         fault, code_built.header.block_hash(), code_built.commitment
     )
     assert verify_codec_fraud_proof(codec_proof, own_store)
+
+    # row 0 withheld past recovery: its decode inputs include cells that
+    # their columns recovered, proven through those columns
+    withheld = [(0, c) for c in range(FUZZ_K + 1)]
+    partial = PartialMatrix.from_matrix(code_built.matrix, withhold=withheld, with_proofs=True)
+    fault = rs2d.recover_matrix(partial, code_built.commitment)
+    assert isinstance(fault, rs2d.CodecFault)
+    recovered_codec_proof = generate_codec_fraud_proof(
+        fault, code_built.header.block_hash(), code_built.commitment
+    )
+    assert verify_codec_fraud_proof(recovered_codec_proof, own_store)
 
     dt_tree, dt_honest, dt_bad = dt_chains()
     dt_store = HeaderStore()
@@ -412,6 +430,7 @@ def test_criterion_6_fraud_proof_round_trips_and_fuzz():
     transition_bases = [
         trace_proof,
         header_proof,
+        payout_only_proof,
         honest_content_transition_proof(honest_built, honest_tree),
     ]
     for i in range(4000):
@@ -426,7 +445,11 @@ def test_criterion_6_fraud_proof_round_trips_and_fuzz():
         assert not verify_transition_fraud_proof(mutated, store, FUZZ_P), i
         rejected += 1
 
-    codec_bases = [codec_proof, honest_content_codec_proof(honest_built)]
+    codec_bases = [
+        codec_proof,
+        recovered_codec_proof,
+        honest_content_codec_proof(honest_built),
+    ]
     for i in range(3000):
         base = codec_bases[i % len(codec_bases)]
         mutated = mutate_codec(base, rng, honest_hash)
@@ -447,7 +470,7 @@ def test_criterion_6_fraud_proof_round_trips_and_fuzz():
         rejected += 1
 
     assert rejected == 10_000
-    report(6, "fraud proofs", "4 round trips true; 10000 fuzzed proofs false")
+    report(6, "fraud proofs", "6 round trips true; 10000 fuzzed proofs false")
 
 
 # --- 7. end-to-end soundness and agreement ------------------------------------------------

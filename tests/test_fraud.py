@@ -94,6 +94,22 @@ def test_corrupted_header_round_trip_payout_branch(invalid_header):
     assert verify_transition_fraud_proof(proof, store, P)
 
 
+@pytest.mark.parametrize("corrupt", ["trace", "header"])
+@pytest.mark.parametrize("tx_count", [P - 1, P, 2 * P, 2 * P + 1, 25])
+def test_transition_round_trip_at_every_period_alignment(tx_count, corrupt):
+    """Prover and verifier slice alike, also when the data ends on a trace:
+    the block-final slice is then payout-only (pre-root = last trace)."""
+    built, prev_state, store = make_chain("invalid-transition", tx_count, corrupt)
+    proof = generate_transition_fraud_proof(built, prev_state)
+    assert proof is not None
+    assert verify_transition_fraud_proof(proof, store, P)
+    decoded = decode_transition_fraud_proof(encode_transition_fraud_proof(proof))
+    assert decoded == proof
+    assert verify_transition_fraud_proof(decoded, store, P)
+    honest_built, honest_state, _ = make_chain("honest", tx_count)
+    assert generate_transition_fraud_proof(honest_built, honest_state) is None
+
+
 def test_codec_fault_round_trip(invalid_code):
     built, prev_state, store = invalid_code
     proof = codec_proof_for(built)
@@ -161,6 +177,27 @@ def test_start_index_shift_fails(invalid_trace):
     proof = generate_transition_fraud_proof(built, prev_state)
     shifted = dataclasses.replace(proof, start_index=proof.start_index + 1)
     assert not verify_transition_fraud_proof(shifted, store, P)
+
+
+def test_codec_fault_with_recovered_inputs_round_trip(invalid_code):
+    """Row 0 decodes partly from cells its columns recovered; each such input
+    is proven through the column that filled it."""
+    built, _, store = invalid_code
+    withheld = [(0, c) for c in range(K + 1)]
+    partial = PartialMatrix.from_matrix(built.matrix, withhold=withheld, with_proofs=True)
+    fault = rs2d.recover_matrix(partial, built.commitment)
+    assert isinstance(fault, rs2d.CodecFault)
+    assert (fault.axis, fault.j) == (ROW, 0)
+    assert any(ax == COLUMN and (0, pos) in withheld for _, pos, ax in fault.shares)
+    proof = generate_codec_fraud_proof(fault, built.header.block_hash(), built.commitment)
+    assert verify_codec_fraud_proof(proof, store)
+    assert decode_codec_fraud_proof(encode_codec_fraud_proof(proof)) == proof
+
+    # inputs that arrived without proofs still cannot be proven
+    unproven = PartialMatrix.from_matrix(built.matrix, withhold=withheld)
+    fault = rs2d.recover_matrix(unproven, built.commitment)
+    with pytest.raises(ValueError):
+        generate_codec_fraud_proof(fault, built.header.block_hash(), built.commitment)
 
 
 def test_codec_proof_mutations_fail(invalid_code, honest):
