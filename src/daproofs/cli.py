@@ -162,10 +162,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         config.seed = seed
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    verdict = sim.run_sampling(config)
+    scenario = sim.prepare_scenario(config)
+    verdict = sim.run_sampling(config, scenario)
     sim.write_events_csv(verdict.events, out_dir / "events.csv")
     sim.write_verdicts_csv(verdict, out_dir / "verdicts.csv")
-    scenario = sim.prepare_scenario(config)
     (out_dir / "headers.bin").write_bytes(
         scenario.genesis.to_bytes() + scenario.built.header.to_bytes()
     )

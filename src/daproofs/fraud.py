@@ -350,16 +350,12 @@ def generate_codec_fraud_proof(
     """
     if any(proof is None for proof in fault.proofs):
         raise ValueError("codec fault lacks share proofs for some inputs")
-    width = commitment.matrix_width
-    top_leaves = list(commitment.row_roots) + list(commitment.column_roots)
-    top_index = fault.j if fault.axis == ROW else width + fault.j
-    axis_root_proof = merkle.prove(top_leaves, top_index)
     return CodecFraudProof(
         block_hash=block_hash,
         axis=fault.axis,
         j=fault.j,
         axis_root=fault.axis_root,
-        axis_root_proof=axis_root_proof,
+        axis_root_proof=commitment.prove_axis_root(fault.axis, fault.j),
         shares=fault.shares,
         share_proofs=tuple(fault.proofs),  # type: ignore[arg-type]
     )
@@ -379,13 +375,12 @@ def verify_codec_fraud_proof(proof: CodecFraudProof, store: HeaderStore) -> bool
     if proof.axis not in (ROW, COLUMN) or not 0 <= proof.j < width:
         return False
 
-    top_index = proof.j if proof.axis == ROW else width + proof.j
     if not merkle.verify_merkle_proof(
         proof.axis_root,
         proof.axis_root_proof,
         header.data_root,
         2 * width,
-        top_index,
+        rs2d.top_index(proof.axis, proof.j, width),
     ):
         return False
 
@@ -508,7 +503,6 @@ def generate_double_tree_fraud_proof(
 ) -> Optional[DoubleTreeFraudProof]:
     """Replay a double-tree block; emit a proof for the first faulty period."""
     header = built.header
-    tx_leaves = [tx.to_bytes() for tx in built.txs]
     tree = prev_state.copy()
     p = built.p
     n = len(built.txs)
@@ -524,19 +518,24 @@ def generate_double_tree_fraud_proof(
         replay = _replay_period(tree, txs, declared_post, built.producer, header.state_root)
         if replay is not None:
             witnesses, payout_witness = replay
-            pre = None
-            if x >= 0:
-                pre = (built.traces[x], merkle.prove(built.traces, x), x)
-            post = None
-            if declared_post is not None:
-                post = (declared_post, merkle.prove(built.traces, x + 1))
+            # each tree is built once, and only when a proof needs it
+            pre = post = None
+            if built.traces:
+                traces = merkle.MerkleTree(built.traces)
+                pre = (built.traces[x], traces.prove(x), x) if x >= 0 else None
+                if declared_post is not None:
+                    post = (declared_post, traces.prove(x + 1))
+            tx_proofs: tuple[MerkleProof, ...] = ()
+            if txs:
+                tx_tree = merkle.MerkleTree([tx.to_bytes() for tx in built.txs])
+                tx_proofs = tuple(map(tx_tree.prove, range(start, end)))
             return DoubleTreeFraudProof(
                 block_hash=header.block_hash(),
                 pre_trace=pre,
                 post_trace=post,
                 start_index=start,
                 txs=tuple(txs),
-                tx_proofs=tuple(merkle.prove(tx_leaves, i) for i in range(start, end)),
+                tx_proofs=tx_proofs,
                 witnesses=tuple(witnesses),
                 payout_witness=payout_witness,
             )

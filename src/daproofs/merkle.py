@@ -1,12 +1,16 @@
-"""Index-binding Merkle trees over arbitrary leaf counts.
+"""Index-binding Merkle trees over arbitrary leaf counts (RFC 6962 section 2.1.1).
 
 Leaves are hashed with a 0x00 domain prefix and internal nodes with 0x01,
 so a leaf can never be confused with the serialization of two child
-digests. Trees with a non-power-of-two leaf count use a left-heavy split:
-the left subtree always holds the largest power of two strictly below the
-current leaf count. Proofs carry the leaf index and tree size, and
-verification recomputes the exact descent path for that index, so a proof
-for index i never verifies for any other index.
+digests.
+
+Tree shape, the one rule that roots, proofs and the verifier share: each
+level pairs nodes (2i, 2i+1), and an unpaired last node moves up a level
+unhashed, so a left subtree always holds the largest power of two strictly
+below its parent's leaf count. At size n, index i has a sibling iff
+i ^ 1 < n, and the next level up has index i >> 1 and size (n + 1) >> 1.
+Proofs carry the leaf index and tree size, so a proof for index i never
+verifies for any other index.
 """
 
 from __future__ import annotations
@@ -32,11 +36,6 @@ def leaf_hash(data: bytes) -> bytes:
 
 def node_hash(left: bytes, right: bytes) -> bytes:
     return hashlib.sha256(_NODE_PREFIX + left + right).digest()
-
-
-def _left_size(n: int) -> int:
-    """Largest power of two strictly below n (n >= 2)."""
-    return 1 << ((n - 1).bit_length() - 1)
 
 
 @dataclass(frozen=True)
@@ -79,57 +78,45 @@ class MerkleProof:
         return cls(siblings, leaf_index, tree_size), raw[end:]
 
 
+class MerkleTree:
+    """A tree built once: its levels, leaf digests first, root level last."""
+
+    def __init__(self, leaves: Sequence[bytes]) -> None:
+        if not leaves:
+            raise ValueError("empty tree")
+        level = [leaf_hash(leaf) for leaf in leaves]
+        self.levels = [level]
+        while len(level) > 1:
+            paired = [node_hash(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
+            level = paired + level[len(paired) * 2 :]
+            self.levels.append(level)
+
+    @property
+    def root(self) -> bytes:
+        return self.levels[-1][0]
+
+    def prove(self, index: int) -> MerkleProof:
+        """Proof that leaf index is at position index under root."""
+        n = len(self.levels[0])
+        if not 0 <= index < n:
+            raise IndexError("leaf index out of range")
+        siblings = []
+        i = index
+        for level in self.levels[:-1]:
+            if i ^ 1 < len(level):
+                siblings.append(level[i ^ 1])
+            i >>= 1
+        return MerkleProof(tuple(siblings), index, n)
+
+
 def root(leaves: Sequence[bytes]) -> bytes:
     """Merkle root of a non-empty leaf list."""
-    if not leaves:
-        raise ValueError("empty tree")
-    return _root_range(leaves, 0, len(leaves))
-
-
-def _root_range(leaves: Sequence[bytes], lo: int, n: int) -> bytes:
-    if n == 1:
-        return leaf_hash(leaves[lo])
-    split = _left_size(n)
-    return node_hash(
-        _root_range(leaves, lo, split),
-        _root_range(leaves, lo + split, n - split),
-    )
+    return MerkleTree(leaves).root
 
 
 def prove(leaves: Sequence[bytes], index: int) -> MerkleProof:
     """Proof that leaves[index] is at position index under root(leaves)."""
-    n = len(leaves)
-    if not 0 <= index < n:
-        raise IndexError("leaf index out of range")
-    siblings_root_first: list[bytes] = []
-    lo, size, idx = 0, n, index
-    while size > 1:
-        split = _left_size(size)
-        if idx < split:
-            siblings_root_first.append(_root_range(leaves, lo + split, size - split))
-            size = split
-        else:
-            siblings_root_first.append(_root_range(leaves, lo, split))
-            lo += split
-            idx -= split
-            size -= split
-    return MerkleProof(tuple(reversed(siblings_root_first)), index, n)
-
-
-def _descent_sides(tree_size: int, index: int) -> list[bool]:
-    """Per level from root: True when the indexed leaf lies in the left subtree."""
-    sides: list[bool] = []
-    lo, size = 0, tree_size
-    while size > 1:
-        split = _left_size(size)
-        if index < lo + split:
-            sides.append(True)
-            size = split
-        else:
-            sides.append(False)
-            lo += split
-            size -= split
-    return sides
+    return MerkleTree(leaves).prove(index)
 
 
 def verify_merkle_proof(
@@ -148,11 +135,14 @@ def verify_merkle_proof(
         return False
     if any(len(sib) != DIGEST_SIZE for sib in proof.siblings):
         return False
-    sides = _descent_sides(tree_size, index)
-    if len(proof.siblings) != len(sides):
-        return False
+    siblings = iter(proof.siblings)
     node = leaf_hash(element)
-    # siblings are leaf-to-root, descent sides are root-to-leaf
-    for sib, on_left in zip(proof.siblings, reversed(sides)):
-        node = node_hash(node, sib) if on_left else node_hash(sib, node)
-    return node == root_digest
+    while tree_size > 1:
+        if index ^ 1 < tree_size:
+            sib = next(siblings, None)
+            if sib is None:
+                return False
+            node = node_hash(sib, node) if index & 1 else node_hash(node, sib)
+        index >>= 1
+        tree_size = (tree_size + 1) >> 1
+    return next(siblings, None) is None and node == root_digest

@@ -5,8 +5,8 @@ three times with the systematic Reed-Solomon codec: every original row is
 extended rightward, every original column downward, and the new bottom
 rows rightward again (which, by linearity, agrees with extending the new
 right columns downward). Each of the 2k rows and 2k columns gets its own
-Merkle root, and the data root commits to the concatenated row roots then
-column roots.
+Merkle root. The data root is the root of the root-level tree over the row
+roots then the column roots; top_index gives an axis root's leaf in it.
 
 Indexing convention: everything is 0-based. The "virtual" data tree has
 data_length = 2 * (2k)^2 leaf slots; slot r*w + c addresses the cell at
@@ -39,8 +39,11 @@ class ExtendedMatrix:
     share_size: int
     cells: list[list[bytes]]
 
-    _row_roots: Optional[tuple[bytes, ...]] = field(default=None, repr=False)
-    _column_roots: Optional[tuple[bytes, ...]] = field(default=None, repr=False)
+    # the last axis tree proved from, as (axis, j, tree): callers prove axis
+    # by axis; a cache, so left out of equality
+    _axis_tree: Optional[tuple[int, int, merkle.MerkleTree]] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def width(self) -> int:
@@ -52,23 +55,29 @@ class ExtendedMatrix:
     def column(self, c: int) -> list[bytes]:
         return [self.cells[r][c] for r in range(self.width)]
 
-    def axis_roots(self) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
-        if self._row_roots is None:
-            self._row_roots = tuple(merkle.root(self.cells[r]) for r in range(self.width))
-            self._column_roots = tuple(
-                merkle.root(self.column(c)) for c in range(self.width)
-            )
-        assert self._column_roots is not None
-        return self._row_roots, self._column_roots
+    @cached_property
+    def commitment(self) -> "DataCommitment":
+        """Every row and column root, cached until invalidate_roots()."""
+        return DataCommitment(
+            tuple(merkle.root(row) for row in self.cells),
+            tuple(merkle.root(self.column(c)) for c in range(self.width)),
+        )
+
+    def axis_tree(self, axis: int, j: int) -> merkle.MerkleTree:
+        if self._axis_tree is None or self._axis_tree[:2] != (axis, j):
+            cells = self.row(j) if axis == ROW else self.column(j)
+            self._axis_tree = (axis, j, merkle.MerkleTree(cells))
+        return self._axis_tree[2]
 
     def invalidate_roots(self) -> None:
-        self._row_roots = None
-        self._column_roots = None
+        self.__dict__.pop("commitment", None)
+        self._axis_tree = None
 
 
 @dataclass(frozen=True)
 class DataCommitment:
-    """Row and column roots plus the data root derived from them."""
+    """Row and column roots, and the root-level tree over them (rows, then
+    columns) whose root is the data root."""
 
     row_roots: tuple[bytes, ...]
     column_roots: tuple[bytes, ...]
@@ -88,11 +97,27 @@ class DataCommitment:
         return 2 * self.matrix_width ** 2
 
     @cached_property
+    def tree(self) -> merkle.MerkleTree:
+        return merkle.MerkleTree(list(self.row_roots) + list(self.column_roots))
+
+    @property
     def data_root(self) -> bytes:
-        return merkle.root(list(self.row_roots) + list(self.column_roots))
+        return self.tree.root
 
     def axis_root(self, axis: int, j: int) -> bytes:
         return self.row_roots[j] if axis == ROW else self.column_roots[j]
+
+    def prove_axis_root(self, axis: int, j: int) -> MerkleProof:
+        return self.tree.prove(top_index(axis, j, self.matrix_width))
+
+    def share_proof(self, axis: int, j: int, axis_proof: MerkleProof) -> ShareProof:
+        """Extend a proof inside axis j's tree to a proof against the data root."""
+        return ShareProof(self.axis_root(axis, j), axis_proof, self.prove_axis_root(axis, j))
+
+
+def top_index(axis: int, j: int, matrix_width: int) -> int:
+    """Leaf index of axis j's root in the root-level tree."""
+    return j if axis == ROW else matrix_width + j
 
 
 @dataclass(frozen=True)
@@ -180,8 +205,7 @@ def commit(matrix: ExtendedMatrix) -> DataCommitment:
     for row in matrix.cells:
         if any(cell is None for cell in row):
             raise ValueError("matrix has missing cells")
-    row_roots, column_roots = matrix.axis_roots()
-    return DataCommitment(row_roots, column_roots)
+    return matrix.commitment
 
 
 def share_index(
@@ -212,20 +236,10 @@ def prove_share(matrix: ExtendedMatrix, x: int, y: int, origin: int) -> tuple[by
     share = matrix.cells[x][y]
     if share is None:
         raise ValueError("cell is absent")
-    row_roots, column_roots = matrix.axis_roots()
-    top_leaves = list(row_roots) + list(column_roots)
-    if origin == ROW:
-        axis_proof = merkle.prove(matrix.row(x), y)
-        top_index = x
-        axis_root = row_roots[x]
-    elif origin == COLUMN:
-        axis_proof = merkle.prove(matrix.column(y), x)
-        top_index = w + y
-        axis_root = column_roots[y]
-    else:
+    if origin not in (ROW, COLUMN):
         raise ValueError("origin must be 0 (row) or 1 (column)")
-    root_proof = merkle.prove(top_leaves, top_index)
-    return share, ShareProof(axis_root, axis_proof, root_proof)
+    j, pos = (x, y) if origin == ROW else (y, x)
+    return share, matrix.commitment.share_proof(origin, j, matrix.axis_tree(origin, j).prove(pos))
 
 
 def verify_share(
@@ -249,10 +263,8 @@ def verify_share_merkle_proof(
         return False
     if not 0 <= index < data_length:
         return False
-    top_index, pos = divmod(index, w)
-    if not merkle.verify_merkle_proof(
-        proof.axis_root, proof.root_proof, data_root, 2 * w, top_index
-    ):
+    top, pos = divmod(index, w)
+    if not merkle.verify_merkle_proof(proof.axis_root, proof.root_proof, data_root, 2 * w, top):
         return False
     return merkle.verify_merkle_proof(share, proof.axis_proof, proof.axis_root, w, pos)
 
@@ -290,9 +302,7 @@ class PartialMatrix:
             for c in range(matrix.width):
                 if (r, c) in hidden:
                     continue
-                proof = None
-                if with_proofs:
-                    _, proof = prove_share(matrix, r, c, ROW)
+                proof = prove_share(matrix, r, c, ROW)[1] if with_proofs else None
                 partial.add_share(r, c, matrix.cells[r][c], ROW, proof)
         return partial
 
@@ -346,9 +356,7 @@ def _fill_proof(
     """Proof of recovered cell (x, y) through the axis whose decoded content
     (already checked against its root) filled it."""
     j, pos = (x, y) if axis == ROW else (y, x)
-    top_leaves = list(commitment.row_roots) + list(commitment.column_roots)
-    root_proof = merkle.prove(top_leaves, j if axis == ROW else commitment.matrix_width + j)
-    return ShareProof(commitment.axis_root(axis, j), merkle.prove(content, pos), root_proof)
+    return commitment.share_proof(axis, j, merkle.prove(content, pos))
 
 
 def _decode_axis(

@@ -250,6 +250,7 @@ def prepare_scenario(config: SimConfig) -> Scenario:
     cached = _SCENARIO_CACHE.get(key)
     if cached is not None:
         return cached
+    _SCENARIO_CACHE.clear()  # keep only the latest: a scenario holds a whole block
 
     rng = random.Random(f"block:{config.block_seed}")
     accounts = _genesis_accounts(rng)
@@ -281,10 +282,8 @@ def prepare_scenario(config: SimConfig) -> Scenario:
         mode=mode,
     )
     width = built.matrix.width
-    cell_proofs = {}
-    for r in range(width):
-        for c in range(width):
-            cell_proofs[(r, c)] = rs2d.prove_share(built.matrix, r, c, ROW)
+    cells = [(r, c) for r in range(width) for c in range(width)]  # row-major: one tree per row
+    cell_proofs = {cell: rs2d.prove_share(built.matrix, *cell, ROW) for cell in cells}
     scenario = Scenario(
         config_key=key,
         genesis_state=genesis_state,

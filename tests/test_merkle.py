@@ -20,6 +20,18 @@ def oracle_root(leaves):
     return hashlib.sha256(b"\x01" + left + right).digest()
 
 
+def oracle_proof(leaves, index):
+    """RFC 6962 PATH by recursive descent: siblings in leaf-to-root order."""
+    if len(leaves) == 1:
+        return ()
+    split = 1
+    while split * 2 < len(leaves):
+        split *= 2
+    if index < split:
+        return oracle_proof(leaves[:split], index) + (oracle_root(leaves[split:]),)
+    return oracle_proof(leaves[split:], index - split) + (oracle_root(leaves[:split]),)
+
+
 def distinct_leaves(n):
     return [bytes([i]) * 4 for i in range(n)]
 
@@ -45,6 +57,30 @@ def test_left_heavy_split_five_leaves():
 def test_root_matches_recursive_oracle(n):
     leaves = distinct_leaves(n)
     assert merkle.root(leaves) == oracle_root(leaves)
+
+
+def test_root_and_proofs_match_recursive_oracle_sibling_for_sibling():
+    for n in range(1, 71):
+        leaves = [bytes([n, i]) for i in range(n)]
+        assert merkle.root(leaves) == oracle_root(leaves)
+        for i in range(n):
+            assert merkle.prove(leaves, i) == MerkleProof(oracle_proof(leaves, i), i, n)
+
+
+def test_wrong_sibling_count_rejected_without_raising():
+    extra = leaf_hash(b"extra")
+    for n in range(1, 18):
+        leaves = distinct_leaves(n)
+        root = merkle.root(leaves)
+        for i in range(n):
+            proof = merkle.prove(leaves, i)
+            variants = [proof.siblings + (extra,)]
+            variants += [
+                proof.siblings[:d] + proof.siblings[d + 1 :] for d in range(len(proof.siblings))
+            ]
+            for siblings in variants:
+                bad = MerkleProof(siblings, i, n)
+                assert merkle.verify_merkle_proof(leaves[i], bad, root, n, i) is False
 
 
 def test_empty_tree_rejected():

@@ -9,6 +9,7 @@ from daproofs.rs2d import (
     COLUMN,
     ROW,
     DataCommitment,
+    ExtendedMatrix,
     PartialMatrix,
     commit,
     extend,
@@ -137,6 +138,50 @@ def test_prove_verify_share_exhaustive_k2():
                 assert verify_share_merkle_proof(
                     share, proof, commitment.data_root, commitment.data_length, virtual
                 )
+
+
+def _fresh_proof(matrix, x, y, origin):
+    """Proof from a newly built copy of matrix, with no cached trees."""
+    copy = ExtendedMatrix(matrix.k, matrix.share_size, [list(row) for row in matrix.cells])
+    return prove_share(copy, x, y, origin)[1].to_bytes()
+
+
+def test_cached_trees_match_fresh_matrix_in_any_order():
+    matrix, _ = build(k=4, seed=11)
+    width = matrix.width
+    cells = [(x, y) for x in range(width) for y in range(width)]
+    shuffled = random.Random(5).sample(cells, len(cells))
+    orders = [cells, [(x, y) for y in range(width) for x in range(width)], shuffled]
+    fresh = {
+        (x, y, origin): _fresh_proof(matrix, x, y, origin)
+        for x, y in cells
+        for origin in (ROW, COLUMN)
+    }
+    for order in orders:
+        interleaved = [(x, y, origin) for x, y in order for origin in (ROW, COLUMN)]
+        axis_by_axis = [(x, y, origin) for origin in (ROW, COLUMN) for x, y in order]
+        for x, y, origin in interleaved + axis_by_axis:
+            assert prove_share(matrix, x, y, origin)[1].to_bytes() == fresh[(x, y, origin)]
+    # cached trees do not take part in equality
+    assert matrix == ExtendedMatrix(matrix.k, matrix.share_size, [list(row) for row in matrix.cells])
+
+    # warm both caches: the last axis tree is row 2, whose cell (2, 5) changes;
+    # the first proof after the change, (2, 0), has that cell under a sibling
+    old_root = commit(matrix).data_root
+    prove_share(matrix, 2, 0, ROW)
+    matrix.cells[2][5] = bytes(b ^ 0xFF for b in matrix.cells[2][5])
+    matrix.invalidate_roots()
+    commitment = commit(matrix)
+    assert commitment.data_root != old_root
+    for x, y in [(2, 0), (2, 5), (0, 5)] + cells:
+        for origin in (ROW, COLUMN):
+            share, proof = prove_share(matrix, x, y, origin)
+            assert proof.to_bytes() == _fresh_proof(matrix, x, y, origin)
+            j, pos = (x, y) if origin == ROW else (y, x)
+            virtual = share_index(origin, j, pos, origin, width, commitment.data_length)
+            assert verify_share_merkle_proof(
+                share, proof, commitment.data_root, commitment.data_length, virtual
+            )
 
 
 def test_verify_share_wrong_everything():
