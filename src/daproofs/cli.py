@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--c-hat", type=int, default=None, dest="c_hat")
     pr.add_argument("--d", type=int, default=None)
     pr.add_argument("--target", type=float, default=0.99)
-    pr.add_argument("--method", default="auto", choices=["auto", "exact", "dp", "mc", "series"])
+    pr.add_argument("--method", default="auto", choices=prob.METHODS)
     pr.add_argument("--out", default="")
     pr.set_defaults(func=cmd_prob)
 

@@ -19,9 +19,14 @@ to the unrecoverability minimum (k+1)^2):
   (Published statements of this series sometimes carry the opposite sign
   on the sum, which yields values above one; the sign here is fixed by
   exhaustive enumeration at small n.) Terms are astronomically large and
-  nearly cancel, so evaluation is exact big-rational up to n = 4096,
-  log-space floating point with compensated summation beyond that, and
-  Monte Carlo when cancellation makes floats meaningless.
+  nearly cancel, so the series is only ever evaluated in big rationals.
+  The same probability comes from the distinct-count chain: drawing a
+  group one share at a time, its i-th share (i = 0..s-1) is new with
+  probability (n - z)/(n - i) when z distinct shares have been seen.
+  The chain needs no weights or logarithms and agrees with the series to
+  float64 rounding. Methods (METHODS): "exact" is the series, "dp" the
+  chain, "auto" the series up to n = 4096 and the chain beyond, and "mc"
+  a Monte Carlo cross-check.
 - px: with d of c*s pooled, unlinkable sample requests denied, one
   client sees at least one of its s requests denied:
   sum_i C(s,i) C(s(c-1), d-i) / C(cs, d) = 1 - C(s(c-1), d)/C(cs, d).
@@ -33,7 +38,6 @@ the whole matrix recoverable; min_clients inverts pe for it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -41,8 +45,8 @@ import numpy as np
 
 DEFAULT_TARGET = 0.99
 
+METHODS = ("auto", "exact", "dp", "mc")
 _EXACT_N_LIMIT = 4096
-_SERIES_ERROR_LIMIT = 1e-6
 
 
 def unavailable_minimum(k: int) -> int:
@@ -52,47 +56,6 @@ def unavailable_minimum(k: int) -> int:
 def recovery_threshold(k: int) -> int:
     """gamma: distinct shares that force recoverability of the 2k x 2k matrix."""
     return k * (3 * k - 2)
-
-
-@dataclass(frozen=True)
-class SamplingParams:
-    """Parameter bundle for the sampling analysis."""
-
-    k: int
-    s: int
-    c: int = 1
-    c_hat: int = 0
-    q: Optional[int] = None
-    d: int = 0
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be positive")
-        if not 0 < self.s < unavailable_minimum(self.k):
-            raise ValueError("s must satisfy 0 < s < (k+1)^2")
-        if self.c < 1 or not 0 <= self.c_hat <= self.c:
-            raise ValueError("client counts out of range")
-        if self.d < 0 or self.d > self.c * self.s:
-            raise ValueError("denied-request count out of range")
-        q = self.q if self.q is not None else unavailable_minimum(self.k)
-        if not 0 <= q <= self.matrix_cells:
-            raise ValueError("unavailable share count out of range")
-
-    @property
-    def matrix_cells(self) -> int:
-        return (2 * self.k) ** 2
-
-    @property
-    def unavailable(self) -> int:
-        return self.q if self.q is not None else unavailable_minimum(self.k)
-
-    @property
-    def gamma(self) -> int:
-        return recovery_threshold(self.k)
-
-    @property
-    def lam(self) -> int:
-        return self.matrix_cells - self.gamma
 
 
 # --- single-client hit probability -------------------------------------------
@@ -204,121 +167,36 @@ def pe_exact_fraction(n: int, s: int, c: int, lam: int) -> Fraction:
 
 
 def pe_reaches(n: int, s: int, c: int, lam: int, target: Fraction) -> bool:
-    """Exact integer test pe >= target, avoiding any float rounding."""
-    _check_pe_params(n, s, c, lam)
-    denom_base = math.comb(n, s)
-    total = 0
-    for i in range(1, n - lam + 1):
-        remaining = n - lam - i
-        w_num = math.comb(remaining, s) if remaining >= s else 0
-        if w_num == 0:
-            break
-        term = math.comb(lam + i - 1, lam) * math.comb(n, lam + i) * pow(w_num, c)
-        total += -term if i % 2 else term
-    denom = pow(denom_base, c)
-    # pe = (denom + total) / denom ; compare against target.num/target.den
-    return (denom + total) * target.denominator >= target.numerator * denom
-
-
-def pe_series_float(n: int, s: int, c: int, lam: int) -> tuple[float, float]:
-    """Log-space series evaluation; returns (value, error estimate).
-
-    The second value bounds the absolute rounding error left after the
-    alternating terms cancel: the largest term's magnitude scaled by the
-    working precision and term count. A probability needs it well below
-    one; pe() treats anything above 1e-6 as meaningless.
-    """
-    _check_pe_params(n, s, c, lam)
-    log_denom = math.lgamma(n + 1) - math.lgamma(s + 1) - math.lgamma(n - s + 1)
-    logs: list[float] = []
-    signs: list[float] = []
-    for i in range(1, n - lam + 1):
-        remaining = n - lam - i
-        if remaining < s:
-            break
-        log_w = (
-            math.lgamma(remaining + 1)
-            - math.lgamma(s + 1)
-            - math.lgamma(remaining - s + 1)
-            - log_denom
-        )
-        log_term = (
-            math.lgamma(lam + i) - math.lgamma(lam + 1) - math.lgamma(i)
-            + math.lgamma(n + 1) - math.lgamma(lam + i + 1) - math.lgamma(n - lam - i + 1)
-            + c * log_w
-        )
-        logs.append(log_term)
-        signs.append(-1.0 if i % 2 else 1.0)
-    if not logs:
-        return 1.0, 0.0
-    peak = max(logs)
-    if peak >= 700.0:
-        # terms overflow float64 outright
-        return float("nan"), float("inf")
-    # Neumaier-compensated sum of scaled terms
-    total = 0.0
-    comp = 0.0
-    for log_term, sign in zip(logs, signs):
-        value = sign * math.exp(log_term - peak)
-        t = total + value
-        if abs(total) >= abs(value):
-            comp += (total - t) + value
-        else:
-            comp += (value - t) + total
-        total = t
-    result = 1.0 + math.exp(peak) * (total + comp)
-    error = math.exp(peak) * len(logs) * 2.0 ** -52
-    return result, error
+    """Exact test pe >= target, avoiding any float rounding."""
+    return pe_exact_fraction(n, s, c, lam) >= target
 
 
 def pe_dp_curve(
     n: int, s: int, lam: int, c_max: int, stop_at: Optional[float] = None
 ) -> np.ndarray:
-    """pe for every c in 1..c_max via the distinct-count Markov chain.
+    """pe for every c in 1..c_max via the distinct-count chain.
 
     Entry [c] is the probability; entry [0] is 0. Stops early once the
     value reaches stop_at, leaving later entries at their last value.
     """
-    _check_pe_params(n, s, c_max if c_max >= 1 else 1, lam)
+    _check_pe_params(n, s, c_max, lam)
     goal = n - lam
-    log_cns = math.lgamma(n + 1) - math.lgamma(s + 1) - math.lgamma(n - s + 1)
-
-    def log_comb(a: np.ndarray, b: int) -> np.ndarray:
-        out = np.full(a.shape, -np.inf)
-        ok = a >= b
-        av = a[ok].astype(np.float64)
-        out[ok] = (
-            _lgamma(av + 1) - math.lgamma(b + 1) - _lgamma(av - b + 1)
-        )
-        return out
-
-    zs = np.arange(n + 1)
-    weights = []
-    for j in range(s + 1):
-        log_w = log_comb(n - zs, j) + log_comb(zs, s - j) - log_cns
-        weights.append(np.exp(log_w))
-
+    unseen = np.arange(n, 0, -1, dtype=np.float64)  # n - z for z = 0..n-1
     dist = np.zeros(n + 1)
-    dist[s] = 1.0
+    dist[0] = 1.0
     out = np.zeros(c_max + 1)
-    out[1] = dist[goal:].sum()
-    for c in range(2, c_max + 1):
-        new = np.zeros(n + 1)
-        for j in range(s + 1):
-            contrib = dist * weights[j]
-            if j:
-                new[j:] += contrib[: n + 1 - j]
-            else:
-                new += contrib
-        dist = new
+    for c in range(1, c_max + 1):
+        for i in range(s):
+            # z cannot exceed the shares drawn so far, and z = n cannot grow
+            top = min(n, (c - 1) * s + i + 1)
+            move = dist[:top] * unseen[:top] / (n - i)
+            dist[:top] -= move
+            dist[1 : top + 1] += move
         out[c] = dist[goal:].sum()
         if stop_at is not None and out[c] >= stop_at:
             out[c:] = out[c]
             break
     return out
-
-
-_lgamma = np.vectorize(math.lgamma, otypes=[np.float64])
 
 
 def pe_dp(n: int, s: int, c: int, lam: int) -> float:
@@ -335,29 +213,24 @@ def mc_pe(n: int, s: int, c: int, lam: int, trials: int = 100_000, seed: int = 0
     return float(np.mean(z >= n - lam))
 
 
+def _uses_exact(n: int, method: str) -> bool:
+    """Whether method evaluates pe in big rationals at this n."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    return method == "exact" or (method == "auto" and n <= _EXACT_N_LIMIT)
+
+
 def pe(n: int, s: int, c: int, lam: int, method: str = "auto") -> float:
-    """Collective-coverage probability; see module docstring for methods."""
-    if method == "exact":
+    """Collective-coverage probability by one of METHODS.
+
+    "auto" is exact up to n = 4096 and the distinct-count chain beyond;
+    the module docstring describes each method.
+    """
+    if _uses_exact(n, method):
         return float(pe_exact_fraction(n, s, c, lam))
-    if method == "series":
-        value, error = pe_series_float(n, s, c, lam)
-        if not math.isfinite(value) or error > _SERIES_ERROR_LIMIT:
-            raise ArithmeticError(
-                f"series rounding error estimate {error:.2e} exceeds tolerance"
-            )
-        return min(max(value, 0.0), 1.0)
-    if method == "dp":
-        return pe_dp(n, s, c, lam)
     if method == "mc":
         return mc_pe(n, s, c, lam)
-    if method == "auto":
-        if n <= _EXACT_N_LIMIT:
-            return float(pe_exact_fraction(n, s, c, lam))
-        value, error = pe_series_float(n, s, c, lam)
-        if math.isfinite(value) and error <= _SERIES_ERROR_LIMIT:
-            return min(max(value, 0.0), 1.0)
-        return mc_pe(n, s, c, lam)
-    raise ValueError(f"unknown method {method!r}")
+    return pe_dp(n, s, c, lam)
 
 
 # --- minimum client counts ------------------------------------------------------
@@ -377,18 +250,20 @@ def min_clients(
 ) -> int:
     """Smallest c with pe(n=(2k)^2, s, c, lam) >= target.
 
-    Searches the probability curve with the fast Markov chain, then pins
-    the boundary with exact big-rational arithmetic when n is small
-    enough; larger matrices use Monte Carlo hitting times.
+    Searches the probability curve with the distinct-count chain. Where
+    pe(method=method) is exact ("exact", or "auto" up to n = 4096), the
+    boundary is then pinned in big rationals. "mc" is the Monte Carlo
+    cross-check mc_min_clients, the only user of trials and seed.
     """
     n = (2 * k) ** 2
     lam = n - recovery_threshold(k)
-    if method == "mc" or (method == "auto" and n > _EXACT_N_LIMIT):
+    exact = _uses_exact(n, method)  # also rejects unknown methods
+    if method == "mc":
         return mc_min_clients(k, s, target=target, trials=trials, seed=seed)
 
     c_max = max(8, (2 * n) // s)
     while True:
-        curve = pe_dp_curve(n, s, lam, c_max, stop_at=min(target + 0.004, 1.0))
+        curve = pe_dp_curve(n, s, lam, c_max, stop_at=target)
         over = np.nonzero(curve >= target)[0]
         if over.size:
             candidate = int(over[0])
@@ -396,6 +271,8 @@ def min_clients(
         c_max *= 2
         if c_max > 10_000_000:
             raise ArithmeticError("target unreachable within search bounds")
+    if not exact:
+        return candidate
 
     goal = _target_fraction(target)
     while not pe_reaches(n, s, candidate, lam, goal):

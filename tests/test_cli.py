@@ -51,6 +51,11 @@ def test_prob_table1_cell(tmp_path):
     assert rows == [{"k": "16", "s": "2", "min_clients": "692"}]
 
 
+def test_prob_table1_k64_is_exact(capsys):
+    assert run_cli("prob", "--table", "table1", "--k", "64", "--s", "50") == 0
+    assert capsys.readouterr().out.splitlines() == ["k,s,min_clients", "64,50,451"]
+
+
 def test_prob_px_and_pc_columns(tmp_path):
     out = tmp_path / "mix.csv"
     assert run_cli(

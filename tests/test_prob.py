@@ -8,7 +8,6 @@ import pytest
 
 from daproofs import prob
 from daproofs.prob import (
-    SamplingParams,
     mc_min_clients,
     mc_p1,
     mc_pc,
@@ -24,7 +23,6 @@ from daproofs.prob import (
     pe_dp,
     pe_exact_fraction,
     pe_reaches,
-    pe_series_float,
     px,
     px_complement,
     recovery_threshold,
@@ -125,13 +123,17 @@ def test_pe_matches_enumeration():
         exact = pe_exact_fraction(n, s, c, lam)
         assert exact == pe_enumeration(n, s, c, lam)
         assert abs(pe_dp(n, s, c, lam) - float(exact)) < 1e-12
-        assert abs(pe(n, s, c, lam, method="series") - float(exact)) < 1e-9
 
 
 def test_pe_dp_matches_exact_mid_scale():
-    n, s, lam = 64, 3, 20
-    for c in (5, 15, 40):
-        assert abs(pe_dp(n, s, c, lam) - float(pe_exact_fraction(n, s, c, lam))) < 1e-10
+    # a mid-scale curve, and the paper's k=16 points (c_min - 1 and c_min)
+    lam16 = 1024 - recovery_threshold(16)
+    cases = [(64, 3, 20, (5, 15, 40))]
+    cases += [(1024, s, lam16, (c - 1, c)) for s, c in ((2, 692), (10, 138), (50, 28))]
+    for n, s, lam, cs in cases:
+        curve = prob.pe_dp_curve(n, s, lam, max(cs))
+        for c in cs:
+            assert abs(curve[c] - float(pe_exact_fraction(n, s, c, lam))) <= 1e-14, (n, s, c)
 
 
 def test_pe_monotone_in_c_and_s():
@@ -149,16 +151,6 @@ def test_pe_monte_carlo_agreement():
     assert within_3_sigma(estimate, truth, 100_000)
 
 
-def test_pe_series_cancellation_flagged():
-    # at matrix scale the alternating series is hopeless in float64
-    n = (2 * 16) ** 2
-    lam = n - recovery_threshold(16)
-    value, error = pe_series_float(n, 2, 692, lam)
-    assert error > 1e-6 or not math.isfinite(value)
-    with pytest.raises(ArithmeticError):
-        pe(n, 2, 692, lam, method="series")
-
-
 def test_pe_validation():
     with pytest.raises(ValueError):
         pe_exact_fraction(4, 5, 1, 0)
@@ -166,6 +158,18 @@ def test_pe_validation():
         pe_exact_fraction(4, 2, 0, 0)
     with pytest.raises(ValueError):
         pe_exact_fraction(4, 2, 1, 4)
+    with pytest.raises(ValueError):
+        pe(16, 2, 0, 8, method="dp")
+    with pytest.raises(ValueError):
+        prob.pe_dp_curve(16, 2, 8, 0)
+
+
+def test_unknown_method_rejected():
+    for method in ("bogus", "series"):
+        with pytest.raises(ValueError):
+            pe(16, 2, 4, 8, method=method)
+        with pytest.raises(ValueError):
+            min_clients(4, 2, method=method)
 
 
 def test_min_clients_small_case_boundary():
@@ -175,6 +179,10 @@ def test_min_clients_small_case_boundary():
     n, lam = 16, 16 - recovery_threshold(2)
     assert pe_reaches(n, 3, c, lam, target)
     assert c == 1 or not pe_reaches(n, 3, c - 1, lam, target)
+
+
+def test_min_clients_k64_row_matches_paper():
+    assert [min_clients(64, s) for s in (2, 10, 50)] == [11289, 2258, 451]
 
 
 def test_mc_min_clients_tracks_exact():
@@ -212,15 +220,11 @@ def test_px_validation():
         px(0, 5, 1)
 
 
-def test_sampling_params_invariants():
-    params = SamplingParams(k=16, s=5, c=100, c_hat=10, d=20)
-    assert params.gamma == 16 * 46 == 736
-    assert params.gamma == params.matrix_cells - (16 + 1) ** 2 + 1
-    assert params.lam == params.matrix_cells - params.gamma
-    with pytest.raises(ValueError):
-        SamplingParams(k=4, s=25)  # s >= (k+1)^2
-    with pytest.raises(ValueError):
-        SamplingParams(k=4, s=2, c=5, c_hat=6)
+def test_recovery_threshold_identities():
+    for k in (1, 2, 16, 64):
+        n = (2 * k) ** 2
+        assert recovery_threshold(k) == n - prob.unavailable_minimum(k) + 1
+    assert recovery_threshold(16) == 16 * 46 == 736
 
 
 def test_sample_distinct_rows_are_distinct():
