@@ -279,7 +279,6 @@ class BuiltBlock:
     commitment: DataCommitment
     shares: list[bytes]            # the k*k original framed shares, padding included
     messages: list[Message]
-    state: StateTree               # post-state of the honest replay
     traces: list[bytes]            # boundary traces as they appear in the data
     producer: bytes
     p: int = DEFAULT_PERIOD
@@ -312,6 +311,8 @@ def build_block(
     _check_share_size(share_size)
     if share_size % 2:
         raise ValueError("share size must be even")
+    if p < 1:
+        raise ValueError("period length must be positive")
 
     state = prev_state.copy()
     messages: list[Message] = []
@@ -363,7 +364,6 @@ def build_block(
         commitment=commitment,
         shares=shares,
         messages=messages,
-        state=state,
         traces=traces,
         producer=producer,
         p=p,
@@ -442,7 +442,6 @@ class DoubleTreeBlock:
     header: DoubleTreeHeader
     txs: list[Transaction]
     traces: list[bytes]
-    state: StateTree
     producer: bytes
     p: int
 
@@ -459,6 +458,8 @@ def build_double_tree_block(
     that is followed by more transfers), so every period is provable."""
     if mode not in (MODE_HONEST, MODE_INVALID_TRANSITION):
         raise ValueError(f"unsupported double-tree mode {mode!r}")
+    if p < 1:
+        raise ValueError("period length must be positive")
     state = prev_state.copy()
     traces: list[bytes] = []
     for index, tx in enumerate(txs):
@@ -486,4 +487,4 @@ def build_double_tree_block(
         state_root=state_root,
         additional_data=producer,
     )
-    return DoubleTreeBlock(header, list(txs), traces, state, producer, p)
+    return DoubleTreeBlock(header, list(txs), traces, producer, p)

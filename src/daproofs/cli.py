@@ -243,7 +243,6 @@ def _load_block_dir(block_dir: Path):
         commitment=commitment,
         shares=shares,
         messages=[],
-        state=prev_state,
         traces=[],
         producer=header.additional_data,
         p=p,

@@ -185,13 +185,16 @@ def pe_dp_curve(
     dist = np.zeros(n + 1)
     dist[0] = 1.0
     out = np.zeros(c_max + 1)
+    low = 0  # mass only moves up, so every entry below low stays exactly 0.0
     for c in range(1, c_max + 1):
         for i in range(s):
             # z cannot exceed the shares drawn so far, and z = n cannot grow
             top = min(n, (c - 1) * s + i + 1)
-            move = dist[:top] * unseen[:top] / (n - i)
-            dist[:top] -= move
-            dist[1 : top + 1] += move
+            move = dist[low:top] * unseen[low:top] / (n - i)
+            dist[low:top] -= move
+            dist[low + 1 : top + 1] += move
+            while dist[low] == 0.0:
+                low += 1
         out[c] = dist[goal:].sum()
         if stop_at is not None and out[c] >= stop_at:
             out[c:] = out[c]

@@ -75,7 +75,7 @@ VERDICT_FRAUD = "reject-fraudproof"
 @dataclass
 class SimConfig:
     k: int = 4
-    share_size: int = 64
+    share_size: int = 128
     s: int = 3
     p: int = 10
     full_nodes: int = 2
@@ -96,6 +96,12 @@ class SimConfig:
             raise ValueError(f"unknown adversary {self.adversary!r}")
         if self.network_model not in NETWORK_MODELS:
             raise ValueError(f"unknown network model {self.network_model!r}")
+        if self.k < 1:
+            raise ValueError("k must be at least 1")
+        if not 1 <= self.s <= (2 * self.k) ** 2:
+            raise ValueError("s must be between 1 and the number of cells (2k)^2")
+        if self.p < 1:
+            raise ValueError("period length must be positive")
         if self.full_nodes < 1:
             raise ValueError("need at least one honest full node")
         if self.light_clients < 1:
@@ -124,7 +130,6 @@ class SimConfig:
             key = key.replace("-", "_")
             if key not in cls.__dataclass_fields__:
                 raise ValueError(f"unknown config key {key!r}")
-            kind = cls.__dataclass_fields__[key].type
             if key in ("network_model", "adversary", "withhold_pattern"):
                 values[key] = value
             elif key == "selective_limit":
@@ -203,7 +208,6 @@ def make_transactions(
 class Scenario:
     """Everything derived from the block-side config, reusable across seeds."""
 
-    config_key: tuple
     genesis_state: StateTree
     genesis: BlockHeader
     built: BuiltBlock
@@ -285,7 +289,6 @@ def prepare_scenario(config: SimConfig) -> Scenario:
     cells = [(r, c) for r in range(width) for c in range(width)]  # row-major: one tree per row
     cell_proofs = {cell: rs2d.prove_share(built.matrix, *cell, ROW) for cell in cells}
     scenario = Scenario(
-        config_key=key,
         genesis_state=genesis_state,
         genesis=genesis,
         built=built,
@@ -548,7 +551,6 @@ class _FullNode:
             commitment=sim.scenario.commitment,
             shares=shares,  # type: ignore[arg-type]
             messages=[],
-            state=sim.scenario.built.state,
             traces=[],
             producer=sim.scenario.built.producer,
             p=sim.config.p,
@@ -571,6 +573,8 @@ class _FullNode:
                 )
 
     def receive_fraud(self, proof: Union[TransitionFraudProof, CodecFraudProof]) -> None:
+        if self.store.is_rejected(proof.block_hash):
+            return
         if not fraud.apply_fraud_proof(proof, self.store, self.sim.config.p):
             return
         for client in self.sim.clients:
@@ -690,6 +694,8 @@ class _Client:
         self._finish(VERDICT_UNAVAILABLE)
 
     def receive_fraud(self, proof: Union[TransitionFraudProof, CodecFraudProof]) -> None:
+        if self.store.is_rejected(proof.block_hash):
+            return
         if not fraud.apply_fraud_proof(proof, self.store, self.sim.config.p):
             return
         if self.verdict is None:

@@ -1,21 +1,26 @@
 """Sparse Merkle tree committing to a map from 32-byte keys to byte values.
 
-The tree has a fixed depth of 256; a key's bits (most significant first)
-select the path from root to leaf. Absent keys hold the default value
+The tree has a fixed depth of 256. Absent keys hold the default value
 (the empty byte string) whose leaf digest is 32 zero bytes; a populated
 leaf stores hash(0x00 || key || value). Internal nodes reuse the 0x01
 node hash from the merkle module, so the empty-tree root is the 256-fold
 default chain over the zero leaf digest.
 
+One path rule: read the key as a big-endian integer; bit i of it (bit 0
+least significant) picks the side at height i (leaves at height 0), so a
+1 makes the path node the right child there. StateTree.update, verify and
+witness seeding all fold the path by this rule.
+
 Only non-default nodes are stored, which bounds an update to one leaf
-hash plus 256 node hashes regardless of tree population.
+hash plus 256 node hashes regardless of tree population. A witness
+subtree is the same StateTree holding only the nodes its proofs reveal.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 from .merkle import DIGEST_SIZE, node_hash
 
@@ -174,27 +179,33 @@ class StateTree:
         return SparseProof(key, self.get(key), siblings)
 
 
-def verify(key: bytes, value: bytes, proof: SparseProof, root_digest: bytes) -> bool:
-    """True iff proof shows that key maps to value under root_digest."""
+def _path_digests(key: bytes, value: bytes, proof: SparseProof) -> Optional[list[bytes]]:
+    """Digests on key's path, leaf (height 0) to root (height 256), folded
+    from proof's siblings; None if the proof does not fit key and value."""
     try:
         _check_key(key)
     except ValueError:
-        return False
+        return None
     key = bytes(key)
     if proof.key != key or proof.value != value:
-        return False
+        return None
     if len(proof.siblings) != DEPTH:
-        return False
+        return None
     if any(len(sib) != DIGEST_SIZE for sib in proof.siblings):
-        return False
+        return None
     path = int.from_bytes(key, "big")
     node = DEFAULT_LEAF if value == DEFAULT_VALUE else _leaf_digest(key, value)
+    digests = [node]
     for i, sibling in enumerate(proof.siblings):
-        if (path >> i) & 1:
-            node = _node(sibling, node)
-        else:
-            node = _node(node, sibling)
-    return node == root_digest
+        node = _node(sibling, node) if (path >> i) & 1 else _node(node, sibling)
+        digests.append(node)
+    return digests
+
+
+def verify(key: bytes, value: bytes, proof: SparseProof, root_digest: bytes) -> bool:
+    """True iff proof shows that key maps to value under root_digest."""
+    digests = _path_digests(key, value, proof)
+    return digests is not None and digests[-1] == root_digest
 
 
 class WitnessError(Exception):
@@ -202,92 +213,60 @@ class WitnessError(Exception):
     required by the replayed operation is not covered."""
 
 
-class WitnessSubtree:
-    """Partial state tree reassembled from verified membership proofs.
+class WitnessSubtree(StateTree):
+    """A StateTree that holds only the paths of verified membership proofs.
 
-    Supports updating the covered leaves and recomputing the resulting
-    root, reading unchanged siblings from the proofs.
+    Every node on a covered key's path, and every sibling of one, is
+    seeded from the proofs, so StateTree.update keeps the root exactly as
+    on the full tree; reading or writing an uncovered key is an error.
     """
 
     def __init__(self, root_digest: bytes) -> None:
-        self._root = root_digest
-        self._known: dict[tuple[int, int], bytes] = {}
-        self._values: dict[bytes, bytes] = {}
+        super().__init__()
+        self._covered: set[bytes] = set()
+        self._store(0, 0, root_digest)
 
     @classmethod
     def from_entries(
         cls, root_digest: bytes, entries: Iterable[tuple[bytes, bytes, SparseProof]]
     ) -> "WitnessSubtree":
         sub = cls(root_digest)
-        seen: set[bytes] = set()
+        known: dict[tuple[int, int], bytes] = {}
         for key, value, proof in entries:
-            if key in seen:
+            if key in sub._covered:
                 raise WitnessError("duplicate witness key")
-            seen.add(key)
-            if not verify(key, value, proof, root_digest):
+            digests = _path_digests(key, value, proof)
+            if digests is None or digests[-1] != root_digest:
                 raise WitnessError("witness proof does not verify")
-            sub._absorb(key, value, proof)
+            key = bytes(key)
+            sub._covered.add(key)
+            if value != DEFAULT_VALUE:
+                sub._values[key] = bytes(value)
+            path = int.from_bytes(key, "big")
+            for i, sibling in enumerate(proof.siblings):
+                level = DEPTH - i
+                for prefix, digest in ((path >> i, digests[i]), ((path >> i) ^ 1, sibling)):
+                    if known.setdefault((level, prefix), digest) != digest:
+                        raise WitnessError("witness entries are inconsistent")
+        for (level, prefix), digest in known.items():
+            sub._store(level, prefix, digest)
         return sub
-
-    def _absorb(self, key: bytes, value: bytes, proof: SparseProof) -> None:
-        self._values[bytes(key)] = bytes(value)
-        path = int.from_bytes(key, "big")
-        node = DEFAULT_LEAF if value == DEFAULT_VALUE else _leaf_digest(key, value)
-        for i, sibling in enumerate(proof.siblings):
-            level = DEPTH - i
-            prefix = path >> i
-            self._put_known(level, prefix, node)
-            self._put_known(level, prefix ^ 1, sibling)
-            node = _node(sibling, node) if prefix & 1 else _node(node, sibling)
-        self._put_known(0, 0, node)
-
-    def _put_known(self, level: int, prefix: int, digest: bytes) -> None:
-        existing = self._known.get((level, prefix))
-        if existing is not None and existing != digest:
-            raise WitnessError("witness entries are inconsistent")
-        self._known[(level, prefix)] = digest
 
     @property
     def covered(self) -> set[bytes]:
-        return set(self._values)
+        return set(self._covered)
+
+    def _check_covered(self, key: bytes) -> None:
+        if key not in self._covered:
+            raise WitnessError("key not covered by witness")
 
     def get(self, key: bytes) -> bytes:
-        if key not in self._values:
-            raise WitnessError("key not covered by witness")
-        return self._values[key]
+        self._check_covered(key)
+        return super().get(key)
 
-    def update(self, key: bytes, value: bytes) -> None:
-        if key not in self._values:
-            raise WitnessError("key not covered by witness")
-        self._values[key] = bytes(value)
+    def update(self, key: bytes, value: bytes) -> bytes:
+        self._check_covered(key)
+        return super().update(key, value)
 
-    def root(self) -> bytes:
-        """Recompute the root over the covered leaves and stored siblings."""
-        level_nodes: dict[int, bytes] = {}
-        for key, value in self._values.items():
-            path = int.from_bytes(key, "big")
-            level_nodes[path] = (
-                DEFAULT_LEAF if value == DEFAULT_VALUE else _leaf_digest(key, value)
-            )
-        for i in range(DEPTH):
-            level = DEPTH - i
-            parents: dict[int, bytes] = {}
-            for prefix in level_nodes:
-                parent = prefix >> 1
-                if parent in parents:
-                    continue
-                left = self._child(level, parent << 1, level_nodes, i)
-                right = self._child(level, (parent << 1) | 1, level_nodes, i)
-                parents[parent] = _node(left, right)
-            level_nodes = parents
-        return level_nodes.get(0, self._root)
-
-    def _child(
-        self, level: int, prefix: int, recomputed: dict[int, bytes], height: int
-    ) -> bytes:
-        if prefix in recomputed:
-            return recomputed[prefix]
-        known = self._known.get((level, prefix))
-        if known is not None:
-            return known
-        return EMPTY_SUBTREE[height]
+    # named here too, so the subtree's root can be traced apart from StateTree's
+    root = StateTree.root

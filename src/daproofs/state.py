@@ -126,8 +126,8 @@ class StateWitness:
         return {key for key, _, _ in self.entries}
 
 
-def _apply_rules(view, tx: Transaction) -> Optional[bytes]:
-    """Run the transfer on any get/update/root view; None means illegal."""
+def _apply_rules(view: StateTree, tx: Transaction) -> Optional[bytes]:
+    """Run the transfer on a full tree or a witness subtree; None means illegal."""
     sender = AccountValue.decode(view.get(tx.sender))
     if tx.nonce != sender.nonce:
         return None
@@ -206,7 +206,7 @@ def root_transition(state_root: StateRoot, tx: Transaction, witness: StateWitnes
     return ERR if result is None else result
 
 
-def _apply_payout(view, producer: bytes) -> Optional[bytes]:
+def _apply_payout(view: StateTree, producer: bytes) -> Optional[bytes]:
     """Credit accrued fees to the producer and reset the accumulator, on a
     full tree or a witness subtree; None means no fees had accrued."""
     fees = AccountValue.decode(view.get(FEES_KEY))

@@ -210,6 +210,16 @@ def test_illegal_transfer_rejected_by_builder(base_state):
         build_block(genesis_header(tree), tree, [bad], k=4, share_size=128)
 
 
+def test_builders_reject_nonpositive_period(base_state):
+    tree, keys = base_state
+    txs = transfer_chain(keys, 3, random.Random(12))
+    for p in (0, -1):
+        with pytest.raises(ValueError, match="period"):
+            build_block(genesis_header(tree), tree, txs, k=4, share_size=128, p=p)
+        with pytest.raises(ValueError, match="period"):
+            build_double_tree_block(tree.root(), tree, txs, p=p)
+
+
 @pytest.mark.parametrize(
     "tx_index,p,expected",
     [(0, 10, -1), (9, 10, -1), (10, 10, 0), (25, 10, 1), (199, 10, 18)],

@@ -84,6 +84,12 @@ def test_simulate_and_outputs(tmp_path):
     assert (out / "headers.bin").exists()
 
 
+def test_simulate_bad_config_exits_2(tmp_path):
+    config = tmp_path / "bad.cfg"
+    config.write_text("k = 4\nshare_size = 128\np = 0\n")
+    assert run_cli("simulate", "--config", config, "--out", tmp_path / "sim") == 2
+
+
 def test_fraud_gen_verify_round_trip(tmp_path):
     tree, keys = funded_state()
     txs = transfer_chain(keys, 25, random.Random(3))

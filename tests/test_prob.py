@@ -136,6 +136,33 @@ def test_pe_dp_matches_exact_mid_scale():
             assert abs(curve[c] - float(pe_exact_fraction(n, s, c, lam))) <= 1e-14, (n, s, c)
 
 
+def full_window_curve(n, s, lam, c_max):
+    """The chain updating every index from 0 on each step: the oracle for
+    pe_dp_curve's lower window, which skips the entries that are exactly 0."""
+    goal = n - lam
+    unseen = np.arange(n, 0, -1, dtype=np.float64)
+    dist = np.zeros(n + 1)
+    dist[0] = 1.0
+    out = np.zeros(c_max + 1)
+    for c in range(1, c_max + 1):
+        for i in range(s):
+            top = min(n, (c - 1) * s + i + 1)
+            move = dist[:top] * unseen[:top] / (n - i)
+            dist[:top] -= move
+            dist[1 : top + 1] += move
+        out[c] = dist[goal:].sum()
+    return out
+
+
+def test_pe_dp_curve_lower_window_is_bit_exact():
+    lam16 = 1024 - recovery_threshold(16)
+    cases = [(64, 3, 20, 60)]
+    cases += [(1024, s, lam16, c_max) for s, c_max in ((2, 700), (10, 140), (50, 30))]
+    for n, s, lam, c_max in cases:
+        curve = prob.pe_dp_curve(n, s, lam, c_max)
+        assert np.array_equal(curve, full_window_curve(n, s, lam, c_max)), (n, s)
+
+
 def test_pe_monotone_in_c_and_s():
     n, lam = 100, 30
     curve = prob.pe_dp_curve(n, 4, lam, 60)

@@ -54,6 +54,22 @@ def test_invalid_transition_rejected_by_transition_proof():
     assert kinds == {"transition"}
 
 
+def test_fraud_proof_verified_once_per_header_store(monkeypatch):
+    calls = []
+    apply = sim.fraud.apply_fraud_proof
+
+    def counted(proof, store, p):
+        calls.append(store)
+        return apply(proof, store, p)
+
+    monkeypatch.setattr(sim.fraud, "apply_fraud_proof", counted)
+    result = run_sampling(SimConfig(**BASE, adversary="invalid-code", seed=11))
+    assert verdicts(result) == [VERDICT_FRAUD] * 8
+    # two full nodes and eight clients, each verifying the proof once
+    assert len(calls) == 10
+    assert len({id(store) for store in calls}) == 10
+
+
 def test_fraud_proof_propagation_delay_bound():
     """A client rejects within one hop of its full node learning of fraud."""
     config = SimConfig(**BASE, adversary="invalid-code", seed=13)
@@ -209,6 +225,20 @@ def test_config_file_round_trip(tmp_path):
     assert config.network_model == "enhanced"
     with pytest.raises(ValueError):
         SimConfig.from_file(tmp_path / "missing.cfg") if False else SimConfig(adversary="nope")
+
+
+def test_default_config_builds_and_runs():
+    result = run_sampling(SimConfig())
+    assert len(result.per_client) == SimConfig().light_clients
+    assert all(v.verdict == VERDICT_ACCEPT for v in result.per_client)
+
+
+@pytest.mark.parametrize(
+    "bad", [dict(k=0), dict(k=-1), dict(s=0), dict(k=1, s=5), dict(p=0), dict(p=-3)]
+)
+def test_bad_config_rejected_at_construction(bad):
+    with pytest.raises(ValueError):
+        SimConfig(**bad)
 
 
 def test_csv_outputs(tmp_path):

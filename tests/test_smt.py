@@ -136,6 +136,28 @@ def test_witness_subtree_matches_full_tree_updates():
         subtree.update(key, new_value)
         tree.update(key, new_value)
     assert subtree.root() == tree.root()
+    # delete a covered key, re-insert it, then rewrite the once-absent key
+    absent = picked[-1]
+    for key, value in ((picked[0], b""), (picked[0], b"back"), (absent, b"late"), (absent, b"")):
+        subtree.update(key, value)
+        tree.update(key, value)
+        assert subtree.root() == tree.root()
+        assert subtree.get(key) == tree.get(key)
+    with pytest.raises(WitnessError):
+        subtree.update(keys[10], b"uncovered")
+
+
+def test_witness_seeding_hashes_each_proof_once():
+    rng = random.Random(9)
+    tree = StateTree()
+    keys = [rand_key(rng) for _ in range(12)]
+    for key in keys[:8]:
+        tree.update(key, b"seed")
+    entries = tuple((key, tree.get(key), tree.prove(key)) for key in keys[4:])
+    before = hash_invocations()
+    WitnessSubtree.from_entries(tree.root(), entries)
+    # one leaf hash plus 256 node hashes per entry, as in StateTree.update
+    assert hash_invocations() - before <= 257 * len(entries)
 
 
 def test_witness_subtree_rejects_bad_proofs():
