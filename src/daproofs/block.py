@@ -284,8 +284,9 @@ class BuiltBlock:
     p: int = DEFAULT_PERIOD
 
 
-def _tamper(digest: bytes) -> bytes:
-    return digest[:-1] + bytes([digest[-1] ^ 0x01])
+def _tamper(data: bytes) -> bytes:
+    """Flip the low bit of the last byte: the producer's one corruption."""
+    return data[:-1] + bytes([data[-1] ^ 0x01])
 
 
 def build_block(
@@ -347,7 +348,7 @@ def build_block(
     if mode == MODE_INVALID_CODE:
         # replace one parity cell before committing
         row, col = 0, matrix.width - 1
-        matrix.cells[row][col] = _tamper_share(matrix.cells[row][col])
+        matrix.cells[row][col] = _tamper(matrix.cells[row][col])
         matrix.invalidate_roots()
 
     commitment = rs2d.commit(matrix)
@@ -368,10 +369,6 @@ def build_block(
         producer=producer,
         p=p,
     )
-
-
-def _tamper_share(share: bytes) -> bytes:
-    return share[:-1] + bytes([share[-1] ^ 0x01])
 
 
 def original_share_count(data_length: int) -> int:

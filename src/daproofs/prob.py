@@ -25,8 +25,7 @@ to the unrecoverability minimum (k+1)^2):
   probability (n - z)/(n - i) when z distinct shares have been seen.
   The chain needs no weights or logarithms and agrees with the series to
   float64 rounding. Methods (METHODS): "exact" is the series, "dp" the
-  chain, "auto" the series up to n = 4096 and the chain beyond, and "mc"
-  a Monte Carlo cross-check.
+  chain, and "auto" the series up to n = 4096 and the chain beyond.
 - px: with d of c*s pooled, unlinkable sample requests denied, one
   client sees at least one of its s requests denied:
   sum_i C(s,i) C(s(c-1), d-i) / C(cs, d) = 1 - C(s(c-1), d)/C(cs, d).
@@ -45,7 +44,7 @@ import numpy as np
 
 DEFAULT_TARGET = 0.99
 
-METHODS = ("auto", "exact", "dp", "mc")
+METHODS = ("auto", "exact", "dp")
 _EXACT_N_LIMIT = 4096
 
 
@@ -231,8 +230,6 @@ def pe(n: int, s: int, c: int, lam: int, method: str = "auto") -> float:
     """
     if _uses_exact(n, method):
         return float(pe_exact_fraction(n, s, c, lam))
-    if method == "mc":
-        return mc_pe(n, s, c, lam)
     return pe_dp(n, s, c, lam)
 
 
@@ -243,27 +240,16 @@ def _target_fraction(target: float) -> Fraction:
     return Fraction(str(target))
 
 
-def min_clients(
-    k: int,
-    s: int,
-    target: float = DEFAULT_TARGET,
-    method: str = "auto",
-    trials: int = 4000,
-    seed: int = 2024,
-) -> int:
+def min_clients(k: int, s: int, target: float = DEFAULT_TARGET, method: str = "auto") -> int:
     """Smallest c with pe(n=(2k)^2, s, c, lam) >= target.
 
     Searches the probability curve with the distinct-count chain. Where
     pe(method=method) is exact ("exact", or "auto" up to n = 4096), the
-    boundary is then pinned in big rationals. "mc" is the Monte Carlo
-    cross-check mc_min_clients, the only user of trials and seed.
+    boundary is then pinned in big rationals.
     """
     n = (2 * k) ** 2
     lam = n - recovery_threshold(k)
     exact = _uses_exact(n, method)  # also rejects unknown methods
-    if method == "mc":
-        return mc_min_clients(k, s, target=target, trials=trials, seed=seed)
-
     c_max = max(8, (2 * n) // s)
     while True:
         curve = pe_dp_curve(n, s, lam, c_max, stop_at=target)
@@ -292,8 +278,9 @@ def mc_min_clients(
     trials: int = 4000,
     seed: int = 2024,
 ) -> int:
-    """Monte Carlo inversion: the target quantile of the first draw count
-    at which the trials' distinct-share total reaches gamma."""
+    """Monte Carlo inversion, a cross-check of min_clients: the target
+    quantile of the first draw count at which the trials' distinct-share
+    total reaches gamma."""
     n = (2 * k) ** 2
     gamma = recovery_threshold(k)
     if not 1 <= s <= n:

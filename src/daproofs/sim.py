@@ -10,7 +10,11 @@ proofs; light clients run the sampling protocol and reach a verdict:
                      axis roots do not hash to the header's data root
   reject-fraudproof  a verified fraud proof arrived before acceptance
 
-Time is integer ticks; every hop costs the configured delay. Topology:
+Time is integer ticks. Every message crosses a hop through one call,
+`_Simulation.send`, which delivers it `delay` ticks later; the only other
+scheduled events are local timers (a client's sampling deadline and
+response window, the enhanced pool's same-tick flush, and the header a
+client receives two hops after the start). Topology:
 full nodes form a complete graph and all talk to the producer; each
 client talks to one full node. Sample requests go client -> full node,
 are answered locally when the full node has the cell, and are forwarded
@@ -40,7 +44,7 @@ from __future__ import annotations
 import csv
 import heapq
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -70,6 +74,8 @@ NETWORK_MODELS = ("standard", "enhanced")
 VERDICT_ACCEPT = "accept"
 VERDICT_UNAVAILABLE = "reject-unavailable"
 VERDICT_FRAUD = "reject-fraudproof"
+
+FraudProof = Union[TransitionFraudProof, CodecFraudProof]
 
 
 @dataclass
@@ -106,10 +112,17 @@ class SimConfig:
             raise ValueError("need at least one honest full node")
         if self.light_clients < 1:
             raise ValueError("need at least one light client")
-        if self.super_light_clients > self.light_clients:
-            raise ValueError("more super-light clients than clients")
+        if not 0 <= self.super_light_clients <= self.light_clients:
+            raise ValueError("super-light clients must be between 0 and the client count")
         if self.delay < 1:
             raise ValueError("delay must be at least one tick")
+        if self.response_window_factor < 0:
+            raise ValueError("response window factor must not be negative")
+        if self.selective_limit is not None and self.selective_limit < 0:
+            raise ValueError("selective limit must not be negative")
+        if self.tx_count < 0:
+            raise ValueError("transaction count must not be negative")
+        _parse_withhold_pattern(self.withhold_pattern, self.k)
 
     @property
     def effective_selective_limit(self) -> int:
@@ -211,7 +224,6 @@ class Scenario:
     genesis_state: StateTree
     genesis: BlockHeader
     built: BuiltBlock
-    commitment: DataCommitment
     cell_proofs: dict[tuple[int, int], tuple[bytes, ShareProof]]
     withheld: frozenset[tuple[int, int]]
 
@@ -219,22 +231,30 @@ class Scenario:
 _SCENARIO_CACHE: dict[tuple, Scenario] = {}
 
 
+def _parse_withhold_pattern(pattern: str, k: int) -> tuple[str, int]:
+    """("all", 0), ("submatrix", 0) or ("random", N) with 0 <= N <= (2k)^2."""
+    name, colon, count = pattern.partition(":")
+    if name in ("all", "submatrix") and not colon:
+        return name, 0
+    if name == "random" and count.isdecimal() and int(count) <= (2 * k) ** 2:
+        return name, int(count)
+    raise ValueError(
+        f"unknown withhold pattern {pattern!r}; expected all, submatrix or random:N"
+        f" with 0 <= N <= {(2 * k) ** 2}"
+    )
+
+
 def _withheld_cells(config: SimConfig, width: int) -> frozenset[tuple[int, int]]:
     if config.adversary != "withhold":
         return frozenset()
-    pattern = config.withhold_pattern
-    if pattern == "all":
-        return frozenset((r, c) for r in range(width) for c in range(width))
-    if pattern == "submatrix":
-        side = config.k + 1
-        return frozenset((r, c) for r in range(side) for c in range(side))
-    if pattern.startswith("random:"):
-        count = int(pattern.split(":", 1)[1])
-        rng = random.Random(f"withhold:{config.block_seed}")
-        cells = [(r, c) for r in range(width) for c in range(width)]
-        rng.shuffle(cells)
-        return frozenset(cells[:count])
-    raise ValueError(f"unknown withhold pattern {pattern!r}")
+    name, count = _parse_withhold_pattern(config.withhold_pattern, config.k)
+    if name == "submatrix":
+        return frozenset((r, c) for r in range(config.k + 1) for c in range(config.k + 1))
+    cells = [(r, c) for r in range(width) for c in range(width)]
+    if name == "random":
+        random.Random(f"withhold:{config.block_seed}").shuffle(cells)
+        cells = cells[:count]
+    return frozenset(cells)
 
 
 def scenario_key(config: SimConfig) -> tuple:
@@ -292,7 +312,6 @@ def prepare_scenario(config: SimConfig) -> Scenario:
         genesis_state=genesis_state,
         genesis=genesis,
         built=built,
-        commitment=built.commitment,
         cell_proofs=cell_proofs,
         withheld=_withheld_cells(config, width),
     )
@@ -311,13 +330,13 @@ def draw_coordinates(rng: random.Random, width: int, s: int) -> list[tuple[int, 
 
 class _Engine:
     def __init__(self) -> None:
-        self._queue: list[tuple[int, int, Callable[[], None]]] = []
+        self._queue: list[tuple[int, int, Callable[..., None], tuple]] = []
         self._seq = 0
         self.now = 0
         self.events: list[tuple[int, str, str, str]] = []
 
-    def schedule(self, delay: int, handler: Callable[[], None]) -> None:
-        heapq.heappush(self._queue, (self.now + delay, self._seq, handler))
+    def schedule(self, delay: int, handler: Callable[..., None], *args: object) -> None:
+        heapq.heappush(self._queue, (self.now + delay, self._seq, handler, args))
         self._seq += 1
 
     def log(self, actor: str, kind: str, detail: str = "") -> None:
@@ -325,9 +344,9 @@ class _Engine:
 
     def run(self) -> int:
         while self._queue:
-            tick, _, handler = heapq.heappop(self._queue)
+            tick, _, handler, args = heapq.heappop(self._queue)
             self.now = tick
-            handler()
+            handler(*args)
         return self.now
 
 
@@ -339,116 +358,96 @@ class _Producer:
         self.released: set[tuple[int, int]] = set()
         self.dark = False
         self.denied_requests = 0
-        self.enhanced_pool: list[tuple[int, int, tuple[int, int]]] = []
-        self.enhanced_scheduled = False
+        # (client, request id, cell); non-empty exactly while a flush is scheduled
+        self.enhanced_pool: list[tuple[_Client, int, tuple[int, int]]] = []
         self.enhanced_served = 0
 
     def full_download(self, node: "_FullNode") -> None:
-        config = self.sim.config
-        if config.adversary == "selective":
+        sim = self.sim
+        if sim.config.adversary == "selective":
             return  # nothing is volunteered; only sampled shares leave
-        cells = []
-        for (r, c), payload in self.sim.scenario.cell_proofs.items():
-            if (r, c) in self.sim.scenario.withheld:
-                continue
-            cells.append((r, c, payload[0], payload[1]))
-        engine = self.sim.engine
-        engine.log("producer", "serve-block", f"fullnode={node.node_id} cells={len(cells)}")
-        engine.schedule(config.delay, lambda: node.receive_cells(cells))
+        cells = [
+            (r, c, share, proof)
+            for (r, c), (share, proof) in sim.scenario.cell_proofs.items()
+            if (r, c) not in sim.scenario.withheld
+        ]
+        sim.engine.log("producer", "serve-block", f"fullnode={node.node_id} cells={len(cells)}")
+        sim.send(node.receive_cells, cells)
 
-    def sample_request(self, client_id: int, request_id: int, cell: tuple[int, int]) -> None:
+    def sample_request(self, client: "_Client", request_id: int, cell: tuple[int, int]) -> None:
         config = self.sim.config
         if config.adversary == "selective" and config.network_model == "enhanced":
-            self.enhanced_pool.append((client_id, request_id, cell))
-            if not self.enhanced_scheduled:
-                self.enhanced_scheduled = True
+            if not self.enhanced_pool:
                 self.sim.engine.schedule(0, self._process_enhanced_pool)
-            return
-        self._answer(client_id, request_id, cell)
+            self.enhanced_pool.append((client, request_id, cell))
+        else:
+            self._answer(client, request_id, cell)
 
-    def _answer(self, client_id: int, request_id: int, cell: tuple[int, int]) -> None:
-        config = self.sim.config
-        engine = self.sim.engine
-        if config.adversary in ("honest", "invalid-transition", "invalid-code"):
-            self._serve(client_id, request_id, cell)
-            return
-        if config.adversary == "withhold":
-            if cell in self.sim.scenario.withheld:
-                self.denied_requests += 1
-                engine.log("producer", "ignore", f"client={client_id} cell={cell}")
-                return  # silence; the client times out
-            self._serve(client_id, request_id, cell)
-            return
-        # selective, standard model
-        limit = config.effective_selective_limit
+    def _answer(self, client: "_Client", request_id: int, cell: tuple[int, int]) -> None:
+        if cell in self.sim.scenario.withheld:
+            self.denied_requests += 1  # silence; the client times out
+            self.sim.engine.log("producer", "ignore", f"client={client.client_id} cell={cell}")
+        elif self.sim.config.adversary == "selective" and not self._release(cell):
+            self._deny(client, request_id, cell)
+        else:
+            self._serve(client, request_id, cell)
+
+    def _release(self, cell: tuple[int, int]) -> bool:
+        """Standard model: release cells while the distinct-release budget
+        lasts; the first request past it turns the producer dark for good."""
+        if not self.dark and cell not in self.released:
+            if len(self.released) >= self.sim.config.effective_selective_limit:
+                self.dark = True
+                self.sim.engine.log("producer", "go-dark", f"released={len(self.released)}")
         if self.dark:
-            self._deny(client_id, request_id, cell)
-            return
-        if cell in self.released:
-            self._serve(client_id, request_id, cell)
-            return
-        if len(self.released) < limit:
-            self.released.add(cell)
-            self._serve(client_id, request_id, cell)
-            return
-        self.dark = True
-        engine.log("producer", "go-dark", f"released={len(self.released)}")
-        self._deny(client_id, request_id, cell)
+            return False
+        self.released.add(cell)
+        return True
 
     def _process_enhanced_pool(self) -> None:
         """Serve the first `limit` pooled requests, deny the rest.
 
         The pool order is a uniform shuffle of unlinkable requests, so the
         denied set is a uniformly random subset of fixed size."""
-        config = self.sim.config
         pool = list(self.enhanced_pool)
         self.enhanced_pool.clear()
-        self.enhanced_scheduled = False
         self.sim.shuffle_rng.shuffle(pool)
-        limit = config.effective_selective_limit
-        for client_id, request_id, cell in pool:
+        limit = self.sim.config.effective_selective_limit
+        for client, request_id, cell in pool:
             if self.enhanced_served < limit:
                 self.enhanced_served += 1
                 self.released.add(cell)
-                self._serve(client_id, request_id, cell)
+                self._serve(client, request_id, cell)
             else:
-                self._deny(client_id, request_id, cell)
+                self._deny(client, request_id, cell)
 
-    def _serve(self, client_id: int, request_id: int, cell: tuple[int, int]) -> None:
+    def _serve(self, client: "_Client", request_id: int, cell: tuple[int, int]) -> None:
         share, proof = self.sim.scenario.cell_proofs[cell]
-        node = self.sim.client_node(client_id)
-        self.sim.engine.schedule(
-            self.sim.config.delay,
-            lambda: node.relay_response(client_id, request_id, cell, share, proof),
-        )
+        self.sim.send(client.node.relay_response, client, request_id, cell, share, proof)
 
-    def _deny(self, client_id: int, request_id: int, cell: tuple[int, int]) -> None:
+    def _deny(self, client: "_Client", request_id: int, cell: tuple[int, int]) -> None:
         self.denied_requests += 1
-        node = self.sim.client_node(client_id)
-        self.sim.engine.log("producer", "deny", f"client={client_id} cell={cell}")
-        self.sim.engine.schedule(
-            self.sim.config.delay,
-            lambda: node.relay_denial(client_id, request_id, cell),
-        )
+        self.sim.engine.log("producer", "deny", f"client={client.client_id} cell={cell}")
+        # one hop to the client's full node, which passes the denial on
+        self.sim.send(self.sim.send, client.receive_denial, request_id, cell)
 
 
 class _FullNode:
     def __init__(self, sim: "_Simulation", node_id: int) -> None:
         self.sim = sim
         self.node_id = node_id
+        self.clients: list[_Client] = []  # the light clients this node serves
         self.store = HeaderStore()
         self.store.add(sim.scenario.genesis)
         self.partial = PartialMatrix(sim.config.k, sim.config.share_size)
         self.recovered_tick: Optional[int] = None
         self.fault_reported = False
         self.transition_checked = False
-        self.half_seen = 0
 
     def receive_header(self, header: BlockHeader) -> None:
         self.store.add(header)
         self.sim.engine.log(f"fullnode:{self.node_id}", "header", header.block_hash().hex()[:12])
-        producer = self.sim.producer
-        self.sim.engine.schedule(self.sim.config.delay, lambda: producer.full_download(self))
+        self.sim.send(self.sim.producer.full_download, self)
 
     def receive_cells(
         self, cells: list[tuple[int, int, bytes, ShareProof]], gossip: bool = False
@@ -463,51 +462,28 @@ class _FullNode:
         if gossip:
             for peer in self.sim.full_nodes:
                 if peer is not self:
-                    self.sim.engine.schedule(
-                        self.sim.config.delay,
-                        lambda peer=peer, added=added: peer.receive_cells(added),
-                    )
+                    self.sim.send(peer.receive_cells, added)
         self._try_recover()
 
-    def relay_request(self, client_id: int, request_id: int, cell: tuple[int, int]) -> None:
+    def relay_request(self, client: "_Client", request_id: int, cell: tuple[int, int]) -> None:
         r, c = cell
         self.sim.engine.log(
-            f"fullnode:{self.node_id}", "request", f"client={client_id} cell=({r},{c})"
+            f"fullnode:{self.node_id}", "request", f"client={client.client_id} cell=({r},{c})"
         )
         share = self.partial.cells[r][c]
         proof = self.partial.proofs[r][c]
         if share is not None and proof is not None:
-            self.sim.engine.schedule(
-                self.sim.config.delay,
-                lambda: self.sim.clients[client_id].receive_share(
-                    request_id, cell, share, proof
-                ),
-            )
-            return
-        producer = self.sim.producer
-        self.sim.engine.schedule(
-            self.sim.config.delay,
-            lambda: producer.sample_request(client_id, request_id, cell),
-        )
+            self.sim.send(client.receive_share, request_id, cell, share, proof)
+        else:
+            self.sim.send(self.sim.producer.sample_request, client, request_id, cell)
 
     def relay_response(
-        self, client_id: int, request_id: int, cell: tuple[int, int], share: bytes, proof: ShareProof
+        self, client: "_Client", request_id: int, cell: tuple[int, int],
+        share: bytes, proof: ShareProof,
     ) -> None:
         # keep a copy: client-bound shares pass through this node
         self.receive_cells([(cell[0], cell[1], share, proof)], gossip=True)
-        self.sim.engine.schedule(
-            self.sim.config.delay,
-            lambda: self.sim.clients[client_id].receive_share(request_id, cell, share, proof),
-        )
-
-    def relay_denial(self, client_id: int, request_id: int, cell: tuple[int, int]) -> None:
-        self.sim.engine.schedule(
-            self.sim.config.delay,
-            lambda: self.sim.clients[client_id].receive_denial(request_id, cell),
-        )
-
-    def receive_gossip(self, cells: list[tuple[int, int, bytes, ShareProof]]) -> None:
-        self.receive_cells(cells, gossip=True)
+        self.sim.send(client.receive_share, request_id, cell, share, proof)
 
     def _try_recover(self) -> None:
         if self.fault_reported:
@@ -520,16 +496,14 @@ class _FullNode:
             sim.engine.log(f"fullnode:{self.node_id}", "full-data", f"tick={sim.engine.now}")
         if present < recovery_threshold(sim.config.k) and present < width * width:
             return
-        work = _copy_partial(self.partial)
+        commitment = sim.scenario.built.commitment
         try:
-            result = rs2d.recover_matrix(work, sim.scenario.commitment)
+            result = rs2d.recover_matrix(_copy_partial(self.partial), commitment)
         except rs2d.Unrecoverable:
             return
         if isinstance(result, rs2d.CodecFault):
             self.fault_reported = True
-            proof = fraud.generate_codec_fraud_proof(
-                result, sim.block_hash, sim.scenario.commitment
-            )
+            proof = fraud.generate_codec_fraud_proof(result, sim.block_hash, commitment)
             sim.engine.log(f"fullnode:{self.node_id}", "codec-fraud", f"axis={result.axis} j={result.j}")
             self._broadcast_fraud(proof)
             return
@@ -545,43 +519,28 @@ class _FullNode:
         sim = self.sim
         k = sim.config.k
         shares = [matrix.cells[i // k][i % k] for i in range(k * k)]
-        rebuilt = BuiltBlock(
-            header=sim.scenario.built.header,
-            matrix=matrix,
-            commitment=sim.scenario.commitment,
-            shares=shares,  # type: ignore[arg-type]
-            messages=[],
-            traces=[],
-            producer=sim.scenario.built.producer,
-            p=sim.config.p,
-        )
+        rebuilt = replace(sim.scenario.built, matrix=matrix, shares=shares)
         proof = fraud.generate_transition_fraud_proof(rebuilt, sim.scenario.genesis_state)
         if proof is not None:
             sim.engine.log(f"fullnode:{self.node_id}", "transition-fraud", f"y={proof.start_index}")
             self._broadcast_fraud(proof)
 
-    def _broadcast_fraud(self, proof: Union[TransitionFraudProof, CodecFraudProof]) -> None:
-        sim = self.sim
-        sim.note_fraud_proof(proof)
-        for peer in sim.full_nodes:
+    def _broadcast_fraud(self, proof: FraudProof) -> None:
+        self.sim.note_fraud_proof(proof)
+        for peer in self.sim.full_nodes:
             if peer is not self:
-                sim.engine.schedule(sim.config.delay, lambda peer=peer: peer.receive_fraud(proof))
-        for client in sim.clients:
-            if sim.client_node(client.client_id) is self:
-                sim.engine.schedule(
-                    sim.config.delay, lambda client=client: client.receive_fraud(proof)
-                )
+                self.sim.send(peer.receive_fraud, proof)
+        self._tell_clients(proof)
 
-    def receive_fraud(self, proof: Union[TransitionFraudProof, CodecFraudProof]) -> None:
+    def receive_fraud(self, proof: FraudProof) -> None:
         if self.store.is_rejected(proof.block_hash):
             return
-        if not fraud.apply_fraud_proof(proof, self.store, self.sim.config.p):
-            return
-        for client in self.sim.clients:
-            if self.sim.client_node(client.client_id) is self:
-                self.sim.engine.schedule(
-                    self.sim.config.delay, lambda client=client: client.receive_fraud(proof)
-                )
+        if fraud.apply_fraud_proof(proof, self.store, self.sim.config.p):
+            self._tell_clients(proof)
+
+    def _tell_clients(self, proof: FraudProof) -> None:
+        for client in self.clients:
+            self.sim.send(client.receive_fraud, proof)
 
 
 def _copy_partial(partial: PartialMatrix) -> PartialMatrix:
@@ -597,10 +556,11 @@ class _Client:
         self.sim = sim
         self.client_id = client_id
         self.super_light = super_light
+        self.node = sim.full_nodes[client_id % len(sim.full_nodes)]
+        self.node.clients.append(self)
         self.store = HeaderStore()
         self.store.add(sim.scenario.genesis)
         self.rng = random.Random(f"{sim.config.seed}:client:{client_id}")
-        self.coordinates: list[tuple[int, int]] = []
         self.pending: dict[int, tuple[int, int]] = {}
         self.failed = False
         self.verdict: Optional[ClientVerdict] = None
@@ -615,16 +575,10 @@ class _Client:
                 self._finish(VERDICT_UNAVAILABLE)
                 return
             self.roots = commitment
-        self.coordinates = draw_coordinates(self.rng, 2 * sim.config.k, sim.config.s)
-        node = sim.client_node(self.client_id)
-        for request_id, cell in enumerate(self.coordinates):
+        cells = draw_coordinates(self.rng, 2 * sim.config.k, sim.config.s)
+        for request_id, cell in enumerate(cells):
             self.pending[request_id] = cell
-            sim.engine.schedule(
-                sim.config.delay,
-                lambda request_id=request_id, cell=cell: node.relay_request(
-                    self.client_id, request_id, cell
-                ),
-            )
+            sim.send(self.node.relay_request, self, request_id, cell)
         deadline = (4 + sim.config.response_window_factor) * sim.config.delay
         sim.engine.schedule(deadline, self._deadline)
 
@@ -632,7 +586,7 @@ class _Client:
         self, request_id: int, cell: tuple[int, int], share: bytes, proof: ShareProof
     ) -> None:
         sim = self.sim
-        if self.verdict or request_id not in self.pending:
+        if self.verdict or self.pending.pop(request_id, None) is None:
             return
         header = sim.scenario.built.header
         ok = rs2d.verify_share_merkle_proof(
@@ -645,46 +599,34 @@ class _Client:
         if ok and not self.super_light:
             assert self.roots is not None
             ok = proof.axis_root == self.roots.row_roots[cell[0]]
-        if not ok:
+        if ok:
+            self.gossip_buffer.append((cell[0], cell[1], share, proof))
+        else:
             self.failed = True
-            del self.pending[request_id]
-            self._maybe_finish_unavailable()
-            return
-        del self.pending[request_id]
-        self.gossip_buffer.append((cell[0], cell[1], share, proof))
         if not self.pending:
             self._complete()
 
     def receive_denial(self, request_id: int, cell: tuple[int, int]) -> None:
-        if self.verdict or request_id not in self.pending:
+        if self.verdict or self.pending.pop(request_id, None) is None:
             return
         self.failed = True
-        del self.pending[request_id]
-        self._maybe_finish_unavailable()
-
-    def _maybe_finish_unavailable(self) -> None:
-        if self.failed and not self.pending:
-            self._finish(VERDICT_UNAVAILABLE)
+        if not self.pending:
+            self._complete()
 
     def _complete(self) -> None:
+        """Every sample has been answered or denied."""
         sim = self.sim
         if self.failed:
             self._finish(VERDICT_UNAVAILABLE)
             return
-        node = sim.client_node(self.client_id)
-        batch = list(self.gossip_buffer)
-        sim.engine.schedule(sim.config.delay, lambda: node.receive_gossip(batch))
-        window = sim.config.response_window_factor * sim.config.delay
+        sim.send(self.node.receive_cells, self.gossip_buffer, True)
         sim.engine.log(f"client:{self.client_id}", "sampled", f"tick={sim.engine.now}")
+        window = sim.config.response_window_factor * sim.config.delay
         sim.engine.schedule(window, self._accept_if_quiet)
 
     def _accept_if_quiet(self) -> None:
-        if self.verdict is not None:
-            return
-        if self.store.is_rejected(self.sim.block_hash):
-            self._finish(VERDICT_FRAUD)
-            return
-        self._finish(VERDICT_ACCEPT)
+        rejected = self.store.is_rejected(self.sim.block_hash)
+        self._finish(VERDICT_FRAUD if rejected else VERDICT_ACCEPT)
 
     def _deadline(self) -> None:
         if self.verdict is not None or not self.pending:
@@ -693,12 +635,10 @@ class _Client:
         self.pending.clear()
         self._finish(VERDICT_UNAVAILABLE)
 
-    def receive_fraud(self, proof: Union[TransitionFraudProof, CodecFraudProof]) -> None:
+    def receive_fraud(self, proof: FraudProof) -> None:
         if self.store.is_rejected(proof.block_hash):
             return
-        if not fraud.apply_fraud_proof(proof, self.store, self.sim.config.p):
-            return
-        if self.verdict is None:
+        if fraud.apply_fraud_proof(proof, self.store, self.sim.config.p):
             self._finish(VERDICT_FRAUD)
 
     def _finish(self, verdict: str) -> None:
@@ -719,17 +659,18 @@ class _Simulation:
         self.shuffle_rng = random.Random(f"{config.seed}:mixnet")
         self.producer = _Producer(self)
         self.full_nodes = [_FullNode(self, i) for i in range(config.full_nodes)]
-        super_light_ids = set(range(config.light_clients - config.super_light_clients, config.light_clients))
+        first_super_light = config.light_clients - config.super_light_clients
         self.clients = [
-            _Client(self, i, i in super_light_ids) for i in range(config.light_clients)
+            _Client(self, i, i >= first_super_light) for i in range(config.light_clients)
         ]
         self.fraud_proof_ticks: list[tuple[int, str]] = []
         self._seen_proofs: set[bytes] = set()
 
-    def client_node(self, client_id: int) -> _FullNode:
-        return self.full_nodes[client_id % len(self.full_nodes)]
+    def send(self, handler: Callable[..., None], *args: object) -> None:
+        """Deliver one message across one hop: `handler(*args)`, `delay` later."""
+        self.engine.schedule(self.config.delay, handler, *args)
 
-    def note_fraud_proof(self, proof: Union[TransitionFraudProof, CodecFraudProof]) -> None:
+    def note_fraud_proof(self, proof: FraudProof) -> None:
         kind = "transition" if isinstance(proof, TransitionFraudProof) else "codec"
         marker = fraud.encode_fraud_proof(proof)[:64]
         if marker in self._seen_proofs:
@@ -739,14 +680,13 @@ class _Simulation:
 
     def run(self) -> SimVerdict:
         config = self.config
-        header = self.scenario.built.header
-        commitment = self.scenario.commitment
+        built = self.scenario.built
         for node in self.full_nodes:
-            self.engine.schedule(config.delay, lambda node=node: node.receive_header(header))
+            self.send(node.receive_header, built.header)
         for client in self.clients:
+            # the header reaches a client through its full node: two hops
             self.engine.schedule(
-                2 * config.delay,
-                lambda client=client: client.receive_header(header, commitment),
+                2 * config.delay, client.receive_header, built.header, built.commitment
             )
         horizon = self.engine.run()
 

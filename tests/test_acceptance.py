@@ -122,7 +122,7 @@ def test_criterion_4_minimum_client_counts():
     table_k64 = {2: 11289, 5: 4516, 10: 2258, 20: 1129, 50: 451}
     details = []
     for s, expected in table_k64.items():
-        got = prob.min_clients(64, s, method="mc", trials=4000, seed=1000 + s)
+        got = prob.mc_min_clients(64, s, trials=4000, seed=1000 + s)
         assert abs(got - expected) <= math.ceil(0.01 * expected), (s, got, expected)
         details.append(f"s={s}:{got}")
 

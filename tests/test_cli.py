@@ -38,7 +38,7 @@ def test_encode_too_large_is_usage_error(tmp_path, capsys):
 def test_prob_p1_csv(tmp_path):
     out = tmp_path / "p1.csv"
     assert run_cli("prob", "--table", "p1", "--k", "32", "--s", "3,15", "--out", out) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     by_s = {int(row["s"]): float(row["p1"]) for row in rows}
     assert 0.55 <= by_s[3] <= 0.65
     assert by_s[15] > 0.99
@@ -47,7 +47,7 @@ def test_prob_p1_csv(tmp_path):
 def test_prob_table1_cell(tmp_path):
     out = tmp_path / "table1.csv"
     assert run_cli("prob", "--table", "table1", "--k", "16", "--s", "2", "--out", out) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert rows == [{"k": "16", "s": "2", "min_clients": "692"}]
 
 
@@ -62,7 +62,7 @@ def test_prob_px_and_pc_columns(tmp_path):
         "prob", "--table", "all", "--k", "4", "--s", "2", "--c", "10",
         "--c-hat", "3", "--d", "5", "--method", "dp", "--out", out,
     ) == 0
-    row = next(csv.DictReader(out.open()))
+    row = next(csv.DictReader(out.read_text().splitlines()))
     assert float(row["pc"]) <= float(row["pc_from_j1"])
     assert 0.0 <= float(row["px"]) <= 1.0
     assert row["pe"] != ""

@@ -192,7 +192,7 @@ def test_pe_validation():
 
 
 def test_unknown_method_rejected():
-    for method in ("bogus", "series"):
+    for method in ("bogus", "series", "mc"):
         with pytest.raises(ValueError):
             pe(16, 2, 4, 8, method=method)
         with pytest.raises(ValueError):

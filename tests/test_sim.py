@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -234,7 +235,26 @@ def test_default_config_builds_and_runs():
 
 
 @pytest.mark.parametrize(
-    "bad", [dict(k=0), dict(k=-1), dict(s=0), dict(k=1, s=5), dict(p=0), dict(p=-3)]
+    "bad",
+    [
+        dict(k=0),
+        dict(k=-1),
+        dict(s=0),
+        dict(k=1, s=5),
+        dict(p=0),
+        dict(p=-3),
+        dict(response_window_factor=-1),
+        dict(response_window_factor=-6),
+        dict(super_light_clients=-1),
+        dict(selective_limit=-1),
+        dict(tx_count=-1),
+        dict(withhold_pattern="bogus"),
+        dict(adversary="honest", withhold_pattern="bogus"),
+        dict(withhold_pattern="random:-5"),
+        dict(withhold_pattern="random:65"),
+        dict(withhold_pattern="random:"),
+        dict(withhold_pattern="random:x"),
+    ],
 )
 def test_bad_config_rejected_at_construction(bad):
     with pytest.raises(ValueError):
@@ -256,3 +276,62 @@ def test_scenario_cache_reuse():
     config_a = SimConfig(**BASE, adversary="honest", seed=100)
     config_b = SimConfig(**BASE, adversary="honest", seed=200)
     assert prepare_scenario(config_a) is prepare_scenario(config_b)
+
+
+# SHA-256 of `_canonical_run` per (adversary setting, seed), recorded before the
+# simulator's message path was rewritten; any change to the trace shows here.
+RECORDED_DIGESTS = {
+    ("honest", 1): "5c7646bda04022e6992b16be603cdb381afe20e10b6fa52892ff87b8a376d248",
+    ("honest", 11): "6663573325eadacf7ef3ad4b73823b0ec5d0984262faa24238bcd0548f0c1cf2",
+    ("withhold-all", 1): "dd6b1a18f0b9b57fa0c48bdfecadb1120f05314d5e6e256a9ee438bd10a985b7",
+    ("withhold-all", 11): "a4ab2f2e9891ae04da1a193c2005d8db23883cc1dcf8f4ce5f3f05f519d71675",
+    ("withhold-submatrix", 1): "f30457a1f6f8eb92b7f82f2756937007800dbb8d4cc5fa7b5e3543dc4c14e981",
+    ("withhold-submatrix", 11): "fceed75365dcbb449d64599f643bc6871024ad6a052c962a07dce4c6138bcaa9",
+    ("withhold-random", 1): "375c3e95ae677490329d8708b30e2be5fe306e0493832c6513a1804e8fd0bc45",
+    ("withhold-random", 11): "50b6860de2690f5c9a6a98b36cd679aa8ec6d14e3c4aa2c5fa6cdcf0e08cddfa",
+    ("selective-standard", 1): "05f50dfdb17cdfb00b8801811f2ba16387a6b0bea7ac5df23f837b019a02635a",
+    ("selective-standard", 11): "c9e2437d8ff643702a8b912f27409a565725967dbddb3c82b0ca1816940800aa",
+    ("selective-enhanced", 1): "7f0481ee122a1ebee721c4a204eed4ee6d09afaa4eeeab0843b29e8f098f4709",
+    ("selective-enhanced", 11): "3639a92f01aca6612d203fd44136569533d319f77c46fca8cc13d0543ef66a93",
+    ("selective-budget-0", 1): "847a42d3c766f8c6cebee717f128a801b95dacb6ce3a76649c1c12ada165479c",
+    ("selective-budget-0", 11): "af699d50f409e2dd77f21703de2147f27a06755ef50363480bd1f1521204d82e",
+    ("invalid-transition", 1): "dfbafebc5ce570bb391b48aee98359c7986c4f93ffee3dd7e97669ca901b4edd",
+    ("invalid-transition", 11): "6c0a17d29911f2679d6e1da737a3ac23049d82258c4775726756c1072c1a2f92",
+    ("invalid-code", 1): "e121ccb3f05d2c49be91ae9b8062e886d49c25dd0c993d13b5e566ccb58bf864",
+    ("invalid-code", 11): "4dad4661897e536ec611fa4a284725ece84629edc70ab27b12599176fedfc752",
+}
+
+ADVERSARY_SETTINGS = {
+    "honest": dict(adversary="honest"),
+    "withhold-all": dict(adversary="withhold", withhold_pattern="all"),
+    "withhold-submatrix": dict(adversary="withhold", withhold_pattern="submatrix"),
+    "withhold-random": dict(adversary="withhold", withhold_pattern="random:20"),
+    "selective-standard": dict(adversary="selective"),
+    "selective-enhanced": dict(adversary="selective", network_model="enhanced"),
+    "selective-budget-0": dict(adversary="selective", selective_limit=0),
+    "invalid-transition": dict(adversary="invalid-transition"),
+    "invalid-code": dict(adversary="invalid-code"),
+}
+
+
+def _canonical_run(result) -> str:
+    parts = [repr(event) for event in result.events]
+    parts += [repr((v.client_id, v.super_light, v.verdict, v.tick)) for v in result.per_client]
+    parts += [
+        repr(result.fraud_proof_ticks),
+        repr(result.horizon),
+        repr(result.denied_requests),
+        repr(result.deceived_clients),
+        repr(result.recovered_tick),
+    ]
+    return "\n".join(parts)
+
+
+@pytest.mark.parametrize("setting, seed", sorted(RECORDED_DIGESTS))
+def test_outputs_match_recorded_digests(setting, seed):
+    config = SimConfig(
+        k=4, s=3, light_clients=10, full_nodes=3, super_light_clients=3, seed=seed,
+        **ADVERSARY_SETTINGS[setting],
+    )
+    text = _canonical_run(run_sampling(config))
+    assert hashlib.sha256(text.encode()).hexdigest() == RECORDED_DIGESTS[(setting, seed)]
