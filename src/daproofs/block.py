@@ -289,6 +289,22 @@ def _tamper(data: bytes) -> bytes:
     return data[:-1] + bytes([data[-1] ^ 0x01])
 
 
+def _replay_block(
+    prev_state: StateTree, txs: Sequence[Transaction], p: int, producer: bytes
+) -> tuple[list[bytes], bytes]:
+    """Apply txs to a copy of prev_state: the root after every p-th transfer,
+    and the final state root after the producer's fee payout."""
+    state = prev_state.copy()
+    traces: list[bytes] = []
+    for index, tx in enumerate(txs):
+        if apply_transaction(state, tx) is ERR:
+            raise ValueError(f"transfer {index} is illegal against the running state")
+        if (index + 1) % p == 0:
+            traces.append(state.root())
+    apply_fee_payout(state, producer)
+    return traces, state.root()
+
+
 def build_block(
     prev: BlockHeader,
     prev_state: StateTree,
@@ -315,29 +331,18 @@ def build_block(
     if p < 1:
         raise ValueError("period length must be positive")
 
-    state = prev_state.copy()
-    messages: list[Message] = []
-    traces: list[bytes] = []
-    for index, tx in enumerate(txs):
-        if apply_transaction(state, tx) is ERR:
-            raise ValueError(f"transfer {index} is illegal against the running state")
-        messages.append(Message.transaction(tx))
-        if (index + 1) % p == 0:
-            traces.append(state.root())
-            messages.append(Message.trace(state.root()))
-    apply_fee_payout(state, producer)
-    state_root = state.root()
-
+    traces, state_root = _replay_block(prev_state, txs, p, producer)
     if mode == MODE_INVALID_TRANSITION:
         if corrupt == "trace" and traces:
-            bad = _tamper(traces[0])
-            for i, msg in enumerate(messages):
-                if msg.is_trace and msg.body == traces[0]:
-                    messages[i] = Message.trace(bad)
-                    break
-            traces[0] = bad
+            traces[0] = _tamper(traces[0])
         else:
             state_root = _tamper(state_root)
+
+    messages: list[Message] = []
+    for index, tx in enumerate(txs):
+        messages.append(Message.transaction(tx))
+        if (index + 1) % p == 0:
+            messages.append(Message.trace(traces[index // p]))
 
     shares = serialize_shares(messages, share_size)
     if len(shares) > k * k:
@@ -457,16 +462,9 @@ def build_double_tree_block(
         raise ValueError(f"unsupported double-tree mode {mode!r}")
     if p < 1:
         raise ValueError("period length must be positive")
-    state = prev_state.copy()
-    traces: list[bytes] = []
-    for index, tx in enumerate(txs):
-        if apply_transaction(state, tx) is ERR:
-            raise ValueError(f"transfer {index} is illegal against the running state")
-        if (index + 1) % p == 0 and index + 1 < len(txs):
-            traces.append(state.root())
-    apply_fee_payout(state, producer)
-    state_root = state.root()
-
+    traces, state_root = _replay_block(prev_state, txs, p, producer)
+    # only boundaries followed by more transfers: multiples of p below n
+    traces = traces[: max(len(txs) - 1, 0) // p]
     if mode == MODE_INVALID_TRANSITION:
         if traces:
             traces[0] = _tamper(traces[0])

@@ -2,18 +2,18 @@
 
 Shares are byte strings of equal even length; each big-endian byte pair
 is one field symbol, and every lane (symbol position across the share
-list) is coded independently. A message of k shares becomes a codeword
-of 2k shares: the data symbols sit at evaluation points 0..k-1 and the
-parity symbols are the interpolating polynomial evaluated at points
-k..2k-1, so the prefix stays systematic. Any k of the 2k shares
-reconstruct the codeword; decoding always re-evaluates the interpolated
-polynomial at every point, so inconsistent inputs surface as a mismatch
-between the reconstruction and whatever the caller committed to.
+list) is coded independently. A codeword of k data shares has 2k shares:
+the data at evaluation points 0..k-1 and the parity at k..2k-1.
 
-GF(2^16) is used (rather than the byte-oriented GF(2^8)) so codewords of
-length 2k stay below the field size for k up to 16384. Arithmetic runs on
-log/antilog tables built once at import; decoding interpolates in the
-Lagrange basis.
+One rule both encodes and decodes: interpolate through the first k given
+shares (by position) and evaluate every other position once. Encoding
+gives positions 0..k-1. Decoding re-evaluates any present share beyond
+its first k, so inconsistent inputs surface as a mismatch between the
+reconstruction and whatever the caller committed to.
+
+GF(2^16) keeps codewords of length 2k below the field size for k up to
+16384. Arithmetic runs on log/antilog tables built once at import, and
+interpolation uses the Lagrange basis.
 """
 
 from __future__ import annotations
@@ -71,10 +71,6 @@ def gf_inv(a: int) -> int:
     return int(_EXP[_ORDER - int(_LOG[a])])
 
 
-def gf_div(a: int, b: int) -> int:
-    return gf_mul(a, gf_inv(b))
-
-
 def _matmul(matrix: np.ndarray, data: np.ndarray) -> np.ndarray:
     """GF(2^16) matrix product: (m, k) x (k, lanes) -> (m, lanes)."""
     m = matrix.shape[0]
@@ -86,38 +82,19 @@ def _matmul(matrix: np.ndarray, data: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _extension_matrix(k: int) -> np.ndarray:
-    """Maps data symbols at points 0..k-1 to parity symbols at k..2k-1."""
-    return _interpolation_matrix(tuple(range(k)), tuple(range(k, 2 * k)))
-
-
 @lru_cache(maxsize=4096)
 def _interpolation_matrix(xs: tuple[int, ...], targets: tuple[int, ...]) -> np.ndarray:
     """Rows evaluate the polynomial through points xs at each target.
 
-    Entry [t, m] is the Lagrange basis L_m(target_t) over the support xs.
+    Entry [t, m] is L_m(t) = prod_j (t ^ x_j) / ((t ^ x_m) prod_{j!=m} (x_m ^ x_j)), one
+    antilog of a log sum: no target is in xs, and x_m ^ x_m = 0 adds _LOG[0] = 0.
     """
-    k = len(xs)
-    denoms = []
-    for m, xm in enumerate(xs):
-        d = 1
-        for j, xj in enumerate(xs):
-            if j != m:
-                d = gf_mul(d, xm ^ xj)
-        denoms.append(d)
-    matrix = np.zeros((len(targets), k), dtype=np.uint16)
-    support = {x: m for m, x in enumerate(xs)}
-    for t, target in enumerate(targets):
-        if target in support:
-            matrix[t, support[target]] = 1
-            continue
-        numer = 1
-        for xj in xs:
-            numer = gf_mul(numer, target ^ xj)
-        for m, xm in enumerate(xs):
-            matrix[t, m] = gf_div(numer, gf_mul(target ^ xm, denoms[m]))
-    return matrix
+    support = np.array(xs, dtype=np.int64)
+    diff_logs = _LOG[np.bitwise_xor.outer(np.array(targets, dtype=np.int64), support)]
+    numer = diff_logs.sum(axis=1, dtype=np.int64)
+    denom = _LOG[np.bitwise_xor.outer(support, support)].sum(axis=1, dtype=np.int64)
+    exponents = (numer[:, None] - diff_logs - denom[None, :]) % _ORDER
+    return _EXP[exponents].astype(np.uint16)
 
 
 def _shares_to_symbols(shares: Sequence[bytes]) -> np.ndarray:
@@ -134,14 +111,23 @@ def _symbols_to_shares(symbols: np.ndarray) -> list[bytes]:
     return [row.astype(">u2").tobytes() for row in symbols]
 
 
+def _codeword(given: Sequence[tuple[int, bytes]], k: int) -> list[bytes]:
+    """The 2k shares through k given (position, share) pairs, those unchanged."""
+    symbols = _shares_to_symbols([sh for _, sh in given])
+    xs = tuple(pos for pos, _ in given)
+    targets = tuple(sorted(set(range(2 * k)).difference(xs)))
+    evaluated = _matmul(_interpolation_matrix(xs, targets), symbols)
+    codeword = dict(zip(targets, _symbols_to_shares(evaluated)))
+    codeword.update((pos, bytes(share)) for pos, share in given)
+    return [codeword[pos] for pos in range(2 * k)]
+
+
 def rs_encode(data: Sequence[bytes]) -> list[bytes]:
     """Extend k equal-length shares to a systematic codeword of 2k shares."""
     k = len(data)
     if not 1 <= k <= MAX_K:
         raise ValueError(f"k must be in 1..{MAX_K}")
-    symbols = _shares_to_symbols(data)
-    parity = _matmul(_extension_matrix(k), symbols)
-    return list(data) + _symbols_to_shares(parity)
+    return _codeword(list(enumerate(data)), k)
 
 
 def rs_decode(present: Sequence[tuple[int, bytes]], k: int) -> list[bytes]:
@@ -149,9 +135,8 @@ def rs_decode(present: Sequence[tuple[int, bytes]], k: int) -> list[bytes]:
 
     present holds (position, share) pairs with distinct positions in
     [0, 2k). Raises Unrecoverable when fewer than k shares are given.
-    The output is always a consistent re-encoding: positions beyond the
-    first k used are re-evaluated, so a corrupted input share shows up
-    as a difference between input and output at that position.
+    Present shares beyond the first k are re-evaluated, so a corrupted
+    one shows up as a difference between input and output.
     """
     if not 1 <= k <= MAX_K:
         raise ValueError(f"k must be in 1..{MAX_K}")
@@ -162,8 +147,4 @@ def rs_decode(present: Sequence[tuple[int, bytes]], k: int) -> list[bytes]:
         raise ValueError("share position out of range")
     if len(present) < k:
         raise Unrecoverable("unrecoverable: fewer than k shares present")
-    chosen = sorted(present, key=lambda item: item[0])[:k]
-    xs = tuple(pos for pos, _ in chosen)
-    symbols = _shares_to_symbols([sh for _, sh in chosen])
-    matrix = _interpolation_matrix(xs, tuple(range(2 * k)))
-    return _symbols_to_shares(_matmul(matrix, symbols))
+    return _codeword(sorted(present, key=lambda item: item[0])[:k], k)

@@ -242,13 +242,6 @@ def prove_share(matrix: ExtendedMatrix, x: int, y: int, origin: int) -> tuple[by
     return share, matrix.commitment.share_proof(origin, j, matrix.axis_tree(origin, j).prove(pos))
 
 
-def verify_share(
-    share: bytes, proof: MerkleProof, axis_root: bytes, matrix_width: int, index: int
-) -> bool:
-    """Verify a share against a single row or column root."""
-    return merkle.verify_merkle_proof(share, proof, axis_root, matrix_width, index)
-
-
 def verify_share_merkle_proof(
     share: bytes,
     proof: ShareProof,

@@ -1,10 +1,17 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from daproofs.merkle import hash_bytes
 from daproofs.smt import StateTree
 from daproofs.state import AccountValue, Transaction
+
+# One profile for every property test: no per-example deadline, because a
+# single example (a k=64 decode, a 40-leaf tree) can exceed Hypothesis's
+# 200 ms default on a loaded 2-CPU machine. Tests still set max_examples.
+settings.register_profile("tier1", deadline=None)
+settings.load_profile("tier1")
 
 
 def account_key(tag) -> bytes:

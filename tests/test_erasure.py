@@ -1,7 +1,11 @@
 import random
+from functools import lru_cache
 from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from daproofs import erasure
 from daproofs.erasure import Unrecoverable, gf_inv, gf_mul, rs_decode, rs_encode
@@ -124,3 +128,82 @@ def test_systematic_prefix_preserved():
     rng = random.Random(4)
     data = [bytes(rng.randrange(256) for _ in range(6)) for _ in range(5)]
     assert rs_encode(data)[:5] == data
+
+
+# --- Oracle: evaluate at all 2k points from a scalar-built matrix. ----------
+#
+# The reference evaluates the interpolating polynomial at every position,
+# the given ones included (unit rows), from a matrix built with one scalar
+# field operation per factor. The codec's closed-form matrix and its
+# evaluation of only the missing positions must match it byte for byte.
+
+
+@lru_cache(maxsize=None)
+def oracle_matrix(xs, targets):
+    """Lagrange basis L_m(target_t) over xs, with unit rows for targets in xs."""
+    denoms = []
+    for m, xm in enumerate(xs):
+        d = 1
+        for j, xj in enumerate(xs):
+            if j != m:
+                d = gf_mul(d, xm ^ xj)
+        denoms.append(d)
+    matrix = np.zeros((len(targets), len(xs)), dtype=np.uint16)
+    support = {x: m for m, x in enumerate(xs)}
+    for t, target in enumerate(targets):
+        if target in support:
+            matrix[t, support[target]] = 1
+            continue
+        numer = 1
+        for xj in xs:
+            numer = gf_mul(numer, target ^ xj)
+        for m, xm in enumerate(xs):
+            matrix[t, m] = gf_mul(numer, gf_inv(gf_mul(target ^ xm, denoms[m])))
+    return matrix
+
+
+def oracle_decode(present, k):
+    chosen = sorted(present, key=lambda item: item[0])[:k]
+    xs = tuple(pos for pos, _ in chosen)
+    symbols = erasure._shares_to_symbols([sh for _, sh in chosen])
+    evaluated = erasure._matmul(oracle_matrix(xs, tuple(range(2 * k))), symbols)
+    return erasure._symbols_to_shares(evaluated)
+
+
+def oracle_encode(data):
+    k = len(data)
+    symbols = erasure._shares_to_symbols(data)
+    parity = erasure._matmul(oracle_matrix(tuple(range(k)), tuple(range(k, 2 * k))), symbols)
+    return list(data) + erasure._symbols_to_shares(parity)
+
+
+CODEC_KS = st.one_of(st.integers(min_value=1, max_value=24), st.sampled_from([32, 64]))
+
+
+@settings(max_examples=60)
+@given(CODEC_KS, st.integers(min_value=1, max_value=5), st.randoms(use_true_random=False))
+def test_codec_matches_all_points_oracle(k, lanes, rng):
+    data = [rng.randbytes(2 * lanes) for _ in range(k)]
+    codeword = rs_encode(data)
+    assert codeword == oracle_encode(data)
+    present = [(pos, codeword[pos]) for pos in rng.sample(range(2 * k), rng.randint(k, 2 * k))]
+    extras = sorted(pos for pos, _ in present)[k:]
+    corrupted = rng.choice(extras) if extras and rng.random() < 0.5 else None
+    if corrupted is not None:
+        present = [
+            (pos, bytes([sh[0] ^ 0x80]) + sh[1:] if pos == corrupted else sh)
+            for pos, sh in present
+        ]
+    decoded = rs_decode(present, k)
+    assert decoded == oracle_decode(present, k)
+    assert decoded == codeword
+    if corrupted is not None:
+        assert decoded[corrupted] != dict(present)[corrupted]
+
+
+@settings(max_examples=40)
+@given(st.integers(min_value=1, max_value=128), st.randoms(use_true_random=False))
+def test_closed_form_matrix_matches_scalar_builder(k, rng):
+    xs = tuple(rng.sample(range(2 * k), k))
+    targets = tuple(pos for pos in range(2 * k) if pos not in xs)
+    assert np.array_equal(erasure._interpolation_matrix(xs, targets), oracle_matrix(xs, targets))

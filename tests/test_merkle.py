@@ -170,7 +170,7 @@ def test_wire_rejects_garbage():
         MerkleProof.from_bytes(proof.to_bytes() + b"\x00")
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     st.lists(st.binary(min_size=0, max_size=24), min_size=1, max_size=40),
     st.data(),

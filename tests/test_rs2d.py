@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from daproofs import rs2d
+from daproofs import merkle, rs2d
 from daproofs.erasure import Unrecoverable, rs_encode
 from daproofs.rs2d import (
     COLUMN,
@@ -17,7 +17,6 @@ from daproofs.rs2d import (
     prove_share,
     recover_matrix,
     share_index,
-    verify_share,
     verify_share_merkle_proof,
 )
 
@@ -126,7 +125,7 @@ def test_prove_verify_share_exhaustive_k2():
                     commitment.row_roots[x] if origin == ROW else commitment.column_roots[y]
                 )
                 index = y if origin == ROW else x
-                assert verify_share(share, proof.axis_proof, axis_root, width, index)
+                assert merkle.verify_merkle_proof(share, proof.axis_proof, axis_root, width, index)
                 virtual = share_index(
                     ROW if origin == ROW else COLUMN,
                     x if origin == ROW else y,
@@ -188,8 +187,9 @@ def test_verify_share_wrong_everything():
     matrix, commitment = build()
     share, proof = prove_share(matrix, 1, 2, ROW)
     width = matrix.width
-    assert not verify_share(share, proof.axis_proof, commitment.row_roots[1], width, 3)
-    assert not verify_share(share, proof.axis_proof, commitment.row_roots[0], width, 2)
+    row_roots = commitment.row_roots
+    assert not merkle.verify_merkle_proof(share, proof.axis_proof, row_roots[1], width, 3)
+    assert not merkle.verify_merkle_proof(share, proof.axis_proof, row_roots[0], width, 2)
     virtual = share_index(ROW, 1, 2, ROW, width, commitment.data_length)
     assert not verify_share_merkle_proof(
         share, proof, commitment.data_root, commitment.data_length, virtual + 1

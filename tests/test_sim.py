@@ -224,8 +224,10 @@ def test_config_file_round_trip(tmp_path):
     assert config.adversary == "selective"
     assert config.selective_limit == 7
     assert config.network_model == "enhanced"
+    with pytest.raises(FileNotFoundError):
+        SimConfig.from_file(tmp_path / "missing.cfg")
     with pytest.raises(ValueError):
-        SimConfig.from_file(tmp_path / "missing.cfg") if False else SimConfig(adversary="nope")
+        SimConfig(adversary="nope")
 
 
 def test_default_config_builds_and_runs():

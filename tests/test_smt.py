@@ -174,7 +174,7 @@ def test_witness_subtree_rejects_bad_proofs():
         subtree.get(b"\x10" * 32)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(
     st.dictionaries(
         st.binary(min_size=32, max_size=32),
