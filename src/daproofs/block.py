@@ -24,7 +24,7 @@ from . import merkle, rs2d
 from .merkle import DIGEST_SIZE, hash_bytes
 from .rs2d import DataCommitment, ExtendedMatrix
 from .smt import StateTree
-from .state import ERR, Transaction, apply_fee_payout, apply_transaction
+from .state import Transaction, _apply_rules, apply_fee_payout
 
 MSG_TX = 1
 MSG_TRACE = 2
@@ -297,12 +297,11 @@ def _replay_block(
     state = prev_state.copy()
     traces: list[bytes] = []
     for index, tx in enumerate(txs):
-        if apply_transaction(state, tx) is ERR:
+        if not _apply_rules(state, tx):
             raise ValueError(f"transfer {index} is illegal against the running state")
         if (index + 1) % p == 0:
             traces.append(state.root())
-    apply_fee_payout(state, producer)
-    return traces, state.root()
+    return traces, apply_fee_payout(state, producer)
 
 
 def build_block(

@@ -50,8 +50,8 @@ from .state import (
     ERR,
     StateWitness,
     Transaction,
+    _apply_rules,
     apply_fee_payout,
-    apply_transaction,
     make_tx_witness,
     make_witness,
     payout_keys,
@@ -183,23 +183,32 @@ def _replay_period(
 ) -> Optional[tuple[list[StateWitness], Optional[StateWitness]]]:
     """Replay one period on the prover's full tree, advancing it in place.
 
-    None means the period lands on declared_post (or, for the block-final
-    slice, on state_root after the fee payout). Otherwise returns what a
-    proof of the slice needs: the transfer witnesses, padded with empty
-    ones (never examined by the ERR fold) after an illegal transfer, and
-    the payout witness of a block-final slice that replayed cleanly.
+    None means the period, replayed without witnesses, lands on
+    declared_post (or, for the block-final slice, on state_root after the
+    fee payout). Otherwise its touched keys are reset to their pre-trace
+    values and it replays again, proving each transfer's keys first, for
+    what a proof of the slice needs: the transfer witnesses, padded with
+    empty ones (never examined by the ERR fold) after an illegal transfer,
+    and the payout witness of a block-final slice that replayed cleanly.
     """
+    keys = {key for tx in txs for key in tx.touched_keys()}
+    if declared_post is None:
+        keys.update(payout_keys(producer))
+    snapshot = [(key, tree.get(key)) for key in keys]
+    if all(_apply_rules(tree, tx) for tx in txs):
+        if declared_post is not None and tree.root() == declared_post:
+            return None
+        if declared_post is None and apply_fee_payout(tree, producer) == state_root:
+            return None
+    for key, value in snapshot:
+        tree.update(key, value)
     witnesses: list[StateWitness] = []
     for tx in txs:
         witnesses.append(make_tx_witness(tree, tx))
-        if apply_transaction(tree, tx) is ERR:
+        if not _apply_rules(tree, tx):
             witnesses += [StateWitness(())] * (len(txs) - len(witnesses))
             return witnesses, None
-    if declared_post is not None:
-        return None if tree.root() == declared_post else (witnesses, None)
-    payout_witness = make_witness(tree, payout_keys(producer))
-    if apply_fee_payout(tree, producer) == state_root:
-        return None
+    payout_witness = make_witness(tree, payout_keys(producer)) if declared_post is None else None
     return witnesses, payout_witness
 
 

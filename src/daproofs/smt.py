@@ -8,11 +8,13 @@ default chain over the zero leaf digest.
 
 One path rule: read the key as a big-endian integer; bit i of it (bit 0
 least significant) picks the side at height i (leaves at height 0), so a
-1 makes the path node the right child there. StateTree.update, verify and
-witness seeding all fold the path by this rule.
+1 makes the path node the right child there. StateTree's flush, verify
+and witness seeding all fold the path by this rule.
 
-Only non-default nodes are stored, which bounds an update to one leaf
-hash plus 256 node hashes regardless of tree population. A witness
+Only non-default nodes are stored, and the root is lazy: an update marks
+its key's path dirty, and the next root, prove or copy rehashes each
+dirty node once, level by level. d updates then cost at most 257·d hashes
+whatever the population, fewer where paths share nodes. A witness
 subtree is the same StateTree holding only the nodes its proofs reveal.
 """
 
@@ -106,19 +108,22 @@ class SparseProof:
 
 
 class StateTree:
-    """Mutable key-value map with an incrementally maintained root.
+    """Mutable key-value map with a lazily rehashed root.
 
     Non-default internal nodes are kept in a dict keyed by (level, prefix),
     where level counts bits consumed from the root (leaves at level 256)
-    and prefix is the integer value of those bits.
+    and prefix is the integer value of those bits; keys written since the
+    last flush wait in _dirty.
     """
 
     def __init__(self) -> None:
         self._values: dict[bytes, bytes] = {}
         self._nodes: dict[tuple[int, int], bytes] = {}
+        self._dirty: set[bytes] = set()
 
     def copy(self) -> "StateTree":
-        dup = StateTree.__new__(StateTree)
+        self._flush()
+        dup = StateTree()
         dup._values = self._values.copy()
         dup._nodes = self._nodes.copy()
         return dup
@@ -127,6 +132,7 @@ class StateTree:
         return self._nodes.get((level, prefix), EMPTY_SUBTREE[DEPTH - level])
 
     def root(self) -> bytes:
+        self._flush()
         return self._node_at(0, 0)
 
     def get(self, key: bytes) -> bytes:
@@ -139,27 +145,35 @@ class StateTree:
     def __len__(self) -> int:
         return len(self._values)
 
-    def update(self, key: bytes, value: bytes) -> bytes:
-        """Set key to value (empty value deletes) and return the new root."""
+    def update(self, key: bytes, value: bytes) -> None:
+        """Set key to value (empty value deletes) and mark its path dirty."""
         _check_key(key)
         key = bytes(key)
-        path = int.from_bytes(key, "big")
         if value == DEFAULT_VALUE:
             self._values.pop(key, None)
-            node = DEFAULT_LEAF
         else:
             self._values[key] = bytes(value)
-            node = _leaf_digest(key, value)
-        self._store(DEPTH, path, node)
+        self._dirty.add(key)
+
+    def _flush(self) -> None:
+        """Rehash every node on a dirty path once, from the leaves up."""
+        if not self._dirty:
+            return
+        paths = set()
+        for key in self._dirty:
+            path = int.from_bytes(key, "big")
+            value = self._values.get(key, DEFAULT_VALUE)
+            leaf = DEFAULT_LEAF if value == DEFAULT_VALUE else _leaf_digest(key, value)
+            self._store(DEPTH, path, leaf)
+            paths.add(path)
+        self._dirty.clear()
         for level in range(DEPTH, 0, -1):
-            prefix = path >> (DEPTH - level)
-            sibling = self._node_at(level, prefix ^ 1)
-            if prefix & 1:
-                node = _node(sibling, node)
-            else:
-                node = _node(node, sibling)
-            self._store(level - 1, prefix >> 1, node)
-        return node
+            empty = EMPTY_SUBTREE[DEPTH - level]
+            paths = {prefix >> 1 for prefix in paths}
+            for parent in paths:
+                left = self._nodes.get((level, 2 * parent), empty)
+                right = self._nodes.get((level, 2 * parent + 1), empty)
+                self._store(level - 1, parent, _node(left, right))
 
     def _store(self, level: int, prefix: int, digest: bytes) -> None:
         if digest == EMPTY_SUBTREE[DEPTH - level]:
@@ -171,6 +185,7 @@ class StateTree:
         """Proof for key's current value (the default value if absent)."""
         _check_key(key)
         key = bytes(key)
+        self._flush()
         path = int.from_bytes(key, "big")
         siblings = tuple(
             self._node_at(level, (path >> (DEPTH - level)) ^ 1)
@@ -217,8 +232,8 @@ class WitnessSubtree(StateTree):
     """A StateTree that holds only the paths of verified membership proofs.
 
     Every node on a covered key's path, and every sibling of one, is
-    seeded from the proofs, so StateTree.update keeps the root exactly as
-    on the full tree; reading or writing an uncovered key is an error.
+    seeded from the proofs, so the flush rehashes the dirty paths exactly
+    as on the full tree; reading or writing an uncovered key is an error.
     """
 
     def __init__(self, root_digest: bytes) -> None:
@@ -264,9 +279,9 @@ class WitnessSubtree(StateTree):
         self._check_covered(key)
         return super().get(key)
 
-    def update(self, key: bytes, value: bytes) -> bytes:
+    def update(self, key: bytes, value: bytes) -> None:
         self._check_covered(key)
-        return super().update(key, value)
+        super().update(key, value)
 
     # named here too, so the subtree's root can be traced apart from StateTree's
     root = StateTree.root

@@ -9,7 +9,9 @@ accumulator key. Illegal transfers yield ERR, which absorbs: once a
 replay hits ERR it stays ERR.
 
 Replay works either on a full tree (transition) or statelessly from a
-root plus a witness (root_transition). A witness that fails verification
+root plus a witness (root_transition). Both run one rule set that does
+not read the lazy root: full-tree replays read it only at traces, the
+stateless fold after every transfer. A witness that fails verification
 or does not cover the touched keys raises WitnessError; that is distinct
 from ERR, which means the transaction itself is illegal. Verifiers rely
 on the distinction: a bad witness invalidates a fraud proof, while an
@@ -126,14 +128,15 @@ class StateWitness:
         return {key for key, _, _ in self.entries}
 
 
-def _apply_rules(view: StateTree, tx: Transaction) -> Optional[bytes]:
-    """Run the transfer on a full tree or a witness subtree; None means illegal."""
+def _apply_rules(view: StateTree, tx: Transaction) -> bool:
+    """Run the transfer on a full tree or a witness subtree without reading
+    its root; False means illegal, and the view is then untouched."""
     sender = AccountValue.decode(view.get(tx.sender))
     if tx.nonce != sender.nonce:
-        return None
+        return False
     charge = tx.amount + tx.fee
     if sender.balance < charge:
-        return None
+        return False
     view.update(
         tx.sender, AccountValue(sender.balance - charge, sender.nonce + 1).encode()
     )
@@ -144,7 +147,7 @@ def _apply_rules(view: StateTree, tx: Transaction) -> Optional[bytes]:
     )
     fees = AccountValue.decode(view.get(FEES_KEY))
     view.update(FEES_KEY, AccountValue(fees.balance + tx.fee, 0).encode())
-    return view.root()
+    return True
 
 
 def apply_transaction(tree: StateTree, tx: Transaction) -> StateRoot:
@@ -152,8 +155,7 @@ def apply_transaction(tree: StateTree, tx: Transaction) -> StateRoot:
 
     The tree is only modified when the transfer is legal.
     """
-    result = _apply_rules(tree, tx)
-    return ERR if result is None else result
+    return tree.root() if _apply_rules(tree, tx) else ERR
 
 
 def transition(state: Union[StateTree, _ErrType], tx: Transaction) -> Union[StateTree, _ErrType]:
@@ -162,17 +164,13 @@ def transition(state: Union[StateTree, _ErrType], tx: Transaction) -> Union[Stat
         return ERR
     assert isinstance(state, StateTree)
     new = state.copy()
-    return ERR if apply_transaction(new, tx) is ERR else new
+    return new if _apply_rules(new, tx) else ERR
 
 
 def valid(txs: Iterable[Transaction], state: StateTree) -> bool:
     """True iff replaying every transfer in order never hits ERR."""
-    current: Union[StateTree, _ErrType] = state.copy()
-    for tx in txs:
-        if current is ERR:
-            return False
-        current = ERR if apply_transaction(current, tx) is ERR else current  # type: ignore[arg-type]
-    return current is not ERR
+    current = state.copy()
+    return all(_apply_rules(current, tx) for tx in txs)
 
 
 def make_witness(tree: StateTree, keys: Iterable[bytes]) -> StateWitness:
@@ -202,27 +200,26 @@ def root_transition(state_root: StateRoot, tx: Transaction, witness: StateWitnes
     missing = set(tx.touched_keys()) - subtree.covered
     if missing:
         raise WitnessError("witness does not cover all touched keys")
-    result = _apply_rules(subtree, tx)
-    return ERR if result is None else result
+    return subtree.root() if _apply_rules(subtree, tx) else ERR
 
 
-def _apply_payout(view: StateTree, producer: bytes) -> Optional[bytes]:
+def _apply_payout(view: StateTree, producer: bytes) -> None:
     """Credit accrued fees to the producer and reset the accumulator, on a
-    full tree or a witness subtree; None means no fees had accrued."""
+    full tree or a witness subtree; nothing changes when no fees accrued."""
     fees = AccountValue.decode(view.get(FEES_KEY))
     if fees.balance == 0:
-        return None
+        return
     account = AccountValue.decode(view.get(producer))
     view.update(producer, AccountValue(account.balance + fees.balance, account.nonce).encode())
     view.update(FEES_KEY, b"")
-    return view.root()
 
 
 def apply_fee_payout(tree: StateTree, producer: bytes) -> bytes:
     """Credit accrued fees to the producer and reset the accumulator."""
     if len(producer) != 32:
         raise ValueError("producer key must be 32 bytes")
-    return _apply_payout(tree, producer) or tree.root()
+    _apply_payout(tree, producer)
+    return tree.root()
 
 
 def collect_fees(tree: StateTree, producer: bytes) -> StateTree:
@@ -241,7 +238,8 @@ def root_fee_payout(state_root: bytes, producer: bytes, witness: StateWitness) -
     subtree = WitnessSubtree.from_entries(state_root, witness.entries)
     if set(payout_keys(producer)) - subtree.covered:
         raise WitnessError("witness does not cover payout keys")
-    return _apply_payout(subtree, producer) or state_root
+    _apply_payout(subtree, producer)
+    return subtree.root()
 
 
 def total_supply(tree: StateTree) -> int:

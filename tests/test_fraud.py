@@ -1,9 +1,10 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
 
-from daproofs import merkle, rs2d
+from daproofs import merkle, rs2d, smt
 from daproofs.block import build_block, build_double_tree_block, genesis_header
 from daproofs.fraud import (
     CodecFraudProof,
@@ -12,6 +13,7 @@ from daproofs.fraud import (
     decode_codec_fraud_proof,
     decode_transition_fraud_proof,
     encode_codec_fraud_proof,
+    encode_fraud_proof,
     encode_transition_fraud_proof,
     generate_codec_fraud_proof,
     generate_double_tree_fraud_proof,
@@ -21,7 +23,7 @@ from daproofs.fraud import (
     verify_transition_fraud_proof,
 )
 from daproofs.rs2d import COLUMN, ROW, DataCommitment, PartialMatrix, ShareProof
-from daproofs.smt import SparseProof
+from daproofs.smt import SparseProof, StateTree
 from daproofs.state import StateWitness
 from tests.conftest import funded_state, transfer_chain
 
@@ -74,6 +76,29 @@ def codec_proof_for(built):
 def test_honest_block_yields_no_proof(honest):
     built, prev_state, _ = honest
     assert generate_transition_fraud_proof(built, prev_state) is None
+
+
+def test_honest_replay_operation_counts(monkeypatch):
+    """An honest replay proves nothing and rehashes each period's paths once.
+
+    46,773 SMT hashes and 173 StateTree.prove calls when every write rehashed
+    its path and every transfer was witnessed; 10,695 and 0 with the lazy root.
+    """
+    tree, keys = funded_state()
+    txs = transfer_chain(keys, 6 * P, random.Random(0))
+    built = build_block(genesis_header(tree), tree, txs, k=8, share_size=SHARE_SIZE, p=P)
+    proves = []
+    prove = StateTree.prove
+
+    def counted_prove(self, key):
+        proves.append(key)
+        return prove(self, key)
+
+    monkeypatch.setattr(StateTree, "prove", counted_prove)
+    before = smt.hash_invocations()
+    assert generate_transition_fraud_proof(built, tree) is None
+    assert proves == []
+    assert smt.hash_invocations() - before <= 10_695
 
 
 def test_corrupted_trace_round_trip(invalid_trace):
@@ -406,3 +431,60 @@ def test_dt_fuzz_against_honest_block():
         assert not verify_double_tree_fraud_proof(
             mutated, store, P, prev_state_root=tree.root()
         )
+
+
+# --- recorded proof encodings ----------------------------------------------------
+
+
+def _double_tree_proof_bytes(proof):
+    """Canonical bytes of a double-tree proof, which has no wire format."""
+    parts = [proof.block_hash, proof.start_index.to_bytes(8, "big")]
+    if proof.pre_trace is not None:
+        trace, trace_proof, x = proof.pre_trace
+        parts += [trace, trace_proof.to_bytes(), x.to_bytes(8, "big", signed=True)]
+    if proof.post_trace is not None:
+        parts += [proof.post_trace[0], proof.post_trace[1].to_bytes()]
+    parts += [tx.to_bytes() for tx in proof.txs]
+    parts += [tx_proof.to_bytes() for tx_proof in proof.tx_proofs]
+    for witness in proof.witnesses + (proof.payout_witness or StateWitness(()),):
+        parts.append(len(witness.entries).to_bytes(2, "big"))
+        for key, value, sproof in witness.entries:
+            parts += [key, value, sproof.to_bytes()]
+    return b"".join(len(part).to_bytes(8, "big") + part for part in parts)
+
+
+# SHA-256 of each generated proof's encoding per (layout, corruption, transfer
+# count), recorded before the state replay was made period-granular; any change
+# to a root, trace, witness or share proof shows here. The double-tree builder
+# corrupts its first trace, or the header state root when there is none.
+RECORDED_PROOF_DIGESTS = {
+    ("in-band", "trace", 9): "21f9368fc43bebdfc45590f5073db17feb2a7bd5efb004d41ba98952ffe48747",
+    ("in-band", "trace", 10): "886757c517fe7f2e6a9af950795279de9166e0630bc8ef7b605541b13a601bee",
+    ("in-band", "trace", 20): "de0abf7cc1b8b230b23559483bfbb5a42a52b75bb684e5da556f147712bda4db",
+    ("in-band", "trace", 21): "bc13d26edc353e9175ab4cdf758e39d6b6732f2b9bcb0dfccc4b00acb9a923c0",
+    ("in-band", "trace", 25): "0ab9c9bf7aeda46c85ff9946fdc97fe482a0d857332d87b3b76b8908ebea8d76",
+    ("in-band", "header", 9): "21f9368fc43bebdfc45590f5073db17feb2a7bd5efb004d41ba98952ffe48747",
+    ("in-band", "header", 10): "546da86009d85591391b8362ebcf37ad3572ef51c994c3e27d0d47c19431ba73",
+    ("in-band", "header", 20): "f9d0fad505a841ca39c74165584ab6adb4efac74c55ae003da26fe781cafc243",
+    ("in-band", "header", 21): "9fc9b90ca22e5f5ca222c7f8191a752b674decc32507bfc526d37563633920f2",
+    ("in-band", "header", 25): "07c05c1b59f3f70d89ddfe165e018cbc6753017a958866e03fcc9e47ab6178a0",
+    ("double-tree", "first", 9): "643c213da19d464af10b6ce4bb1376221bca8d333ede5df61b217fe2774940ae",
+    ("double-tree", "first", 10): "6d7fe3c131fe9b176a994dac2cf4b6a0e84319e2d9dd939ed0dbd823621d37a6",
+    ("double-tree", "first", 20): "62a7b7e8efc1e5b7bdc7d2638b2274c00dd48587585c996676f8baefaacb8b9d",
+    ("double-tree", "first", 21): "bb42b2dcbd2af815d6d1b2e28fd4170e708f269c225b40fa587405a09e4df873",
+    ("double-tree", "first", 25): "5de21f11c362c6b2604f98a2f51a4ac3de19f6c2955b8d2e8f878b02546cefa5",
+}
+
+
+def _proof_encoding(layout, corrupt, tx_count):
+    if layout == "double-tree":
+        built, tree, _ = make_dt_chain("invalid-transition", tx_count)
+        return _double_tree_proof_bytes(generate_double_tree_fraud_proof(built, tree))
+    built, prev_state, _ = make_chain("invalid-transition", tx_count, corrupt)
+    return encode_fraud_proof(generate_transition_fraud_proof(built, prev_state))
+
+
+@pytest.mark.parametrize("case", sorted(RECORDED_PROOF_DIGESTS))
+def test_proof_encodings_match_recorded_digests(case):
+    encoding = _proof_encoding(*case)
+    assert hashlib.sha256(encoding).hexdigest() == RECORDED_PROOF_DIGESTS[case]

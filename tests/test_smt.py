@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -79,8 +80,34 @@ def test_update_hash_budget():
     rng = random.Random(3)
     for _ in range(20):
         tree.update(rand_key(rng), b"seed")
+    tree.root()
     before = hash_invocations()
     tree.update(rand_key(rng), b"fresh")
+    tree.root()
+    assert hash_invocations() - before <= 257
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 30])
+def test_batched_updates_hash_budget(d):
+    tree = StateTree()
+    rng = random.Random(d)
+    for _ in range(20):
+        tree.update(rand_key(rng), b"seed")
+    tree.root()
+    before = hash_invocations()
+    for _ in range(d):
+        tree.update(rand_key(rng), b"fresh")
+    tree.root()
+    assert hash_invocations() - before <= 257 * d
+    # nothing dirty: a second read costs nothing
+    before = hash_invocations()
+    tree.root()
+    assert hash_invocations() == before
+    # one key written d times is rehashed once
+    key = rand_key(rng)
+    for i in range(d):
+        tree.update(key, bytes([i + 1]))
+    tree.root()
     assert hash_invocations() - before <= 257
 
 
@@ -196,3 +223,119 @@ def test_root_depends_only_on_map(contents, rng):
         two.update(key, b"garbage")
         two.update(key, value)
     assert one.root() == two.root()
+
+
+# --- the eager update, kept as the oracle of the lazy root -------------------------
+
+
+def _eager_update(tree, key, value):
+    """Write key and rehash its whole path at once, as every update did
+    before the root became lazy."""
+    path = int.from_bytes(key, "big")
+    if value == b"":
+        tree._values.pop(key, None)
+        node = smt.DEFAULT_LEAF
+    else:
+        tree._values[key] = bytes(value)
+        node = smt._leaf_digest(key, value)
+    tree._store(DEPTH, path, node)
+    for level in range(DEPTH, 0, -1):
+        prefix = path >> (DEPTH - level)
+        sibling = tree._node_at(level, prefix ^ 1)
+        node = smt._node(sibling, node) if prefix & 1 else smt._node(node, sibling)
+        tree._store(level - 1, prefix >> 1, node)
+
+
+class EagerTree(StateTree):
+    def update(self, key, value):
+        smt._check_key(key)
+        _eager_update(self, bytes(key), value)
+
+
+class EagerWitness(WitnessSubtree):
+    def update(self, key, value):
+        self._check_covered(key)
+        _eager_update(self, bytes(key), value)
+
+
+# Keys that share long path prefixes (differing only in the last bits) as
+# well as keys that part at the root.
+KEY_POOL = (
+    [bytes(31) + bytes([i]) for i in range(4)]
+    + [b"\xff" * 31 + bytes([i]) for i in (0, 1)]
+    + [node_hash(b"pool", bytes([i])) for i in range(2)]
+)
+KEY_INDEX = st.integers(0, len(KEY_POOL) - 1)
+OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("write"), KEY_INDEX, st.binary(min_size=1, max_size=4)),
+        st.tuples(st.just("delete"), KEY_INDEX),
+        st.tuples(st.just("root")),
+        st.tuples(st.just("prove"), KEY_INDEX),
+        st.tuples(st.just("copy")),
+    ),
+    max_size=30,
+)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except WitnessError:
+        return WitnessError
+
+
+def _check_step(lazy, eager, op):
+    """Run op on both trees, compare what it returns, then compare the lazy
+    tree's flushed state with the oracle's without flushing the lazy tree."""
+    kind = op[0]
+    if kind in ("write", "delete"):
+        key, value = KEY_POOL[op[1]], op[2] if kind == "write" else b""
+        assert _outcome(lambda: lazy.update(key, value)) == _outcome(
+            lambda: eager.update(key, value)
+        )
+    elif kind == "root":
+        assert lazy.root() == eager.root()
+    elif kind == "prove":
+        key = KEY_POOL[op[1]]
+        assert _outcome(lambda: lazy.prove(key).siblings) == _outcome(
+            lambda: eager.prove(key).siblings
+        )
+    else:
+        dup = lazy.copy()
+        assert dup.root() == eager.root()
+        dup.update(KEY_POOL[0], b"copy only")
+    for key in KEY_POOL:
+        assert _outcome(lambda: lazy.get(key)) == _outcome(lambda: eager.get(key))
+    flushed = copy.deepcopy(lazy)
+    assert flushed.root() == eager.root()
+    assert flushed._nodes == eager._nodes
+
+
+@settings(max_examples=60)
+@given(OPERATIONS)
+def test_lazy_root_matches_eager_oracle(ops):
+    lazy, eager = StateTree(), EagerTree()
+    for op in ops:
+        _check_step(lazy, eager, op)
+
+
+@settings(max_examples=60)
+@given(
+    st.dictionaries(KEY_INDEX, st.binary(min_size=1, max_size=4)),
+    st.sets(KEY_INDEX, min_size=1),
+    OPERATIONS,
+)
+def test_lazy_witness_matches_eager_oracle(contents, covered, ops):
+    full = EagerTree()
+    for index, value in contents.items():
+        full.update(KEY_POOL[index], value)
+    entries = [(KEY_POOL[i], full.get(KEY_POOL[i]), full.prove(KEY_POOL[i])) for i in covered]
+    lazy = WitnessSubtree.from_entries(full.root(), entries)
+    eager = EagerWitness.from_entries(full.root(), entries)
+    for op in ops:
+        _check_step(lazy, eager, op)
+        if op[0] in ("write", "delete") and op[1] in covered:
+            full.update(KEY_POOL[op[1]], op[2] if op[0] == "write" else b"")
+        # the subtree tracks the full tree through every covered write
+        assert copy.deepcopy(lazy).root() == full.root()
