@@ -11,9 +11,19 @@ gives positions 0..k-1. Decoding re-evaluates any present share beyond
 its first k, so inconsistent inputs surface as a mismatch between the
 reconstruction and whatever the caller committed to.
 
+The rule has two evaluators. When k is a power of two and the k given
+positions are one half of the codeword (0..k-1 or k..2k-1), those points
+are the F2-subspace V = {0..k-1} of GF(2^16) or its coset k ^ V, and an
+additive FFT in Lin, Chung and Han's novel polynomial basis (FOCS 2014)
+interpolates on one half and evaluates on the other in O(k log k) per
+lane. Every other pattern, and every k that is not a power of two,
+multiplies by a Lagrange interpolation matrix: O(k^2) time per lane and
+O(k^2) memory, several k x k arrays, which is over 5 GiB at k = 16384.
+Both produce the same bytes, because the polynomial of degree below k
+through k points is unique.
+
 GF(2^16) keeps codewords of length 2k below the field size for k up to
-16384. Arithmetic runs on log/antilog tables built once at import, and
-interpolation uses the Lagrange basis.
+16384. Arithmetic runs on log/antilog tables built once at import.
 """
 
 from __future__ import annotations
@@ -97,26 +107,105 @@ def _interpolation_matrix(xs: tuple[int, ...], targets: tuple[int, ...]) -> np.n
     return _EXP[exponents].astype(np.uint16)
 
 
+def _subspace_table() -> np.ndarray:
+    """Row i holds Ŵ_i(2^b) for each bit b, the normalised subspace polynomials.
+
+    W_i(x) = prod_{a < 2^i} (x ^ a) vanishes on the subspace {0..2^i-1}, so
+    it is F2-linear and fixed by its values on the bit basis; and
+    W_{i+1}(x) = W_i(x) W_i(x ^ 2^i) = W_i(x) (W_i(x) ^ W_i(2^i)).
+    Ŵ_i = W_i / W_i(2^i), and 2^i is not a root.
+    """
+    w = [1 << b for b in range(FIELD_BITS)]
+    rows = []
+    for i in range(MAX_K.bit_length() - 1):
+        inv = gf_inv(w[i])
+        rows.append([gf_mul(v, inv) for v in w])
+        w = [gf_mul(v, v ^ w[i]) for v in w]
+    return np.array(rows, dtype=np.int64)
+
+_W_HAT = _subspace_table()
+
+
+@lru_cache(maxsize=64)
+def _skew_logs(k: int, beta: int) -> tuple[np.ndarray, ...]:
+    """Per layer i, log Ŵ_i(beta ^ c) for each block base c in range(0, k, 2^(i+1)).
+
+    Ŵ_i is linear, so each skew is the XOR of its row's values at the set
+    bits of beta ^ c.
+    """
+    layers = []
+    for i in range(k.bit_length() - 1):
+        points = beta ^ np.arange(0, k, 2 << i)
+        bits = (points[:, None] >> np.arange(FIELD_BITS)) & 1
+        layers.append(_LOG_PAD[np.bitwise_xor.reduce(bits * _W_HAT[i], axis=1)])
+    return tuple(layers)
+
+
+def _butterflies(symbols: np.ndarray, logs: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the low and high halves of each block of width 2^(i+1)."""
+    blocks = symbols.reshape(len(logs), 2, 1 << i, -1)
+    return blocks[:, 0], blocks[:, 1]
+
+
+def _skew_mul(high: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """Each block's high half times its skew: one log gather, one antilog gather."""
+    exponents = _LOG_PAD.take(high)
+    exponents += logs[:, None, None]
+    return _EXP_PAD.take(exponents)
+
+
+def _fft(coeffs: np.ndarray, beta: int) -> np.ndarray:
+    """Evaluate, in place, novel-basis coefficients (k, lanes) at beta ^ j for j < k.
+
+    Layer i splits D = D0 + Ŵ_i D1 on each block; Ŵ_i is the constant s on
+    the block's low coset and s ^ 1 on its high one, so the halves become
+    D0 + s D1 and that plus D1.
+    """
+    logs = _skew_logs(coeffs.shape[0], beta)
+    for i in reversed(range(len(logs))):
+        low, high = _butterflies(coeffs, logs[i], i)
+        low ^= _skew_mul(high, logs[i])
+        high ^= low
+    return coeffs
+
+
+def _inverse_fft(values: np.ndarray, beta: int) -> np.ndarray:
+    """Novel-basis coefficients, in place, of the polynomial through values at beta ^ j."""
+    logs = _skew_logs(values.shape[0], beta)
+    for i in range(len(logs)):
+        low, high = _butterflies(values, logs[i], i)
+        high ^= low
+        low ^= _skew_mul(high, logs[i])
+    return values
+
+
 def _shares_to_symbols(shares: Sequence[bytes]) -> np.ndarray:
     length = len(shares[0])
     if length == 0 or length % 2:
         raise ValueError("share length must be positive and even")
-    for sh in shares:
-        if len(sh) != length:
-            raise ValueError("shares must all have the same length")
-    return np.array([np.frombuffer(sh, dtype=">u2") for sh in shares], dtype=np.uint16)
+    if any(len(sh) != length for sh in shares):
+        raise ValueError("shares must all have the same length")
+    raw = np.frombuffer(b"".join(shares), dtype=">u2")
+    return raw.reshape(len(shares), -1).astype(np.uint16)
 
 
 def _symbols_to_shares(symbols: np.ndarray) -> list[bytes]:
-    return [row.astype(">u2").tobytes() for row in symbols]
+    raw = symbols.astype(">u2").tobytes()
+    width = 2 * symbols.shape[1]
+    return [raw[i : i + width] for i in range(0, len(raw), width)]
 
 
 def _codeword(given: Sequence[tuple[int, bytes]], k: int) -> list[bytes]:
     """The 2k shares through k given (position, share) pairs, those unchanged."""
     symbols = _shares_to_symbols([sh for _, sh in given])
     xs = tuple(pos for pos, _ in given)
-    targets = tuple(sorted(set(range(2 * k)).difference(xs)))
-    evaluated = _matmul(_interpolation_matrix(xs, targets), symbols)
+    if k & (k - 1) == 0 and xs[0] in (0, k) and xs == tuple(range(xs[0], xs[0] + k)):
+        other = k - xs[0]
+        targets = tuple(range(other, other + k))
+        evaluated = _fft(_inverse_fft(symbols, xs[0]), other)
+    else:
+        targets = tuple(sorted(set(range(2 * k)).difference(xs)))
+        evaluated = _matmul(_interpolation_matrix(xs, targets), symbols)
     codeword = dict(zip(targets, _symbols_to_shares(evaluated)))
     codeword.update((pos, bytes(share)) for pos, share in given)
     return [codeword[pos] for pos in range(2 * k)]

@@ -207,3 +207,75 @@ def test_closed_form_matrix_matches_scalar_builder(k, rng):
     xs = tuple(rng.sample(range(2 * k), k))
     targets = tuple(pos for pos in range(2 * k) if pos not in xs)
     assert np.array_equal(erasure._interpolation_matrix(xs, targets), oracle_matrix(xs, targets))
+
+
+# --- The additive FFT: the two half-to-half patterns at power-of-two k. ----
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([1 << m for m in range(9)]),
+    st.integers(min_value=1, max_value=5),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_half_to_half_fft_matches_oracle(k, lanes, from_parity, rng):
+    data = [rng.randbytes(2 * lanes) for _ in range(k)]
+    codeword = rs_encode(data)
+    assert codeword == oracle_encode(data)
+    if from_parity:
+        present = [(pos, codeword[pos]) for pos in range(k, 2 * k)]
+        corrupted = None
+    else:
+        # Extras come after the data half by position, so 0..k-1 stay the given shares.
+        extras = rng.sample(range(k, 2 * k), rng.randint(0, k))
+        present = [(pos, codeword[pos]) for pos in [*range(k), *extras]]
+        corrupted = rng.choice(extras) if extras and rng.random() < 0.5 else None
+        if corrupted is not None:
+            present = [
+                (pos, sh[:-1] + bytes([sh[-1] ^ 0x01]) if pos == corrupted else sh)
+                for pos, sh in present
+            ]
+    rng.shuffle(present)
+    decoded = rs_decode(present, k)
+    assert decoded == oracle_decode(present, k)
+    assert decoded == codeword
+    if corrupted is not None:
+        assert decoded[corrupted] != dict(present)[corrupted]
+
+
+def test_half_to_half_patterns_skip_lagrange():
+    rng = random.Random(3)
+    k = 64
+    data = [rng.randbytes(16) for _ in range(k)]
+    before = erasure._interpolation_matrix.cache_info()
+    codeword = rs_encode(data)
+    assert rs_decode(list(enumerate(codeword))[k:], k) == codeword
+    assert erasure._interpolation_matrix.cache_info() == before
+
+
+def subspace_lagrange_at(values, target):
+    """P(target) for P through (j, values[j]), j < k, with k a power of two and target >= k.
+
+    The points form a subspace V, so every Lagrange denominator
+    prod_{j != m} (m ^ j) is the same product of V's non-zero elements.
+    """
+    k = len(values)
+    points = np.arange(k)
+    diff_logs = erasure._LOG[target ^ points].astype(np.int64)
+    log_denom = int(erasure._LOG[points[1:]].sum(dtype=np.int64))
+    exponents = (int(diff_logs.sum()) - diff_logs - log_denom) % 65535
+    terms = erasure._EXP_PAD[erasure._LOG_PAD[values] + exponents]
+    return int(np.bitwise_xor.reduce(terms))
+
+
+def test_max_k_encode_and_decode_from_parity():
+    k = erasure.MAX_K
+    rng = random.Random(11)
+    data = [rng.randbytes(2) for _ in range(k)]
+    codeword = rs_encode(data)
+    assert codeword[:k] == data
+    values = np.array([int.from_bytes(sh, "big") for sh in data], dtype=np.int64)
+    for target in [k, k + 1, *rng.sample(range(k, 2 * k), 4), 2 * k - 1]:
+        assert int.from_bytes(codeword[target], "big") == subspace_lagrange_at(values, target)
+    assert rs_decode(list(enumerate(codeword))[k:], k) == codeword
