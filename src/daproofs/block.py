@@ -88,9 +88,9 @@ class PeriodSlice:
     txs: tuple[Transaction, ...]
 
 
-def _check_share_size(share_size: int) -> None:
+def _check_share_size(share_size: int, error: type[Exception] = ValueError) -> None:
     if not MIN_SHARE_SIZE <= share_size <= MAX_SHARE_SIZE:
-        raise ValueError(f"share size must be in {MIN_SHARE_SIZE}..{MAX_SHARE_SIZE}")
+        raise error(f"share size must be in {MIN_SHARE_SIZE}..{MAX_SHARE_SIZE}")
 
 
 def serialize_shares(messages: Sequence[Message], share_size: int) -> list[bytes]:
@@ -135,13 +135,13 @@ def parse_shares_with_spans(shares: Sequence[bytes]) -> list[ParsedMessage]:
     The first message is located through the offset field of the first
     share in which any message starts; bytes before it (the tail of an
     earlier message) are skipped, and a trailing partial message is
-    dropped. Structural damage (bad offsets, unknown tags, undecodable
-    bodies) raises ParseError.
+    dropped. Structural damage (a share size out of range, bad offsets,
+    unknown tags, undecodable bodies) raises ParseError.
     """
     if not shares:
         return []
     share_size = len(shares[0])
-    _check_share_size(share_size)
+    _check_share_size(share_size, ParseError)
     payload_size = share_size - 2
     payloads = []
     first_start: Optional[int] = None
@@ -238,27 +238,18 @@ class BlockHeader:
         )
 
     @classmethod
-    def read_from(cls, raw: bytes) -> tuple["BlockHeader", bytes]:
-        if len(raw) < 106:
-            raise ValueError("truncated block header")
-        ad_len = int.from_bytes(raw[104:106], "big")
-        if len(raw) < 106 + ad_len:
-            raise ValueError("truncated header additional data")
-        header = cls(
-            prev_hash=raw[0:32],
-            data_root=raw[32:64],
-            state_root=raw[64:96],
-            data_length=int.from_bytes(raw[96:104], "big"),
-            additional_data=raw[106 : 106 + ad_len],
+    def read(cls, reader: merkle.Reader) -> "BlockHeader":
+        return cls(  # keyword arguments are evaluated in order, which is wire order
+            prev_hash=reader.take(32),
+            data_root=reader.take(32),
+            state_root=reader.take(32),
+            data_length=reader.uint(8),
+            additional_data=reader.take(reader.uint(2)),
         )
-        return header, raw[106 + ad_len :]
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "BlockHeader":
-        header, rest = cls.read_from(raw)
-        if rest:
-            raise ValueError("trailing bytes after header")
-        return header
+        return merkle.Reader(raw).whole(cls.read)
 
     def block_hash(self) -> bytes:
         return hash_bytes(self.to_bytes())

@@ -25,6 +25,7 @@ from typing import Optional
 from . import fraud, prob, rs2d, sim
 from .block import BlockHeader
 from .fraud import HeaderStore
+from .merkle import Reader
 from .smt import StateTree
 from .state import AccountValue
 
@@ -110,9 +111,7 @@ def cmd_prob(args: argparse.Namespace) -> int:
         header = ["k", "s", "min_clients"]
         for k in _parse_int_list(args.k):
             for s in _parse_int_list(args.s):
-                rows.append(
-                    [k, s, prob.min_clients(k, s, target=args.target, method=args.method)]
-                )
+                rows.append([k, s, prob.min_clients(k, s, target=args.target)])
     else:
         header = ["k", "s", "c", "c_hat", "d", "p1", "pc", "pc_from_j1", "pe", "px"]
         ks = _parse_int_list(args.k)
@@ -134,8 +133,7 @@ def cmd_prob(args: argparse.Namespace) -> int:
                         row["pc"] = f"{prob.pc(k, s, c, args.c_hat):.10f}"
                         row["pc_from_j1"] = f"{prob.pc_as_printed(k, s, c, args.c_hat):.10f}"
                     if args.table in ("pe", "all") and c:
-                        method = "dp" if args.method == "auto" else args.method
-                        row["pe"] = f"{prob.pe(n, s, c, lam, method=method):.10f}"
+                        row["pe"] = f"{prob.pe(n, s, c, lam):.10f}"
                     if args.d is not None and c:
                         row["d"] = args.d
                         row["px"] = f"{prob.px(s, c, args.d):.10f}"
@@ -275,10 +273,9 @@ def cmd_fraud(args: argparse.Namespace) -> int:
 
     # verify
     store = HeaderStore()
-    blob = Path(args.headers).read_bytes()
-    while blob:
-        header, blob = BlockHeader.read_from(blob)
-        store.add(header)
+    headers = Reader(Path(args.headers).read_bytes())
+    while not headers.at_end():
+        store.add(BlockHeader.read(headers))
     proof = fraud.decode_fraud_proof(Path(args.proof).read_bytes())
     ok = fraud.apply_fraud_proof(proof, store, p=args.p)
     print("fraud proof verifies: block rejected" if ok else "fraud proof does NOT verify")
@@ -310,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--c-hat", type=int, default=None, dest="c_hat")
     pr.add_argument("--d", type=int, default=None)
     pr.add_argument("--target", type=float, default=0.99)
-    pr.add_argument("--method", default="auto", choices=prob.METHODS)
     pr.add_argument("--out", default="")
     pr.set_defaults(func=cmd_prob)
 

@@ -15,12 +15,13 @@ no post-state trace, possibly no transfers, and its replay is checked
 against the header state root after the fee payout. Both layouts (in-band
 traces and the double tree) replay a slice through the same fold.
 
-Verification never raises on attacker-supplied input: any structural
-defect, failed membership proof, or unusable witness makes the verifier
-return False. A proof only verifies True when every share and witness is
-properly bound to the committed block and the replayed result still
-disagrees with the commitment. A True verdict permanently rejects the
-header in the client's header store.
+The wire decoders read through merkle.Reader and raise only ValueError
+on a malformed record. The verifiers never raise on attacker-supplied
+input: any structural defect, failed membership proof, or unusable
+witness makes them return False. A proof only verifies True when every
+share and witness is properly bound to the committed block and the
+replayed result still disagrees with the commitment. A True verdict
+permanently rejects the header in the client's header store.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .block import (
     period,
 )
 from .erasure import Unrecoverable, rs_decode
-from .merkle import MerkleProof
+from .merkle import MerkleProof, Reader
 from .rs2d import COLUMN, ROW, CodecFault, ShareProof, share_index
 from .smt import SparseProof, StateTree, WitnessError
 from .state import (
@@ -116,12 +117,6 @@ class TransitionFraudProof:
     share_proofs: tuple[ShareProof, ...]
     witnesses: tuple[StateWitness, ...]
     payout_witness: Optional[StateWitness] = None
-
-
-def _original_index_to_virtual(orig: int, k: int, origin: int, data_length: int) -> int:
-    """Virtual data-tree index of original share orig under a proof origin."""
-    r, c = divmod(orig, k)
-    return share_index(ROW, r, c, origin, 2 * k, data_length)
 
 
 def _trim_to_period(messages: Sequence[ParsedMessage], at_block_start: bool) -> list[ParsedMessage]:
@@ -238,7 +233,8 @@ def verify_transition_fraud_proof(
     ):
         if origin not in (ROW, COLUMN):
             return False
-        virtual = _original_index_to_virtual(y + a, k, origin, header.data_length)
+        row, col = divmod(y + a, k)
+        virtual = share_index(ROW, row, col, origin, width, header.data_length)
         if not rs2d.verify_share_merkle_proof(
             share, share_proof, header.data_root, header.data_length, virtual
         ):
@@ -589,25 +585,13 @@ def _encode_witness(witness: StateWitness) -> bytes:
     return b"".join(out)
 
 
-def _read_witness(raw: bytes) -> tuple[StateWitness, bytes]:
-    if len(raw) < 2:
-        raise ValueError("truncated witness")
-    count = int.from_bytes(raw[:2], "big")
-    raw = raw[2:]
+def _read_witness(reader: Reader) -> StateWitness:
     entries = []
-    for _ in range(count):
-        if len(raw) < 34:
-            raise ValueError("truncated witness entry")
-        key = raw[:32]
-        vlen = int.from_bytes(raw[32:34], "big")
-        raw = raw[34:]
-        if len(raw) < vlen:
-            raise ValueError("truncated witness value")
-        value = raw[:vlen]
-        raw = raw[vlen:]
-        proof, raw = SparseProof.read_from(raw, key, value)
-        entries.append((key, value, proof))
-    return StateWitness(tuple(entries)), raw
+    for _ in range(reader.uint(2)):
+        key = reader.take(32)
+        value = reader.take(reader.uint(2))
+        entries.append((key, value, SparseProof.read(reader, key, value)))
+    return StateWitness(tuple(entries))
 
 
 def encode_transition_fraud_proof(proof: TransitionFraudProof) -> bytes:
@@ -637,50 +621,26 @@ def encode_transition_fraud_proof(proof: TransitionFraudProof) -> bytes:
 
 
 def decode_transition_fraud_proof(raw: bytes) -> TransitionFraudProof:
-    if raw[:1] != _TRANSITION_TAG:
+    return Reader(raw).whole(_read_transition_fraud_proof)
+
+
+def _read_transition_fraud_proof(reader: Reader) -> TransitionFraudProof:
+    if reader.take(1) != _TRANSITION_TAG:
         raise ValueError("not a transition fraud proof")
-    raw = raw[1:]
-    if len(raw) < 46:
-        raise ValueError("truncated proof")
-    block_hash = raw[:32]
-    start_index = int.from_bytes(raw[32:40], "big")
-    share_size = int.from_bytes(raw[40:44], "big")
-    count = int.from_bytes(raw[44:46], "big")
-    raw = raw[46:]
-    if len(raw) < count * share_size + count:
-        raise ValueError("truncated shares")
-    shares = tuple(raw[i * share_size : (i + 1) * share_size] for i in range(count))
-    raw = raw[count * share_size :]
-    origins = tuple(raw[:count])
-    raw = raw[count:]
-    share_proofs = []
-    for _ in range(count):
-        sp, raw = ShareProof.read_from(raw)
-        share_proofs.append(sp)
-    if len(raw) < 2:
-        raise ValueError("truncated witnesses")
-    wcount = int.from_bytes(raw[:2], "big")
-    raw = raw[2:]
-    witnesses = []
-    for _ in range(wcount):
-        witness, raw = _read_witness(raw)
-        witnesses.append(witness)
-    if not raw:
-        raise ValueError("truncated payout flag")
-    flag, raw = raw[0], raw[1:]
-    payout = None
-    if flag == 1:
-        payout, raw = _read_witness(raw)
-    if raw:
-        raise ValueError("trailing bytes after proof")
+    block_hash = reader.take(32)
+    start_index = reader.uint(8)
+    share_size = reader.uint(4)
+    count = reader.uint(2)
+    blob = reader.take(count * share_size)
+    # keyword arguments are evaluated in order, which is wire order
     return TransitionFraudProof(
         block_hash=block_hash,
         start_index=start_index,
-        shares=shares,
-        origins=origins,
-        share_proofs=tuple(share_proofs),
-        witnesses=tuple(witnesses),
-        payout_witness=payout,
+        shares=tuple(blob[i * share_size : (i + 1) * share_size] for i in range(count)),
+        origins=tuple(reader.take(count)),
+        share_proofs=tuple(ShareProof.read(reader) for _ in range(count)),
+        witnesses=tuple(_read_witness(reader) for _ in range(reader.uint(2))),
+        payout_witness=_read_witness(reader) if reader.uint(1) == 1 else None,
     )
 
 
@@ -708,44 +668,26 @@ def encode_codec_fraud_proof(proof: CodecFraudProof) -> bytes:
 
 
 def decode_codec_fraud_proof(raw: bytes) -> CodecFraudProof:
-    if raw[:1] != _CODEC_TAG:
+    return Reader(raw).whole(_read_codec_fraud_proof)
+
+
+def _read_codec_fraud_proof(reader: Reader) -> CodecFraudProof:
+    if reader.take(1) != _CODEC_TAG:
         raise ValueError("not a codec fraud proof")
-    raw = raw[1:]
-    if len(raw) < 73:
-        raise ValueError("truncated proof")
-    block_hash = raw[:32]
-    axis = raw[32]
-    j = int.from_bytes(raw[33:41], "big")
-    axis_root = raw[41:73]
-    axis_root_proof, raw = MerkleProof.read_from(raw[73:])
-    if len(raw) < 6:
-        raise ValueError("truncated share table")
-    share_size = int.from_bytes(raw[:4], "big")
-    count = int.from_bytes(raw[4:6], "big")
-    raw = raw[6:]
+    block_hash = reader.take(32)
+    axis = reader.uint(1)
+    j = reader.uint(8)
+    axis_root = reader.take(32)
+    axis_root_proof = MerkleProof.read(reader)
+    share_size = reader.uint(4)
+    count = reader.uint(2)
     shares = []
     for _ in range(count):
-        if len(raw) < 9 + share_size:
-            raise ValueError("truncated share entry")
-        pos = int.from_bytes(raw[:8], "big")
-        ax = raw[8]
-        share = raw[9 : 9 + share_size]
-        raw = raw[9 + share_size :]
-        shares.append((share, pos, ax))
-    share_proofs = []
-    for _ in range(count):
-        sp, raw = ShareProof.read_from(raw)
-        share_proofs.append(sp)
-    if raw:
-        raise ValueError("trailing bytes after proof")
+        pos, ax = reader.uint(8), reader.uint(1)
+        shares.append((reader.take(share_size), pos, ax))
+    share_proofs = tuple(ShareProof.read(reader) for _ in range(count))
     return CodecFraudProof(
-        block_hash=block_hash,
-        axis=axis,
-        j=j,
-        axis_root=axis_root,
-        axis_root_proof=axis_root_proof,
-        shares=tuple(shares),
-        share_proofs=tuple(share_proofs),
+        block_hash, axis, j, axis_root, axis_root_proof, tuple(shares), share_proofs
     )
 
 

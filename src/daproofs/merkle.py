@@ -11,18 +11,26 @@ below its parent's leaf count. At size n, index i has a sibling iff
 i ^ 1 < n, and the next level up has index i >> 1 and size (n + 1) >> 1.
 Proofs carry the leaf index and tree size, so a proof for index i never
 verifies for any other index.
+
+Every wire record in the package (Merkle, share and sparse proofs, block
+headers, fraud proofs) is read through one Reader: each field is a
+bounds-checked take, and whole() rejects bytes left after the record. A
+short or over-long record therefore raises ValueError in this one place,
+and decoders never slice their input themselves.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 DIGEST_SIZE = 32
 
 _LEAF_PREFIX = b"\x00"
 _NODE_PREFIX = b"\x01"
+
+_T = TypeVar("_T")
 
 
 def hash_bytes(data: bytes) -> bytes:
@@ -36,6 +44,36 @@ def leaf_hash(data: bytes) -> bytes:
 
 def node_hash(left: bytes, right: bytes) -> bytes:
     return hashlib.sha256(_NODE_PREFIX + left + right).digest()
+
+
+class Reader:
+    """A cursor over one wire record; reading past its end raises ValueError."""
+
+    def __init__(self, data: bytes) -> None:
+        self._data = bytes(data)
+        self._pos = 0
+
+    def take(self, n: int) -> bytes:
+        end = self._pos + n
+        if end > len(self._data):
+            raise ValueError(f"truncated record: {n} bytes needed at offset {self._pos}")
+        out = self._data[self._pos : end]
+        self._pos = end
+        return out
+
+    def uint(self, n: int) -> int:
+        """An n-byte big-endian unsigned integer."""
+        return int.from_bytes(self.take(n), "big")
+
+    def at_end(self) -> bool:
+        return self._pos == len(self._data)
+
+    def whole(self, read: Callable[["Reader"], _T]) -> _T:
+        """read(self), which must consume every remaining byte."""
+        value = read(self)
+        if not self.at_end():
+            raise ValueError(f"trailing bytes after record at offset {self._pos}")
+        return value
 
 
 @dataclass(frozen=True)
@@ -57,25 +95,16 @@ class MerkleProof:
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "MerkleProof":
-        proof, rest = cls.read_from(raw)
-        if rest:
-            raise ValueError("trailing bytes after Merkle proof")
-        return proof
+        return Reader(raw).whole(cls.read)
 
     @classmethod
-    def read_from(cls, raw: bytes) -> tuple["MerkleProof", bytes]:
-        if len(raw) < 18:
-            raise ValueError("truncated Merkle proof")
-        tree_size = int.from_bytes(raw[0:8], "big")
-        leaf_index = int.from_bytes(raw[8:16], "big")
-        count = int.from_bytes(raw[16:18], "big")
-        end = 18 + count * DIGEST_SIZE
-        if len(raw) < end:
-            raise ValueError("truncated Merkle proof siblings")
-        siblings = tuple(
-            raw[18 + i * DIGEST_SIZE : 18 + (i + 1) * DIGEST_SIZE] for i in range(count)
-        )
-        return cls(siblings, leaf_index, tree_size), raw[end:]
+    def read(cls, reader: Reader) -> "MerkleProof":
+        tree_size = reader.uint(8)
+        leaf_index = reader.uint(8)
+        count = reader.uint(2)
+        blob = reader.take(count * DIGEST_SIZE)
+        siblings = tuple(blob[i : i + DIGEST_SIZE] for i in range(0, len(blob), DIGEST_SIZE))
+        return cls(siblings, leaf_index, tree_size)
 
 
 class MerkleTree:

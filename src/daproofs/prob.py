@@ -24,8 +24,7 @@ to the unrecoverability minimum (k+1)^2):
   group one share at a time, its i-th share (i = 0..s-1) is new with
   probability (n - z)/(n - i) when z distinct shares have been seen.
   The chain needs no weights or logarithms and agrees with the series to
-  float64 rounding. Methods (METHODS): "exact" is the series, "dp" the
-  chain, and "auto" the series up to n = 4096 and the chain beyond.
+  float64 rounding; pe() evaluates the chain.
 - px: with d of c*s pooled, unlinkable sample requests denied, one
   client sees at least one of its s requests denied:
   sum_i C(s,i) C(s(c-1), d-i) / C(cs, d) = 1 - C(s(c-1), d)/C(cs, d).
@@ -44,7 +43,6 @@ import numpy as np
 
 DEFAULT_TARGET = 0.99
 
-METHODS = ("auto", "exact", "dp")
 _EXACT_N_LIMIT = 4096
 
 
@@ -201,7 +199,8 @@ def pe_dp_curve(
     return out
 
 
-def pe_dp(n: int, s: int, c: int, lam: int) -> float:
+def pe(n: int, s: int, c: int, lam: int) -> float:
+    """Collective-coverage probability by the distinct-count chain."""
     return float(pe_dp_curve(n, s, lam, c)[c])
 
 
@@ -215,24 +214,6 @@ def mc_pe(n: int, s: int, c: int, lam: int, trials: int = 100_000, seed: int = 0
     return float(np.mean(z >= n - lam))
 
 
-def _uses_exact(n: int, method: str) -> bool:
-    """Whether method evaluates pe in big rationals at this n."""
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    return method == "exact" or (method == "auto" and n <= _EXACT_N_LIMIT)
-
-
-def pe(n: int, s: int, c: int, lam: int, method: str = "auto") -> float:
-    """Collective-coverage probability by one of METHODS.
-
-    "auto" is exact up to n = 4096 and the distinct-count chain beyond;
-    the module docstring describes each method.
-    """
-    if _uses_exact(n, method):
-        return float(pe_exact_fraction(n, s, c, lam))
-    return pe_dp(n, s, c, lam)
-
-
 # --- minimum client counts ------------------------------------------------------
 
 
@@ -240,16 +221,14 @@ def _target_fraction(target: float) -> Fraction:
     return Fraction(str(target))
 
 
-def min_clients(k: int, s: int, target: float = DEFAULT_TARGET, method: str = "auto") -> int:
+def min_clients(k: int, s: int, target: float = DEFAULT_TARGET) -> int:
     """Smallest c with pe(n=(2k)^2, s, c, lam) >= target.
 
-    Searches the probability curve with the distinct-count chain. Where
-    pe(method=method) is exact ("exact", or "auto" up to n = 4096), the
-    boundary is then pinned in big rationals.
+    Searches the probability curve with the distinct-count chain. Up to
+    n = 4096 the boundary is then pinned in big rationals.
     """
     n = (2 * k) ** 2
     lam = n - recovery_threshold(k)
-    exact = _uses_exact(n, method)  # also rejects unknown methods
     c_max = max(8, (2 * n) // s)
     while True:
         curve = pe_dp_curve(n, s, lam, c_max, stop_at=target)
@@ -260,7 +239,7 @@ def min_clients(k: int, s: int, target: float = DEFAULT_TARGET, method: str = "a
         c_max *= 2
         if c_max > 10_000_000:
             raise ArithmeticError("target unreachable within search bounds")
-    if not exact:
+    if n > _EXACT_N_LIMIT:
         return candidate
 
     goal = _target_fraction(target)

@@ -136,13 +136,9 @@ class ShareProof:
         return self.axis_root + self.axis_proof.to_bytes() + self.root_proof.to_bytes()
 
     @classmethod
-    def read_from(cls, raw: bytes) -> tuple["ShareProof", bytes]:
-        if len(raw) < merkle.DIGEST_SIZE:
-            raise ValueError("truncated share proof")
-        axis_root = raw[: merkle.DIGEST_SIZE]
-        axis_proof, rest = MerkleProof.read_from(raw[merkle.DIGEST_SIZE :])
-        root_proof, rest = MerkleProof.read_from(rest)
-        return cls(axis_root, axis_proof, root_proof), rest
+    def read(cls, reader: merkle.Reader) -> "ShareProof":
+        axis_root = reader.take(merkle.DIGEST_SIZE)
+        return cls(axis_root, MerkleProof.read(reader), MerkleProof.read(reader))
 
 
 def matrix_width_for(data_length: int) -> int:

@@ -730,12 +730,6 @@ def run_sampling(config: SimConfig, scenario: Optional[Scenario] = None) -> SimV
     return _Simulation(config, scenario).run()
 
 
-def selective_disclosure_run(config: SimConfig, scenario: Optional[Scenario] = None) -> SimVerdict:
-    if config.adversary != "selective":
-        raise ValueError("selective_disclosure_run needs adversary=selective")
-    return run_sampling(config, scenario)
-
-
 def predicted_deceived_prefix(config: SimConfig) -> list[int]:
     """Replay the request-budget arithmetic on the clients' sample draws.
 

@@ -24,7 +24,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .merkle import DIGEST_SIZE, node_hash
+from .merkle import DIGEST_SIZE, Reader, node_hash
 
 DEPTH = 256
 KEY_SIZE = 32
@@ -90,21 +90,15 @@ class SparseProof:
         return bytes(bitmap) + b"".join(included)
 
     @classmethod
-    def read_from(cls, raw: bytes, key: bytes, value: bytes) -> tuple["SparseProof", bytes]:
-        if len(raw) < 32:
-            raise ValueError("truncated sparse proof bitmap")
-        bitmap = raw[:32]
-        pos = 32
-        siblings: list[bytes] = []
-        for i in range(DEPTH):
-            if bitmap[i // 8] & (1 << (7 - i % 8)):
-                if len(raw) < pos + DIGEST_SIZE:
-                    raise ValueError("truncated sparse proof siblings")
-                siblings.append(raw[pos : pos + DIGEST_SIZE])
-                pos += DIGEST_SIZE
-            else:
-                siblings.append(EMPTY_SUBTREE[i])
-        return cls(key, value, tuple(siblings)), raw[pos:]
+    def read(cls, reader: Reader, key: bytes, value: bytes) -> "SparseProof":
+        bitmap = reader.uint(32)
+        blob = reader.take(bitmap.bit_count() * DIGEST_SIZE)
+        included = (blob[j : j + DIGEST_SIZE] for j in range(0, len(blob), DIGEST_SIZE))
+        siblings = tuple(
+            next(included) if bitmap >> (DEPTH - 1 - i) & 1 else EMPTY_SUBTREE[i]
+            for i in range(DEPTH)
+        )
+        return cls(key, value, siblings)
 
 
 class StateTree:

@@ -503,7 +503,7 @@ def test_criterion_7_end_to_end(enhanced_runs):
     prefix_sizes = []
     for seed in range(10):
         config = sim.SimConfig(**standard, seed=seed)
-        verdict = sim.selective_disclosure_run(config)
+        verdict = sim.run_sampling(config)
         predicted = sim.predicted_deceived_prefix(config)
         assert verdict.accepting_clients == predicted, seed
         assert predicted == list(range(len(predicted)))

@@ -60,7 +60,7 @@ def test_prob_px_and_pc_columns(tmp_path):
     out = tmp_path / "mix.csv"
     assert run_cli(
         "prob", "--table", "all", "--k", "4", "--s", "2", "--c", "10",
-        "--c-hat", "3", "--d", "5", "--method", "dp", "--out", out,
+        "--c-hat", "3", "--d", "5", "--out", out,
     ) == 0
     row = next(csv.DictReader(out.read_text().splitlines()))
     assert float(row["pc"]) <= float(row["pc_from_j1"])
@@ -109,6 +109,16 @@ def test_fraud_gen_verify_round_trip(tmp_path):
     lonely = tmp_path / "lonely.bin"
     lonely.write_bytes(genesis.to_bytes())
     assert run_cli("fraud", "verify", "--proof", proof_path, "--headers", lonely, "--p", 10) == 1
+
+
+def test_fraud_verify_truncated_headers_exits_2(tmp_path, capsys):
+    header = genesis_header(funded_state()[0]).to_bytes()
+    headers = tmp_path / "headers.bin"
+    headers.write_bytes(header + header[:-1])  # the second record is cut short
+    proof_path = tmp_path / "proof.bin"
+    proof_path.write_bytes(b"")
+    assert run_cli("fraud", "verify", "--proof", proof_path, "--headers", headers) == 2
+    assert "truncated record" in capsys.readouterr().err
 
 
 def test_fraud_gen_codec_path(tmp_path):

@@ -3,14 +3,18 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from daproofs import merkle, rs2d, smt
-from daproofs.block import build_block, build_double_tree_block, genesis_header
+from daproofs.block import BlockHeader, build_block, build_double_tree_block, genesis_header
 from daproofs.fraud import (
     CodecFraudProof,
     HeaderStore,
+    TransitionFraudProof,
     apply_fraud_proof,
     decode_codec_fraud_proof,
+    decode_fraud_proof,
     decode_transition_fraud_proof,
     encode_codec_fraud_proof,
     encode_fraud_proof,
@@ -357,6 +361,56 @@ def test_wire_round_trips(invalid_trace, invalid_header, invalid_code):
         decode_transition_fraud_proof(b"X" + b"\x00" * 64)
     with pytest.raises(ValueError):
         decode_codec_fraud_proof(encode_codec_fraud_proof(codec)[:-3])
+
+
+def test_verifier_rejects_share_size_below_the_framing_minimum():
+    # 4-byte shares commit fine but cannot frame messages; the share proof
+    # is valid, so only the parser sees the bad size, and it must not raise
+    matrix = rs2d.extend_shares([bytes([1, 0, i, i]) for i in range(4)], 2, 4)
+    commitment = rs2d.commit(matrix)
+    header = BlockHeader(b"\x00" * 32, commitment.data_root, commitment.data_length, b"\x00" * 32)
+    store = HeaderStore()
+    store.add(header)
+    share, share_proof = rs2d.prove_share(matrix, 0, 0, ROW)
+    assert rs2d.verify_share_merkle_proof(
+        share, share_proof, commitment.data_root, commitment.data_length, 0
+    )
+    proof = TransitionFraudProof(header.block_hash(), 0, (share,), (ROW,), (share_proof,), ())
+    assert verify_transition_fraud_proof(proof, store, P) is False
+
+
+# --- wire decoders: only ValueError on malformed input ---------------------------
+
+WIRE_DECODERS = (decode_fraud_proof, BlockHeader.from_bytes, merkle.MerkleProof.from_bytes)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([b"", b"T", b"C"]), st.binary(max_size=400))
+def test_decoders_raise_only_value_error_on_arbitrary_bytes(tag, body):
+    for decode in WIRE_DECODERS:
+        try:
+            decode(tag + body)
+        except ValueError:
+            pass
+
+
+def test_every_prefix_and_extension_of_a_valid_record_is_rejected(invalid_header, invalid_code):
+    built, prev_state, _ = invalid_header
+    transition = generate_transition_fraud_proof(built, prev_state)
+    assert transition.payout_witness is not None  # covers the payout branch
+    header = dataclasses.replace(built.header, additional_data=b"ad")
+    records = [
+        (decode_fraud_proof, encode_fraud_proof(transition)),
+        (decode_fraud_proof, encode_fraud_proof(codec_proof_for(invalid_code[0]))),
+        (BlockHeader.from_bytes, header.to_bytes()),
+    ]
+    for decode, raw in records:
+        decode(raw)
+        for cut in range(len(raw)):
+            with pytest.raises(ValueError):
+                decode(raw[:cut])
+        with pytest.raises(ValueError):
+            decode(raw + b"\x00")
 
 
 # --- double-tree variant -------------------------------------------------------

@@ -20,7 +20,6 @@ from daproofs.prob import (
     pc,
     pc_as_printed,
     pe,
-    pe_dp,
     pe_exact_fraction,
     pe_reaches,
     px,
@@ -122,7 +121,7 @@ def test_pe_matches_enumeration():
     for (n, s, c, lam) in [(4, 2, 2, 0), (4, 2, 2, 1), (5, 2, 3, 1), (6, 3, 2, 2), (4, 1, 3, 1)]:
         exact = pe_exact_fraction(n, s, c, lam)
         assert exact == pe_enumeration(n, s, c, lam)
-        assert abs(pe_dp(n, s, c, lam) - float(exact)) < 1e-12
+        assert abs(pe(n, s, c, lam) - float(exact)) < 1e-12
 
 
 def test_pe_dp_matches_exact_mid_scale():
@@ -167,7 +166,7 @@ def test_pe_monotone_in_c_and_s():
     n, lam = 100, 30
     curve = prob.pe_dp_curve(n, 4, lam, 60)
     assert all(a <= b + 1e-12 for a, b in zip(curve[1:], curve[2:]))
-    by_s = [pe_dp(n, s, 10, lam) for s in (2, 4, 8, 16)]
+    by_s = [pe(n, s, 10, lam) for s in (2, 4, 8, 16)]
     assert all(a <= b + 1e-12 for a, b in zip(by_s, by_s[1:]))
 
 
@@ -186,17 +185,9 @@ def test_pe_validation():
     with pytest.raises(ValueError):
         pe_exact_fraction(4, 2, 1, 4)
     with pytest.raises(ValueError):
-        pe(16, 2, 0, 8, method="dp")
+        pe(16, 2, 0, 8)
     with pytest.raises(ValueError):
         prob.pe_dp_curve(16, 2, 8, 0)
-
-
-def test_unknown_method_rejected():
-    for method in ("bogus", "series", "mc"):
-        with pytest.raises(ValueError):
-            pe(16, 2, 4, 8, method=method)
-        with pytest.raises(ValueError):
-            min_clients(4, 2, method=method)
 
 
 def test_min_clients_small_case_boundary():

@@ -13,7 +13,6 @@ from daproofs.sim import (
     prepare_scenario,
     recovery_experiment,
     run_sampling,
-    selective_disclosure_run,
 )
 
 BASE = dict(k=4, share_size=128, s=3, light_clients=8, full_nodes=2, tx_count=12)
@@ -110,7 +109,7 @@ def test_selective_standard_deceives_exact_prefix():
     config = SimConfig(
         **BASE, adversary="selective", selective_limit=8, seed=21
     )
-    result = selective_disclosure_run(config)
+    result = run_sampling(config)
     predicted = predicted_deceived_prefix(config)
     assert result.deceived_clients == predicted
     assert result.accepting_clients == predicted

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from daproofs import smt
-from daproofs.merkle import node_hash
+from daproofs.merkle import Reader, node_hash
 from daproofs.smt import (
     DEPTH,
     EMPTY_SUBTREE,
@@ -141,8 +141,9 @@ def test_compressed_wire_round_trip():
         # bitmap is 32 bytes; only non-default siblings follow
         included = sum(1 for i, sib in enumerate(proof.siblings) if sib != EMPTY_SUBTREE[i])
         assert len(wire) == 32 + 32 * included
-        decoded, rest = SparseProof.read_from(wire, key, proof.value)
-        assert rest == b""
+        reader = Reader(wire)
+        decoded = SparseProof.read(reader, key, proof.value)
+        assert reader.at_end()
         assert decoded == proof
         assert smt.verify(key, proof.value, decoded, tree.root())
 
