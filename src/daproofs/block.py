@@ -9,10 +9,11 @@ field is 2 bytes and 1-based (rather than a raw byte index) so that
 "no start here" is unambiguous even for a message starting at payload
 position 0, and so share sizes above 256 bytes still fit.
 
-A trace is emitted after every p transfers. The block's final state root
-lives in the header only and includes the producer's fee payout, so the
-data stream ends either with a boundary trace or with a partial run of
-transfers.
+A trace is emitted after every p transfers, and p is at least
+min_period(share_size), so that every period's fraud proof can name its
+slice by a share. The block's final state root lives in the header only
+and includes the producer's fee payout, so the data stream ends either
+with a boundary trace or with a partial run of transfers.
 """
 
 from __future__ import annotations
@@ -91,6 +92,19 @@ class PeriodSlice:
 def _check_share_size(share_size: int, error: type[Exception] = ValueError) -> None:
     if not MIN_SHARE_SIZE <= share_size <= MAX_SHARE_SIZE:
         raise error(f"share size must be in {MIN_SHARE_SIZE}..{MAX_SHARE_SIZE}")
+
+
+def min_period(share_size: int) -> int:
+    """Smallest period length p at which every transition proof verifies.
+
+    A proof names its slice by the share in which the slice's pre-root
+    trace starts, and the verifier enters that share at the first message
+    starting in it, reading share 0 as block start. On the wire a transfer
+    is 91 bytes and a trace 35, so the first trace starts at payload byte
+    91p and later ones 91p + 35 apart. Once 91p fills a share payload,
+    every trace starts past share 0 and in a share of its own.
+    """
+    return max(1, -(-(share_size - 2) // (3 + Transaction.WIRE_SIZE)))
 
 
 def serialize_shares(messages: Sequence[Message], share_size: int) -> list[bytes]:
@@ -318,8 +332,8 @@ def build_block(
     _check_share_size(share_size)
     if share_size % 2:
         raise ValueError("share size must be even")
-    if p < 1:
-        raise ValueError("period length must be positive")
+    if p < min_period(share_size):
+        raise ValueError(f"period length must be at least {min_period(share_size)}")
 
     traces, state_root = _replay_block(prev_state, txs, p, producer)
     if mode == MODE_INVALID_TRANSITION:

@@ -1,4 +1,4 @@
-"""Sampling probabilities for the 2k x 2k share matrix, with Monte Carlo.
+"""Sampling probabilities for the 2k x 2k share matrix.
 
 The quantities, with q unavailable shares out of n = (2k)^2 (q defaults
 to the unrecoverability minimum (k+1)^2):
@@ -24,13 +24,18 @@ to the unrecoverability minimum (k+1)^2):
   group one share at a time, its i-th share (i = 0..s-1) is new with
   probability (n - z)/(n - i) when z distinct shares have been seen.
   The chain needs no weights or logarithms and agrees with the series to
-  float64 rounding; pe() evaluates the chain.
+  float64 rounding; pe() evaluates the chain. pe_dp_curve updates only a
+  live window of the chain: an edge entry below the smallest normal
+  float64, 2^-1022, is set to zero and skipped. At most 1 + c*s entries
+  are ever dropped, so in exact arithmetic the curve moves by at most
+  (1 + c*s) * 2^-1022, far below the rounding the chain already carries.
 - px: with d of c*s pooled, unlinkable sample requests denied, one
   client sees at least one of its s requests denied:
   sum_i C(s,i) C(s(c-1), d-i) / C(cs, d) = 1 - C(s(c-1), d)/C(cs, d).
 
 gamma = k(3k-2) = n - (k+1)^2 + 1 is the distinct-share count that makes
-the whole matrix recoverable; min_clients inverts pe for it.
+the whole matrix recoverable; min_clients inverts pe for it, and
+mc_min_clients cross-checks it by Monte Carlo.
 """
 
 from __future__ import annotations
@@ -44,6 +49,9 @@ import numpy as np
 DEFAULT_TARGET = 0.99
 
 _EXACT_N_LIMIT = 4096
+
+# pe_dp_curve drops chain entries below the smallest normal float64.
+_LIVE_FLOOR = 2.0 ** -1022
 
 
 def unavailable_minimum(k: int) -> int:
@@ -78,16 +86,6 @@ def p1(k: int, s: int, q: Optional[int] = None) -> float:
             return 1.0
         miss *= factor
     return 1.0 - miss
-
-
-def p1_hypergeom(k: int, s: int, q: Optional[int] = None) -> float:
-    """Same probability as 1 - C(n-q, s)/C(n, s), evaluated exactly."""
-    n = (2 * k) ** 2
-    if q is None:
-        q = unavailable_minimum(k)
-    if not 0 <= q <= n or not 0 <= s <= n:
-        raise ValueError("parameters out of range")
-    return float(1 - Fraction(math.comb(n - q, s), math.comb(n, s)))
 
 
 def p1_limit(s: int) -> float:
@@ -149,17 +147,27 @@ def _check_pe_params(n: int, s: int, c: int, lam: int) -> None:
 
 
 def pe_exact_fraction(n: int, s: int, c: int, lam: int) -> Fraction:
-    """Exact series evaluation over the common denominator C(n, s)^c."""
+    """Exact series evaluation over the common denominator C(n, s)^c.
+
+    The binomials of term i+1 follow from those of term i by exact integer
+    ratios: C(lam+i, lam) = C(lam+i-1, lam)(lam+i)/i, C(n, lam+i+1) =
+    C(n, lam+i)(n-lam-i)/(lam+i+1) and C(r-1, s) = C(r, s)(r-s)/r.
+    """
     _check_pe_params(n, s, c, lam)
     denom_base = math.comb(n, s)
     total = 0
-    for i in range(1, n - lam + 1):
-        remaining = n - lam - i
-        w_num = math.comb(remaining, s) if remaining >= s else 0
-        if w_num == 0:
-            break
-        term = math.comb(lam + i - 1, lam) * math.comb(n, lam + i) * pow(w_num, c)
+    a, b = 1, math.comb(n, lam + 1)  # C(lam+i-1, lam) and C(n, lam+i) at i = 1
+    remaining = n - lam - 1
+    w_num = math.comb(remaining, s)  # C(n-lam-i, s), zero once remaining < s
+    i = 1
+    while w_num:
+        term = a * b * pow(w_num, c)
         total += -term if i % 2 else term
+        a = a * (lam + i) // i
+        b = b * remaining // (lam + i + 1)
+        w_num = w_num * (remaining - s) // remaining
+        remaining -= 1
+        i += 1
     return 1 + Fraction(total, pow(denom_base, c))
 
 
@@ -175,6 +183,12 @@ def pe_dp_curve(
 
     Entry [c] is the probability; entry [0] is 0. Stops early once the
     value reaches stop_at, leaving later entries at their last value.
+
+    Each step updates only the live window dist[low:high]. After a step,
+    an entry at either edge below _LIVE_FLOOR (the smallest normal
+    float64) is set to 0.0 and leaves the window. The window gains at most
+    one index per step, so at most 1 + c*s entries are ever dropped, and
+    in exact arithmetic |pe(c) - untruncated pe(c)| <= (1 + c*s) * 2^-1022.
     """
     _check_pe_params(n, s, c_max, lam)
     goal = n - lam
@@ -182,16 +196,20 @@ def pe_dp_curve(
     dist = np.zeros(n + 1)
     dist[0] = 1.0
     out = np.zeros(c_max + 1)
-    low = 0  # mass only moves up, so every entry below low stays exactly 0.0
+    low, high = 0, 1  # every entry outside dist[low:high] is exactly 0.0
     for c in range(1, c_max + 1):
         for i in range(s):
-            # z cannot exceed the shares drawn so far, and z = n cannot grow
-            top = min(n, (c - 1) * s + i + 1)
+            top = min(n, high)  # z = n cannot grow
             move = dist[low:top] * unseen[low:top] / (n - i)
             dist[low:top] -= move
             dist[low + 1 : top + 1] += move
-            while dist[low] == 0.0:
+            high = top + 1
+            while dist[low] < _LIVE_FLOOR:
+                dist[low] = 0.0
                 low += 1
+            while dist[high - 1] < _LIVE_FLOOR:
+                high -= 1
+                dist[high] = 0.0
         out[c] = dist[goal:].sum()
         if stop_at is not None and out[c] >= stop_at:
             out[c:] = out[c]
@@ -202,16 +220,6 @@ def pe_dp_curve(
 def pe(n: int, s: int, c: int, lam: int) -> float:
     """Collective-coverage probability by the distinct-count chain."""
     return float(pe_dp_curve(n, s, lam, c)[c])
-
-
-def mc_pe(n: int, s: int, c: int, lam: int, trials: int = 100_000, seed: int = 0) -> float:
-    """Monte Carlo estimate of pe by simulating the distinct-count chain."""
-    _check_pe_params(n, s, c, lam)
-    rng = np.random.default_rng(seed)
-    z = np.full(trials, s, dtype=np.int64)
-    for _ in range(c - 1):
-        z += rng.hypergeometric(n - z, z, s)
-    return float(np.mean(z >= n - lam))
 
 
 # --- minimum client counts ------------------------------------------------------
@@ -311,15 +319,7 @@ def px_complement(s: int, c: int, d: int) -> float:
     return float(1 - Fraction(math.comb(s * (c - 1), d), math.comb(c * s, d)))
 
 
-def mc_px(s: int, c: int, d: int, trials: int = 100_000, seed: int = 0) -> float:
-    """Monte Carlo: deny d uniformly random requests of c*s, watch one client."""
-    _check_px_params(s, c, d)
-    rng = np.random.default_rng(seed)
-    hits = rng.hypergeometric(s, s * (c - 1), d, size=trials)
-    return float(np.mean(hits > 0))
-
-
-# --- Monte Carlo for p1 and pc ----------------------------------------------------
+# --- uniform sampling without replacement -------------------------------------
 
 
 def sample_distinct(rng: np.random.Generator, n: int, s: int, trials: int) -> np.ndarray:
@@ -340,36 +340,3 @@ def sample_distinct(rng: np.random.Generator, n: int, s: int, trials: int) -> np
     for row in bad:
         draws[row] = rng.permutation(n)[:s]
     return draws
-
-
-def mc_p1(
-    k: int, s: int, q: Optional[int] = None, trials: int = 100_000, seed: int = 0
-) -> float:
-    """Monte Carlo p1: which trials touch the q withheld cells (the first q,
-    by symmetry of uniform sampling)."""
-    n = (2 * k) ** 2
-    if q is None:
-        q = unavailable_minimum(k)
-    if not 0 <= q <= n or not 0 <= s <= n:
-        raise ValueError("parameters out of range")
-    rng = np.random.default_rng(seed)
-    draws = sample_distinct(rng, n, s, trials)
-    return float(np.mean((draws < q).any(axis=1)))
-
-
-def mc_pc(
-    k: int,
-    s: int,
-    c: int,
-    c_hat: int,
-    q: Optional[int] = None,
-    trials: int = 100_000,
-    seed: int = 0,
-) -> float:
-    """Monte Carlo pc: binomial draws of per-client successes at rate p1."""
-    if not 0 <= c_hat <= c:
-        raise ValueError("c_hat must be in 0..c")
-    hit = p1(k, s, q)
-    rng = np.random.default_rng(seed)
-    successes = rng.binomial(c, hit, size=trials)
-    return float(np.mean(successes > c_hat))

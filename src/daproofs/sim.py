@@ -60,6 +60,7 @@ from .block import (
     MODE_WITHHOLD,
     build_block,
     genesis_header,
+    min_period,
 )
 from .fraud import CodecFraudProof, HeaderStore, TransitionFraudProof
 from .merkle import hash_bytes
@@ -106,8 +107,8 @@ class SimConfig:
             raise ValueError("k must be at least 1")
         if not 1 <= self.s <= (2 * self.k) ** 2:
             raise ValueError("s must be between 1 and the number of cells (2k)^2")
-        if self.p < 1:
-            raise ValueError("period length must be positive")
+        if self.p < min_period(self.share_size):
+            raise ValueError(f"period length must be at least {min_period(self.share_size)}")
         if self.full_nodes < 1:
             raise ValueError("need at least one honest full node")
         if self.light_clients < 1:

@@ -37,6 +37,7 @@ from daproofs.rs2d import ROW, PartialMatrix
 from daproofs.smt import SparseProof
 from daproofs.state import StateWitness
 from tests.conftest import funded_state, transfer_chain
+from tests.oracles import mc_p1
 
 
 def report(number: int, label: str, detail: str = "") -> None:
@@ -84,7 +85,7 @@ def test_criterion_2_single_client_detection():
 
     trials = 100_000
     for s, closed in ((3, p3), (15, p15)):
-        estimate = prob.mc_p1(32, s, trials=trials, seed=42 + s)
+        estimate = mc_p1(32, s, trials=trials, seed=42 + s)
         sigma = math.sqrt(closed * (1 - closed) / trials)
         assert abs(estimate - closed) <= 3 * sigma, (s, estimate, closed)
 
@@ -117,6 +118,12 @@ def test_criterion_4_minimum_client_counts():
         lam = n - prob.recovery_threshold(k)
         assert prob.pe_reaches(n, s, expected, lam, target)
         assert not prob.pe_reaches(n, s, expected - 1, lam, target)
+
+    # k=64 row exactly by the chain. The paper prints 4516 for s=5, one too
+    # high: pe(n=16384, s=5, c=4515) already reaches 0.99
+    exact_k64 = {2: 11289, 5: 4515, 10: 2258, 20: 1129, 50: 451}
+    for s, expected in exact_k64.items():
+        assert prob.min_clients(64, s) == expected, (s, expected)
 
     # k=64 row by Monte Carlo hitting-time inversion, within 1%
     table_k64 = {2: 11289, 5: 4516, 10: 2258, 20: 1129, 50: 451}

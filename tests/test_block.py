@@ -11,6 +11,7 @@ from daproofs.block import (
     build_block,
     build_double_tree_block,
     genesis_header,
+    min_period,
     parse_period,
     parse_shares,
     parse_shares_with_spans,
@@ -218,6 +219,14 @@ def test_builders_reject_nonpositive_period(base_state):
             build_block(genesis_header(tree), tree, txs, k=4, share_size=128, p=p)
         with pytest.raises(ValueError, match="period"):
             build_double_tree_block(tree.root(), tree, txs, p=p)
+
+
+@pytest.mark.parametrize(
+    "share_size,floor",
+    [(34, 1), (92, 1), (94, 2), (128, 2), (184, 2), (186, 3), (256, 3), (1024, 12)],
+)
+def test_min_period_fills_one_share_payload_with_transfers(share_size, floor):
+    assert min_period(share_size) == floor
 
 
 @pytest.mark.parametrize(

@@ -6,8 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from daproofs import merkle, rs2d, smt
-from daproofs.block import BlockHeader, build_block, build_double_tree_block, genesis_header
+from daproofs import block, merkle, rs2d, smt
+from daproofs.block import (
+    BlockHeader,
+    build_block,
+    build_double_tree_block,
+    genesis_header,
+    min_period,
+)
 from daproofs.fraud import (
     CodecFraudProof,
     HeaderStore,
@@ -137,6 +143,40 @@ def test_transition_round_trip_at_every_period_alignment(tx_count, corrupt):
     assert verify_transition_fraud_proof(decoded, store, P)
     honest_built, honest_state, _ = make_chain("honest", tx_count)
     assert generate_transition_fraud_proof(honest_built, honest_state) is None
+
+
+def proof_verifies_at_period(share_size, p, tx_count, corrupt):
+    tree, keys = funded_state()
+    txs = transfer_chain(keys, tx_count, random.Random(tx_count))
+    genesis = genesis_header(tree)
+    built = build_block(
+        genesis, tree, txs, k=K, share_size=share_size, p=p,
+        mode="invalid-transition", corrupt=corrupt,
+    )
+    store = HeaderStore()
+    store.add(genesis)
+    store.add(built.header)
+    return verify_transition_fraud_proof(generate_transition_fraud_proof(built, tree), store, p)
+
+
+@pytest.mark.parametrize("share_size", [64, 128, 184, 186, 256])
+def test_period_floor_is_where_every_transition_proof_verifies(share_size, monkeypatch):
+    floor = min_period(share_size)
+    for tx_count in range(1, 3 * floor + 2):
+        for corrupt in ("trace", "header"):
+            assert proof_verifies_at_period(share_size, floor, tx_count, corrupt)
+    if floor == 1:
+        return
+    tree, keys = funded_state()
+    with pytest.raises(ValueError, match="period length must be at least"):
+        build_block(
+            genesis_header(tree), tree, transfer_chain(keys, 3, random.Random(0)),
+            k=K, share_size=share_size, p=floor - 1,
+        )
+    # One below the floor the first trace starts in share 0, which the
+    # verifier reads as block start: the header fault goes unproven.
+    monkeypatch.setattr(block, "min_period", lambda size: 1)
+    assert not proof_verifies_at_period(share_size, floor - 1, floor - 1, "header")
 
 
 def test_codec_fault_round_trip(invalid_code):

@@ -1,21 +1,19 @@
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from daproofs import prob
 from daproofs.prob import (
     mc_min_clients,
-    mc_p1,
-    mc_pc,
-    mc_pe,
-    mc_px,
     min_clients,
     p1,
-    p1_hypergeom,
     p1_limit,
     pc,
     pc_as_printed,
@@ -26,6 +24,7 @@ from daproofs.prob import (
     px_complement,
     recovery_threshold,
 )
+from tests.oracles import mc_p1, mc_pc, mc_pe, mc_px, p1_hypergeom, pe_series_fraction
 
 
 def pe_enumeration(n, s, c, lam):
@@ -137,7 +136,7 @@ def test_pe_dp_matches_exact_mid_scale():
 
 def full_window_curve(n, s, lam, c_max):
     """The chain updating every index from 0 on each step: the oracle for
-    pe_dp_curve's lower window, which skips the entries that are exactly 0."""
+    pe_dp_curve's live window, which skips the edge entries below 2^-1022."""
     goal = n - lam
     unseen = np.arange(n, 0, -1, dtype=np.float64)
     dist = np.zeros(n + 1)
@@ -160,6 +159,77 @@ def test_pe_dp_curve_lower_window_is_bit_exact():
     for n, s, lam, c_max in cases:
         curve = prob.pe_dp_curve(n, s, lam, c_max)
         assert np.array_equal(curve, full_window_curve(n, s, lam, c_max)), (n, s)
+
+
+@settings(max_examples=150)
+@given(
+    n=st.integers(1, 1500),
+    s_frac=st.floats(0.0, 1.0),
+    lam_frac=st.floats(0.0, 1.0),
+    c_max=st.integers(1, 400),
+)
+def test_pe_dp_curve_within_window_bound_of_full_chain(n, s_frac, lam_frac, c_max):
+    # at most 1 + c*s entries below 2^-1022 are dropped by step c
+    s = 1 + round(s_frac * (min(n, 60) - 1))
+    lam = round(lam_frac * (n - 1))
+    c_max = min(c_max, 4 * n // s + 2)
+    curve = prob.pe_dp_curve(n, s, lam, c_max)
+    full = full_window_curve(n, s, lam, c_max)
+    bound = (1 + np.arange(c_max + 1) * s) * 2.0 ** -1022
+    assert np.all(np.abs(curve - full) <= bound)
+
+
+def chain_work(n, s, lam, c_max):
+    """Element updates and widest step of pe_dp_curve: the sizes of the
+    per-step `move` arrays, read from the running frame by a line tracer."""
+    code = prob.pe_dp_curve.__code__
+    work = {"updates": 0, "widest": 0}
+    last = [None]
+
+    def on_line(frame, event, arg):
+        move = frame.f_locals.get("move")
+        if move is not None and move is not last[0]:
+            last[0] = move
+            work["updates"] += move.size
+            work["widest"] = max(work["widest"], move.size)
+        return on_line
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: on_line if frame.f_code is code else None)
+    try:
+        prob.pe_dp_curve(n, s, lam, c_max)
+    finally:
+        sys.settrace(previous)
+    return work
+
+
+def test_pe_dp_curve_work_at_k64_s50():
+    # Recorded with the live window; updating every index from the first
+    # nonzero one up to the shares drawn takes 104,428,341 updates, 8,167 wide.
+    n = 128 ** 2
+    work = chain_work(n, 50, n - recovery_threshold(64), 451)
+    assert work["updates"] <= 50_506_663
+    assert work["widest"] <= 3_046
+
+
+@settings(max_examples=200)
+@given(
+    n=st.integers(1, 40),
+    s_frac=st.floats(0.0, 1.0),
+    lam_frac=st.floats(0.0, 1.0),
+    c=st.integers(1, 30),
+)
+def test_pe_exact_fraction_matches_per_term_series(n, s_frac, lam_frac, c):
+    s = 1 + round(s_frac * (n - 1))
+    lam = round(lam_frac * (n - 1))
+    assert pe_exact_fraction(n, s, c, lam) == pe_series_fraction(n, s, c, lam)
+
+
+def test_pe_exact_fraction_matches_per_term_series_at_k16_table():
+    lam = 1024 - recovery_threshold(16)
+    for s, c in ((2, 692), (10, 138), (50, 28)):
+        for at in (c - 1, c):
+            assert pe_exact_fraction(1024, s, at, lam) == pe_series_fraction(1024, s, at, lam)
 
 
 def test_pe_monotone_in_c_and_s():

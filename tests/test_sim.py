@@ -262,6 +262,15 @@ def test_bad_config_rejected_at_construction(bad):
         SimConfig(**bad)
 
 
+def test_config_enforces_period_floor():
+    # one share payload of transfers per period: 2 at 128-byte shares, 3 at 256
+    for share_size, floor in ((128, 2), (256, 3)):
+        with pytest.raises(ValueError, match="period length must be at least"):
+            SimConfig(share_size=share_size, p=floor - 1)
+        SimConfig(share_size=share_size, p=floor)
+        SimConfig(share_size=share_size, p=10)
+
+
 def test_csv_outputs(tmp_path):
     result = run_sampling(SimConfig(**BASE, adversary="honest", seed=1))
     events_path = tmp_path / "events.csv"
