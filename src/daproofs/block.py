@@ -107,6 +107,14 @@ def min_period(share_size: int) -> int:
     return max(1, -(-(share_size - 2) // (3 + Transaction.WIRE_SIZE)))
 
 
+def shares_needed(tx_count: int, p: int, share_size: int) -> int:
+    """Shares that serialize_shares fills with tx_count transfers and a
+    trace after every p-th: 91 framed bytes per transfer and 35 per trace,
+    over a payload of share_size - 2 bytes per share."""
+    stream = (3 + Transaction.WIRE_SIZE) * tx_count + (3 + DIGEST_SIZE) * (tx_count // p)
+    return -(-stream // (share_size - 2))
+
+
 def serialize_shares(messages: Sequence[Message], share_size: int) -> list[bytes]:
     """Pack messages into shares of share_size bytes each."""
     _check_share_size(share_size)
@@ -309,6 +317,18 @@ def _replay_block(
     return traces, apply_fee_payout(state, producer)
 
 
+def check_layout(k: int, share_size: int, p: int, tx_count: int) -> None:
+    """Raise ValueError unless build_block can frame tx_count transfers at
+    period p into at most k*k shares of share_size bytes."""
+    _check_share_size(share_size)
+    if share_size % 2:
+        raise ValueError("share size must be even")
+    if p < min_period(share_size):
+        raise ValueError(f"period length must be at least {min_period(share_size)}")
+    if shares_needed(tx_count, p, share_size) > k * k:
+        raise ValueError("data too large for chosen k")
+
+
 def build_block(
     prev: BlockHeader,
     prev_state: StateTree,
@@ -329,11 +349,7 @@ def build_block(
     """
     if mode not in _MODES:
         raise ValueError(f"unknown block mode {mode!r}")
-    _check_share_size(share_size)
-    if share_size % 2:
-        raise ValueError("share size must be even")
-    if p < min_period(share_size):
-        raise ValueError(f"period length must be at least {min_period(share_size)}")
+    check_layout(k, share_size, p, len(txs))
 
     traces, state_root = _replay_block(prev_state, txs, p, producer)
     if mode == MODE_INVALID_TRANSITION:
@@ -349,8 +365,6 @@ def build_block(
             messages.append(Message.trace(traces[index // p]))
 
     shares = serialize_shares(messages, share_size)
-    if len(shares) > k * k:
-        raise ValueError("data too large for chosen k")
     shares += [b"\x00" * share_size] * (k * k - len(shares))
     matrix = rs2d.extend_shares(shares, k, share_size)
 

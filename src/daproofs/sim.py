@@ -59,8 +59,8 @@ from .block import (
     MODE_INVALID_TRANSITION,
     MODE_WITHHOLD,
     build_block,
+    check_layout,
     genesis_header,
-    min_period,
 )
 from .fraud import CodecFraudProof, HeaderStore, TransitionFraudProof
 from .merkle import hash_bytes
@@ -107,8 +107,6 @@ class SimConfig:
             raise ValueError("k must be at least 1")
         if not 1 <= self.s <= (2 * self.k) ** 2:
             raise ValueError("s must be between 1 and the number of cells (2k)^2")
-        if self.p < min_period(self.share_size):
-            raise ValueError(f"period length must be at least {min_period(self.share_size)}")
         if self.full_nodes < 1:
             raise ValueError("need at least one honest full node")
         if self.light_clients < 1:
@@ -123,6 +121,7 @@ class SimConfig:
             raise ValueError("selective limit must not be negative")
         if self.tx_count < 0:
             raise ValueError("transaction count must not be negative")
+        check_layout(self.k, self.share_size, self.p, self.tx_count)
         _parse_withhold_pattern(self.withhold_pattern, self.k)
 
     @property

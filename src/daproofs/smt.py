@@ -13,9 +13,14 @@ and witness seeding all fold the path by this rule.
 
 Only non-default nodes are stored, and the root is lazy: an update marks
 its key's path dirty, and the next root, prove or copy rehashes each
-dirty node once, level by level. d updates then cost at most 257·d hashes
-whatever the population, fewer where paths share nodes. A witness
-subtree is the same StateTree holding only the nodes its proofs reveal.
+dirty node once. The flush rule: dirty keys go from the largest down, and
+each climbs alone from its leaf to just below the height where its path
+meets the next smaller dirty key's; the smallest climbs to the root. The
+other child of every node a key hashes is then either clean or already
+finished by a larger key, and each dirty node is hashed exactly once, by
+the smallest key beneath it. d updates cost at most 257·d hashes whatever
+the population, fewer where paths share nodes. A witness subtree is the
+same StateTree holding only the nodes its proofs reveal.
 """
 
 from __future__ import annotations
@@ -39,16 +44,10 @@ def hash_invocations() -> int:
     return _hash_invocations
 
 
-def _leaf_digest(key: bytes, value: bytes) -> bytes:
-    global _hash_invocations
-    _hash_invocations += 1
-    return hashlib.sha256(b"\x00" + key + value).digest()
-
-
-def _node(left: bytes, right: bytes) -> bytes:
-    global _hash_invocations
-    _hash_invocations += 1
-    return node_hash(left, right)
+# Domain prefixes: a leaf hashes 0x00 || key || value; internal nodes use
+# merkle.node_hash's 0x01 || left || right, spelled out in the hot loops.
+_LEAF = b"\x00"
+_NODE = b"\x01"
 
 
 def _build_empty_chain() -> tuple[bytes, ...]:
@@ -122,12 +121,9 @@ class StateTree:
         dup._nodes = self._nodes.copy()
         return dup
 
-    def _node_at(self, level: int, prefix: int) -> bytes:
-        return self._nodes.get((level, prefix), EMPTY_SUBTREE[DEPTH - level])
-
     def root(self) -> bytes:
         self._flush()
-        return self._node_at(0, 0)
+        return self._nodes.get((0, 0), EMPTY_SUBTREE[DEPTH])
 
     def get(self, key: bytes) -> bytes:
         _check_key(key)
@@ -150,30 +146,41 @@ class StateTree:
         self._dirty.add(key)
 
     def _flush(self) -> None:
-        """Rehash every node on a dirty path once, from the leaves up."""
+        """Rehash every node on a dirty path once, by the module's flush rule."""
         if not self._dirty:
             return
-        paths = set()
-        for key in self._dirty:
-            path = int.from_bytes(key, "big")
-            value = self._values.get(key, DEFAULT_VALUE)
-            leaf = DEFAULT_LEAF if value == DEFAULT_VALUE else _leaf_digest(key, value)
-            self._store(DEPTH, path, leaf)
-            paths.add(path)
+        global _hash_invocations
+        nodes, values, empty = self._nodes, self._values, EMPTY_SUBTREE
+        get, pop, sha = nodes.get, nodes.pop, hashlib.sha256
+        keys = sorted(self._dirty, reverse=True)
         self._dirty.clear()
-        for level in range(DEPTH, 0, -1):
-            empty = EMPTY_SUBTREE[DEPTH - level]
-            paths = {prefix >> 1 for prefix in paths}
-            for parent in paths:
-                left = self._nodes.get((level, 2 * parent), empty)
-                right = self._nodes.get((level, 2 * parent + 1), empty)
-                self._store(level - 1, parent, _node(left, right))
-
-    def _store(self, level: int, prefix: int, digest: bytes) -> None:
-        if digest == EMPTY_SUBTREE[DEPTH - level]:
-            self._nodes.pop((level, prefix), None)
-        else:
-            self._nodes[(level, prefix)] = digest
+        paths = [int.from_bytes(key, "big") for key in keys] + [None]
+        hashes = 0
+        for key, path, smaller in zip(keys, paths, paths[1:]):
+            top = DEPTH + 1 if smaller is None else (path ^ smaller).bit_length()
+            value = values.get(key, DEFAULT_VALUE)
+            if value == DEFAULT_VALUE:
+                node = DEFAULT_LEAF
+                pop((DEPTH, path), None)
+            else:
+                node = sha(_LEAF + key + value).digest()
+                nodes[DEPTH, path] = node
+                hashes += 1
+            level = DEPTH
+            for height in range(1, top):
+                sibling = get((level, path ^ 1), empty[height - 1])
+                if path & 1:
+                    node = sha(_NODE + sibling + node).digest()
+                else:
+                    node = sha(_NODE + node + sibling).digest()
+                path >>= 1
+                level -= 1
+                if node == empty[height]:
+                    pop((level, path), None)
+                else:
+                    nodes[level, path] = node
+            hashes += top - 1
+        _hash_invocations += hashes
 
     def prove(self, key: bytes) -> SparseProof:
         """Proof for key's current value (the default value if absent)."""
@@ -181,9 +188,10 @@ class StateTree:
         key = bytes(key)
         self._flush()
         path = int.from_bytes(key, "big")
+        get = self._nodes.get
         siblings = tuple(
-            self._node_at(level, (path >> (DEPTH - level)) ^ 1)
-            for level in range(DEPTH, 0, -1)
+            get((DEPTH - height, (path >> height) ^ 1), EMPTY_SUBTREE[height])
+            for height in range(DEPTH)
         )
         return SparseProof(key, self.get(key), siblings)
 
@@ -202,11 +210,22 @@ def _path_digests(key: bytes, value: bytes, proof: SparseProof) -> Optional[list
         return None
     if any(len(sib) != DIGEST_SIZE for sib in proof.siblings):
         return None
+    global _hash_invocations
+    sha = hashlib.sha256
     path = int.from_bytes(key, "big")
-    node = DEFAULT_LEAF if value == DEFAULT_VALUE else _leaf_digest(key, value)
+    if value == DEFAULT_VALUE:
+        node = DEFAULT_LEAF
+        _hash_invocations += DEPTH
+    else:
+        node = sha(_LEAF + key + value).digest()
+        _hash_invocations += DEPTH + 1
     digests = [node]
-    for i, sibling in enumerate(proof.siblings):
-        node = _node(sibling, node) if (path >> i) & 1 else _node(node, sibling)
+    for sibling in proof.siblings:
+        if path & 1:
+            node = sha(_NODE + sibling + node).digest()
+        else:
+            node = sha(_NODE + node + sibling).digest()
+        path >>= 1
         digests.append(node)
     return digests
 
@@ -233,7 +252,8 @@ class WitnessSubtree(StateTree):
     def __init__(self, root_digest: bytes) -> None:
         super().__init__()
         self._covered: set[bytes] = set()
-        self._store(0, 0, root_digest)
+        if root_digest != EMPTY_SUBTREE[DEPTH]:
+            self._nodes[0, 0] = root_digest
 
     @classmethod
     def from_entries(
@@ -257,8 +277,9 @@ class WitnessSubtree(StateTree):
                 for prefix, digest in ((path >> i, digests[i]), ((path >> i) ^ 1, sibling)):
                     if known.setdefault((level, prefix), digest) != digest:
                         raise WitnessError("witness entries are inconsistent")
-        for (level, prefix), digest in known.items():
-            sub._store(level, prefix, digest)
+        sub._nodes.update(
+            (at, digest) for at, digest in known.items() if digest != EMPTY_SUBTREE[DEPTH - at[0]]
+        )
         return sub
 
     @property

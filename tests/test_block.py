@@ -10,6 +10,7 @@ from daproofs.block import (
     PeriodError,
     build_block,
     build_double_tree_block,
+    check_layout,
     genesis_header,
     min_period,
     parse_period,
@@ -17,6 +18,7 @@ from daproofs.block import (
     parse_shares_with_spans,
     period,
     serialize_shares,
+    shares_needed,
 )
 from daproofs.state import ERR, apply_transaction, collect_fees
 from tests.conftest import account_key, transfer_chain
@@ -227,6 +229,41 @@ def test_builders_reject_nonpositive_period(base_state):
 )
 def test_min_period_fills_one_share_payload_with_transfers(share_size, floor):
     assert min_period(share_size) == floor
+
+
+def test_shares_needed_matches_serialization():
+    # the closed form counts the shares serialize_shares fills, and
+    # check_layout admits exactly the layouts that fit k*k of them
+    rng = random.Random(21)
+    trace = Message.trace(bytes(32))
+    for share_size in (34, 36, 92, 94, 128, 256):
+        for p in range(min_period(share_size), min_period(share_size) + 4):
+            messages = []
+            for tx_count in range(41):
+                shares = len(serialize_shares(messages, share_size))
+                assert shares_needed(tx_count, p, share_size) == shares
+                for k in (1, 2, 4, 8):
+                    if shares <= k * k:
+                        check_layout(k, share_size, p, tx_count)
+                    else:
+                        with pytest.raises(ValueError, match="too large"):
+                            check_layout(k, share_size, p, tx_count)
+                messages.append(tx_message(rng, nonce=tx_count))
+                if (tx_count + 1) % p == 0:
+                    messages.append(trace)
+
+
+def test_oversize_block_rejected_before_replay(base_state, monkeypatch):
+    tree, keys = base_state
+    txs = transfer_chain(keys, 12, random.Random(13))
+    assert shares_needed(12, 1, 34) > 16
+
+    def no_replay(*args):
+        raise AssertionError("an oversize block was replayed")
+
+    monkeypatch.setattr(block, "_replay_block", no_replay)
+    with pytest.raises(ValueError, match="too large"):
+        build_block(genesis_header(tree), tree, txs, k=4, share_size=34, p=1)
 
 
 @pytest.mark.parametrize(

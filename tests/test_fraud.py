@@ -403,6 +403,32 @@ def test_wire_round_trips(invalid_trace, invalid_header, invalid_code):
         decode_codec_fraud_proof(encode_codec_fraud_proof(codec)[:-3])
 
 
+def codec_proof_size(k, share_size):
+    """Encoded codec-proof bytes at power-of-two k, with L = log2(k):
+    a 162 + 32L byte head (tag, block hash, axis, index, axis root, its
+    proof in the 4k-leaf axis-root tree, share size, count) and k proven
+    shares of 173 + share_size + 64L bytes (position, origin, the share,
+    its axis root, its proofs in the 2k-cell axis and the axis-root tree)."""
+    log_k = k.bit_length() - 1
+    return 162 + 32 * log_k + k * (173 + share_size + 64 * log_k)
+
+
+@pytest.mark.parametrize("k", [4, 8, 16])
+@pytest.mark.parametrize("share_size", [64, 256])
+def test_codec_proof_size_closed_form(k, share_size):
+    tree, keys = funded_state()
+    built = build_block(
+        genesis_header(tree), tree, transfer_chain(keys, 5, random.Random(k)),
+        k=k, share_size=share_size, p=P, mode="invalid-code",
+    )
+    assert len(encode_codec_fraud_proof(codec_proof_for(built))) == codec_proof_size(k, share_size)
+
+
+def test_codec_proof_size_at_the_megabyte_block():
+    # the k=64, 256-byte-share block of the benchmark's block-1mb workload
+    assert codec_proof_size(64, 256) == 52_386
+
+
 def test_verifier_rejects_share_size_below_the_framing_minimum():
     # 4-byte shares commit fine but cannot frame messages; the share proof
     # is valid, so only the parser sees the bad size, and it must not raise

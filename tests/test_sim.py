@@ -255,6 +255,12 @@ def test_default_config_builds_and_runs():
         dict(withhold_pattern="random:65"),
         dict(withhold_pattern="random:"),
         dict(withhold_pattern="random:x"),
+        # blocks build_block cannot lay out: shares out of range or odd, and
+        # the default 12 transfers at p=1 over 34-byte shares (48 shares)
+        # in a k=4 square of 16
+        dict(share_size=33),
+        dict(share_size=35),
+        dict(share_size=34, p=1),
     ],
 )
 def test_bad_config_rejected_at_construction(bad):

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import random
 
 import pytest
@@ -229,6 +230,14 @@ def test_root_depends_only_on_map(contents, rng):
 # --- the eager update, kept as the oracle of the lazy root -------------------------
 
 
+def _store(tree, level, prefix, digest):
+    """Keep only non-default nodes, as the tree does."""
+    if digest == EMPTY_SUBTREE[DEPTH - level]:
+        tree._nodes.pop((level, prefix), None)
+    else:
+        tree._nodes[(level, prefix)] = digest
+
+
 def _eager_update(tree, key, value):
     """Write key and rehash its whole path at once, as every update did
     before the root became lazy."""
@@ -238,13 +247,13 @@ def _eager_update(tree, key, value):
         node = smt.DEFAULT_LEAF
     else:
         tree._values[key] = bytes(value)
-        node = smt._leaf_digest(key, value)
-    tree._store(DEPTH, path, node)
+        node = hashlib.sha256(b"\x00" + key + value).digest()
+    _store(tree, DEPTH, path, node)
     for level in range(DEPTH, 0, -1):
         prefix = path >> (DEPTH - level)
-        sibling = tree._node_at(level, prefix ^ 1)
-        node = smt._node(sibling, node) if prefix & 1 else smt._node(node, sibling)
-        tree._store(level - 1, prefix >> 1, node)
+        sibling = tree._nodes.get((level, prefix ^ 1), EMPTY_SUBTREE[DEPTH - level])
+        node = node_hash(sibling, node) if prefix & 1 else node_hash(node, sibling)
+        _store(tree, level - 1, prefix >> 1, node)
 
 
 class EagerTree(StateTree):
@@ -286,27 +295,27 @@ def _outcome(call):
         return WitnessError
 
 
-def _check_step(lazy, eager, op):
+def _check_step(lazy, eager, op, pool=KEY_POOL):
     """Run op on both trees, compare what it returns, then compare the lazy
     tree's flushed state with the oracle's without flushing the lazy tree."""
     kind = op[0]
     if kind in ("write", "delete"):
-        key, value = KEY_POOL[op[1]], op[2] if kind == "write" else b""
+        key, value = pool[op[1]], op[2] if kind == "write" else b""
         assert _outcome(lambda: lazy.update(key, value)) == _outcome(
             lambda: eager.update(key, value)
         )
     elif kind == "root":
         assert lazy.root() == eager.root()
     elif kind == "prove":
-        key = KEY_POOL[op[1]]
+        key = pool[op[1]]
         assert _outcome(lambda: lazy.prove(key).siblings) == _outcome(
             lambda: eager.prove(key).siblings
         )
     else:
         dup = lazy.copy()
         assert dup.root() == eager.root()
-        dup.update(KEY_POOL[0], b"copy only")
-    for key in KEY_POOL:
+        dup.update(pool[0], b"copy only")
+    for key in pool:
         assert _outcome(lambda: lazy.get(key)) == _outcome(lambda: eager.get(key))
     flushed = copy.deepcopy(lazy)
     assert flushed.root() == eager.root()
@@ -340,3 +349,105 @@ def test_lazy_witness_matches_eager_oracle(contents, covered, ops):
             full.update(KEY_POOL[op[1]], op[2] if op[0] == "write" else b"")
         # the subtree tracks the full tree through every covered write
         assert copy.deepcopy(lazy).root() == full.root()
+
+
+# Keys whose paths part from a base key's at heights 0, 1, 2, 8, 64 and 255,
+# two that part from one of those again lower down, and two unrelated keys:
+# dirty sets of these merge low, high and nested, and deleting a key next
+# to its only populated neighbour empties whole subtrees.
+_BASE = int.from_bytes(node_hash(b"wide", b"base"), "big")
+WIDE_POOL = [
+    (_BASE ^ flip).to_bytes(32, "big")
+    for flip in (
+        [0]
+        + [1 << height for height in (0, 1, 2, 8, 64, 255)]
+        + [1 << 64 | 1 << height for height in (0, 8)]
+    )
+] + [node_hash(b"wide", bytes([i])) for i in range(2)]
+WIDE_INDEX = st.integers(0, len(WIDE_POOL) - 1)
+WIDE_VALUE = st.one_of(st.just(b""), st.binary(min_size=1, max_size=3))
+WIDE_OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("batch"), st.lists(st.tuples(WIDE_INDEX, WIDE_VALUE), max_size=8)),
+        st.tuples(st.just("root")),
+        st.tuples(st.just("copy")),
+    ),
+    max_size=12,
+)
+
+
+def _check_wide_step(lazy, eager, op):
+    """Several keys dirty at once, then every root, proof and stored node
+    compared with the oracle's."""
+    if op[0] == "batch":
+        for index, value in op[1]:
+            kind = ("write", index, value) if value else ("delete", index)
+            _check_step(lazy, eager, kind, WIDE_POOL)
+    else:
+        _check_step(lazy, eager, op, WIDE_POOL)
+    flushed = copy.deepcopy(lazy)
+    for key in WIDE_POOL:
+        assert _outcome(lambda: flushed.prove(key).siblings) == _outcome(
+            lambda: eager.prove(key).siblings
+        )
+
+
+@settings(max_examples=60)
+@given(WIDE_OPERATIONS)
+def test_lazy_root_matches_eager_oracle_on_nested_merges(ops):
+    lazy, eager = StateTree(), EagerTree()
+    for op in ops:
+        _check_wide_step(lazy, eager, op)
+
+
+@settings(max_examples=40)
+@given(
+    st.dictionaries(WIDE_INDEX, st.binary(min_size=1, max_size=3)),
+    st.sets(WIDE_INDEX, min_size=1),
+    WIDE_OPERATIONS,
+)
+def test_lazy_witness_matches_eager_oracle_on_nested_merges(contents, covered, ops):
+    full = EagerTree()
+    for index, value in contents.items():
+        full.update(WIDE_POOL[index], value)
+    entries = [(WIDE_POOL[i], full.get(WIDE_POOL[i]), full.prove(WIDE_POOL[i])) for i in covered]
+    lazy = WitnessSubtree.from_entries(full.root(), entries)
+    eager = EagerWitness.from_entries(full.root(), entries)
+    for op in ops:
+        _check_wide_step(lazy, eager, op)
+
+
+def _flush_work(tree):
+    """Hashes one flush needs: each distinct node above the leaves on a
+    dirty path, plus each dirty leaf that holds a value."""
+    paths = [int.from_bytes(key, "big") for key in tree._dirty]
+    nodes = {(height, path >> height) for path in paths for height in range(1, DEPTH + 1)}
+    return len(nodes) + sum(key in tree._values for key in tree._dirty)
+
+
+def _assert_flush_work(tree):
+    expected = _flush_work(tree)
+    before = hash_invocations()
+    tree.root()
+    assert hash_invocations() - before == expected
+
+
+@settings(max_examples=40)
+@given(
+    st.dictionaries(WIDE_INDEX, st.binary(min_size=1, max_size=3)),
+    st.sets(WIDE_INDEX, min_size=1),
+    st.lists(st.tuples(WIDE_INDEX, WIDE_VALUE), min_size=1, max_size=10),
+)
+def test_flush_hashes_each_dirty_node_once(contents, covered, writes):
+    full = StateTree()
+    for index, value in contents.items():
+        full.update(WIDE_POOL[index], value)
+    entries = [(WIDE_POOL[i], full.get(WIDE_POOL[i]), full.prove(WIDE_POOL[i])) for i in covered]
+    subtree = WitnessSubtree.from_entries(full.root(), entries)
+    for index, value in writes:
+        full.update(WIDE_POOL[index], value)
+        if index in covered:
+            subtree.update(WIDE_POOL[index], value)
+    _assert_flush_work(full)
+    _assert_flush_work(subtree)
+    assert _flush_work(subtree) == 0
