@@ -228,6 +228,7 @@ def verify_transition_fraud_proof(
     if y < 0 or y + count > orig_count:
         return False
 
+    items = []
     for a, (share, origin, share_proof) in enumerate(
         zip(proof.shares, proof.origins, proof.share_proofs)
     ):
@@ -235,10 +236,9 @@ def verify_transition_fraud_proof(
             return False
         row, col = divmod(y + a, k)
         virtual = share_index(ROW, row, col, origin, width, header.data_length)
-        if not rs2d.verify_share_merkle_proof(
-            share, share_proof, header.data_root, header.data_length, virtual
-        ):
-            return False
+        items.append((share, share_proof, virtual))
+    if not rs2d.verify_share_merkle_proofs(items, header.data_root, header.data_length):
+        return False
 
     try:
         parsed = parse_shares_with_spans(proof.shares)
@@ -380,12 +380,13 @@ def verify_codec_fraud_proof(proof: CodecFraudProof, store: HeaderStore) -> bool
     if proof.axis not in (ROW, COLUMN) or not 0 <= proof.j < width:
         return False
 
-    if not merkle.verify_merkle_proof(
-        proof.axis_root,
-        proof.axis_root_proof,
-        header.data_root,
-        2 * width,
-        rs2d.top_index(proof.axis, proof.j, width),
+    # one memo for the whole check: the share proofs reuse the root path
+    # checked here, and the decoded axis reuses the digests of the input
+    # shares it reproduces and of the nodes above them
+    memo = merkle.HashMemo()
+    top = rs2d.top_index(proof.axis, proof.j, width)
+    if not merkle.verify_merkle_proofs(
+        [(proof.axis_root, proof.axis_root_proof, top)], header.data_root, 2 * width, memo
     ):
         return False
 
@@ -395,6 +396,7 @@ def verify_codec_fraud_proof(proof: CodecFraudProof, store: HeaderStore) -> bool
     if len(set(positions)) != len(positions):
         return False
 
+    items = []
     for (share, pos, ax), share_proof in zip(proof.shares, proof.share_proofs):
         if ax not in (ROW, COLUMN) or not 0 <= pos < width:
             return False
@@ -404,16 +406,18 @@ def verify_codec_fraud_proof(proof: CodecFraudProof, store: HeaderStore) -> bool
             )
         except ValueError:
             return False
-        if not rs2d.verify_share_merkle_proof(
-            share, share_proof, header.data_root, header.data_length, virtual
-        ):
-            return False
+        items.append((share, share_proof, virtual))
+    if not rs2d.verify_share_merkle_proofs(
+        items, header.data_root, header.data_length, memo
+    ):
+        return False
 
     try:
         recovered = rs_decode([(pos, share) for share, pos, _ in proof.shares], k)
     except (Unrecoverable, ValueError):
         return False
-    return merkle.root(recovered) != proof.axis_root
+    digests = [memo.leaf(share) for share in recovered]
+    return merkle.MerkleTree.from_digests(digests, memo).root != proof.axis_root
 
 
 # --- Double-tree transition fraud proofs --------------------------------------

@@ -12,6 +12,14 @@ i ^ 1 < n, and the next level up has index i >> 1 and size (n + 1) >> 1.
 Proofs carry the leaf index and tree size, so a proof for index i never
 verifies for any other index.
 
+Batch rule: verify_merkle_proofs folds many proofs against one root
+through one HashMemo, a cache keyed by the exact hash input (the leaf
+bytes, or the (left, right) digest pair). Each distinct input is hashed
+once per check and identical items are folded once, yet every fold
+computes the same digests as it would alone, so a batch accepts exactly
+the items that verify_merkle_proof accepts one by one, with no appeal to
+collision resistance. verify_merkle_proof is the one-item batch.
+
 Every wire record in the package (Merkle, share and sparse proofs, block
 headers, fraud proofs) is read through one Reader: each field is a
 bounds-checked take, and whole() rejects bytes left after the record. A
@@ -23,7 +31,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 DIGEST_SIZE = 32
 
@@ -107,18 +115,45 @@ class MerkleProof:
         return cls(siblings, leaf_index, tree_size)
 
 
+class HashMemo:
+    """leaf_hash and node_hash with each distinct input hashed once.
+
+    A pure cache of the two functions, keyed by their whole input, so a
+    tree or fold computed through it has the digests it has without it.
+    """
+
+    def __init__(self) -> None:
+        self.leaves: dict[bytes, bytes] = {}
+        self.nodes: dict[tuple[bytes, bytes], bytes] = {}
+
+    def leaf(self, data: bytes) -> bytes:
+        digest = self.leaves.get(data)
+        if digest is None:
+            digest = self.leaves[data] = leaf_hash(data)
+        return digest
+
+    def node(self, left: bytes, right: bytes) -> bytes:
+        digest = self.nodes.get((left, right))
+        if digest is None:
+            digest = self.nodes[left, right] = node_hash(left, right)
+        return digest
+
+
 class MerkleTree:
     """A tree built once: its levels, leaf digests first, root level last."""
 
     def __init__(self, leaves: Sequence[bytes]) -> None:
-        if not leaves:
-            raise ValueError("empty tree")
-        level = [leaf_hash(leaf) for leaf in leaves]
-        self.levels = [level]
-        while len(level) > 1:
-            paired = [node_hash(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
-            level = paired + level[len(paired) * 2 :]
-            self.levels.append(level)
+        self.levels = _levels([leaf_hash(leaf) for leaf in leaves], node_hash)
+
+    @classmethod
+    def from_digests(
+        cls, digests: Sequence[bytes], memo: Optional[HashMemo] = None
+    ) -> "MerkleTree":
+        """The tree whose leaf digests are given, its nodes hashed through
+        memo when one is given."""
+        tree = cls.__new__(cls)
+        tree.levels = _levels(list(digests), memo.node if memo is not None else node_hash)
+        return tree
 
     @property
     def root(self) -> bytes:
@@ -136,6 +171,17 @@ class MerkleTree:
                 siblings.append(level[i ^ 1])
             i >>= 1
         return MerkleProof(tuple(siblings), index, n)
+
+
+def _levels(level: list[bytes], node: Callable[[bytes, bytes], bytes]) -> list[list[bytes]]:
+    if not level:
+        raise ValueError("empty tree")
+    levels = [level]
+    while len(level) > 1:
+        paired = [node(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
+        level = paired + level[len(paired) * 2 :]
+        levels.append(level)
+    return levels
 
 
 def root(leaves: Sequence[bytes]) -> bytes:
@@ -158,20 +204,52 @@ def verify_merkle_proof(
     """True iff the proof binds element to position index in a tree of
     tree_size leaves committed by root_digest. Malformed input yields False,
     never an exception."""
-    if tree_size < 1 or not 0 <= index < tree_size:
-        return False
-    if proof.tree_size != tree_size or proof.leaf_index != index:
-        return False
-    if any(len(sib) != DIGEST_SIZE for sib in proof.siblings):
-        return False
-    siblings = iter(proof.siblings)
-    node = leaf_hash(element)
-    while tree_size > 1:
-        if index ^ 1 < tree_size:
-            sib = next(siblings, None)
-            if sib is None:
-                return False
-            node = node_hash(sib, node) if index & 1 else node_hash(node, sib)
-        index >>= 1
-        tree_size = (tree_size + 1) >> 1
-    return next(siblings, None) is None and node == root_digest
+    return verify_merkle_proofs(((element, proof, index),), root_digest, tree_size)
+
+
+def verify_merkle_proofs(
+    items: Iterable[tuple[bytes, MerkleProof, int]],
+    root_digest: bytes,
+    tree_size: int,
+    memo: Optional[HashMemo] = None,
+) -> bool:
+    """True iff every (element, proof, index) item passes verify_merkle_proof
+    against root_digest and tree_size; vacuously True for no items.
+
+    The folds share memo (a fresh one by default), and an item identical
+    to an earlier one is not folded again; see the module docstring.
+    """
+    if memo is None:
+        memo = HashMemo()
+    nodes = memo.nodes
+    seen = set()
+    for element, proof, index in items:
+        if not 0 <= index < tree_size:
+            return False
+        if proof.tree_size != tree_size or proof.leaf_index != index:
+            return False
+        siblings = proof.siblings
+        # with the checks above passed, this is the whole item
+        key = (element, siblings, index)
+        if key in seen:
+            continue
+        seen.add(key)
+        node = memo.leaf(element)
+        used = 0
+        n = tree_size
+        while n > 1:
+            if index ^ 1 < n:
+                if used == len(siblings) or len(siblings[used]) != DIGEST_SIZE:
+                    return False
+                pair = (siblings[used], node) if index & 1 else (node, siblings[used])
+                used += 1
+                # memo.node(*pair), spelled out in the hot loop
+                parent = nodes.get(pair)
+                if parent is None:
+                    parent = nodes[pair] = node_hash(*pair)
+                node = parent
+            index >>= 1
+            n = (n + 1) >> 1
+        if used != len(siblings) or node != root_digest:
+            return False
+    return True

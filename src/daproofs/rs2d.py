@@ -14,6 +14,16 @@ row r, column c through its row tree, and slot data_length/2 + c*w + r
 addresses the same cell through its column tree (w = 2k). A share proof
 against the data root is the pair (axis-tree path, root-tree path); the
 root-tree leaf index for a virtual slot g is g // w.
+
+Digest grids: a leaf digest is H(0x00 || share) with no index in it, so a
+cell has the same leaf digest in its row tree and in its column tree. The
+commitment and recover_matrix each hash every cell once into a local
+w x w grid that both axes read; recovery reuses a grid digest only where
+an axis decodes the very bytes the digest was computed from, and hashes a
+decoded share that differs from the present cell afresh, without storing
+it. Grids are not kept: prove_share rebuilds one axis tree at a time.
+Share proofs are checked in batches (verify_share_merkle_proofs) with
+exactly the per-proof accept set.
 """
 
 from __future__ import annotations
@@ -57,10 +67,12 @@ class ExtendedMatrix:
 
     @cached_property
     def commitment(self) -> "DataCommitment":
-        """Every row and column root, cached until invalidate_roots()."""
+        """Every row and column root, cached until invalidate_roots(); each
+        cell is leaf-hashed once, into a grid both of its axes read."""
+        grid = [[merkle.leaf_hash(cell) for cell in row] for row in self.cells]
         return DataCommitment(
-            tuple(merkle.root(row) for row in self.cells),
-            tuple(merkle.root(self.column(c)) for c in range(self.width)),
+            tuple(_digest_root(row) for row in grid),
+            tuple(_digest_root([row[c] for row in grid]) for c in range(self.width)),
         )
 
     def axis_tree(self, axis: int, j: int) -> merkle.MerkleTree:
@@ -113,6 +125,10 @@ class DataCommitment:
     def share_proof(self, axis: int, j: int, axis_proof: MerkleProof) -> ShareProof:
         """Extend a proof inside axis j's tree to a proof against the data root."""
         return ShareProof(self.axis_root(axis, j), axis_proof, self.prove_axis_root(axis, j))
+
+
+def _digest_root(digests: list[bytes]) -> bytes:
+    return merkle.MerkleTree.from_digests(digests).root
 
 
 def top_index(axis: int, j: int, matrix_width: int) -> int:
@@ -246,16 +262,40 @@ def verify_share_merkle_proof(
     index: int,
 ) -> bool:
     """Verify a share against the data root at a virtual-tree index."""
+    return verify_share_merkle_proofs(((share, proof, index),), data_root, data_length)
+
+
+def verify_share_merkle_proofs(
+    items: Sequence[tuple[bytes, ShareProof, int]],
+    data_root: bytes,
+    data_length: int,
+    memo: Optional[merkle.HashMemo] = None,
+) -> bool:
+    """True iff every (share, proof, index) item passes
+    verify_share_merkle_proof; vacuously True for no items.
+
+    Every root-tree path is checked in one merkle batch, where the
+    identical ones fold once, and the axis paths in one batch per axis
+    root; all of them share memo (a fresh one by default).
+    """
     try:
         w = matrix_width_for(data_length)
     except ValueError:
-        return False
-    if not 0 <= index < data_length:
-        return False
-    top, pos = divmod(index, w)
-    if not merkle.verify_merkle_proof(proof.axis_root, proof.root_proof, data_root, 2 * w, top):
-        return False
-    return merkle.verify_merkle_proof(share, proof.axis_proof, proof.axis_root, w, pos)
+        return not items  # no item can pass
+    if memo is None:
+        memo = merkle.HashMemo()
+    tops = []
+    axes: dict[bytes, list[tuple[bytes, MerkleProof, int]]] = {}
+    for share, proof, index in items:
+        if not 0 <= index < data_length:
+            return False
+        top, pos = divmod(index, w)
+        tops.append((proof.axis_root, proof.root_proof, top))
+        axes.setdefault(proof.axis_root, []).append((share, proof.axis_proof, pos))
+    return merkle.verify_merkle_proofs(tops, data_root, 2 * w, memo) and all(
+        merkle.verify_merkle_proofs(group, axis_root, w, memo)
+        for axis_root, group in axes.items()
+    )
 
 
 class PartialMatrix:
@@ -340,12 +380,13 @@ def _axis_cells(partial: PartialMatrix, axis: int, j: int) -> list[Optional[byte
 
 
 def _fill_proof(
-    commitment: DataCommitment, x: int, y: int, axis: int, content: list[bytes]
+    commitment: DataCommitment, x: int, y: int, axis: int, digests: list[bytes]
 ) -> ShareProof:
     """Proof of recovered cell (x, y) through the axis whose decoded content
-    (already checked against its root) filled it."""
+    (already checked against its root, with these leaf digests) filled it."""
     j, pos = (x, y) if axis == ROW else (y, x)
-    return commitment.share_proof(axis, j, merkle.prove(content, pos))
+    tree = merkle.MerkleTree.from_digests(digests)
+    return commitment.share_proof(axis, j, tree.prove(pos))
 
 
 def _decode_axis(
@@ -353,18 +394,21 @@ def _decode_axis(
     axis: int,
     j: int,
     commitment: DataCommitment,
+    grid: list[list[Optional[bytes]]],
     filled_by: dict[tuple[int, int], tuple[int, list[bytes]]],
-) -> tuple[Optional[list[bytes]], Optional[CodecFault]]:
+) -> tuple[Optional[list[bytes]], list[bytes], Optional[CodecFault]]:
     """Decode one axis from its k best inputs and check the committed root.
 
-    filled_by maps each recovered cell to (axis that filled it, that axis's
-    decoded content); a fault proves such inputs through that axis.
+    Returns the decoded content and its leaf digests, or a fault. grid is
+    recover_matrix's digest grid (see there). filled_by maps each
+    recovered cell to (axis that filled it, that axis's leaf digests); a
+    fault proves such inputs through that axis.
     """
     k = partial.k
     cells = _axis_cells(partial, axis, j)
     candidates = [pos for pos, cell in enumerate(cells) if cell is not None]
     if len(candidates) < k:
-        return None, None
+        return None, [], None
     # prefer cells that arrived with a proof origin over recovered fills
     def origin_of(pos: int) -> Optional[int]:
         x, y = (j, pos) if axis == ROW else (pos, j)
@@ -373,8 +417,18 @@ def _decode_axis(
     candidates.sort(key=lambda pos: (origin_of(pos) is None, pos))
     chosen = sorted(candidates[:k])
     decoded = rs_decode([(pos, cells[pos]) for pos in chosen], k)
+    digests = []
+    for pos, share in enumerate(decoded):
+        x, y = (j, pos) if axis == ROW else (pos, j)
+        if cells[pos] is not None and cells[pos] != share:
+            digests.append(merkle.leaf_hash(share))
+            continue
+        digest = grid[x][y]
+        if digest is None:
+            digest = grid[x][y] = merkle.leaf_hash(share)
+        digests.append(digest)
     committed_root = commitment.axis_root(axis, j)
-    if merkle.root(decoded) != committed_root:
+    if _digest_root(digests) != committed_root:
         triples = []
         proofs = []
         for pos in chosen:
@@ -382,12 +436,12 @@ def _decode_axis(
             origin = partial.origins[x][y]
             proof = partial.proofs[x][y]
             if origin is None and (x, y) in filled_by:
-                origin, content = filled_by[(x, y)]
-                proof = _fill_proof(commitment, x, y, origin, content)
+                origin, filler = filled_by[(x, y)]
+                proof = _fill_proof(commitment, x, y, origin, filler)
             triples.append((cells[pos], pos, ROW if origin is None else origin))
             proofs.append(proof)
-        return None, CodecFault(axis, j, committed_root, tuple(triples), tuple(proofs))
-    return decoded, None
+        return None, [], CodecFault(axis, j, committed_root, tuple(triples), tuple(proofs))
+    return decoded, digests, None
 
 
 def recover_matrix(
@@ -399,12 +453,20 @@ def recover_matrix(
     decoded content mismatches the committed root. Raises Unrecoverable
     when peeling reaches a fixpoint with cells still absent. Present cells
     are assumed to have been verified against the commitment.
+
+    Each cell is leaf-hashed once for both of its axes, through a local
+    w x w digest grid: an axis decode reuses a cell's grid digest where its
+    decoded share is the cell's bytes, and stores the digest of a share it
+    computes for a present cell or fills into a hole. A decoded share that
+    differs from the present cell is hashed afresh and never stored, so a
+    grid digest is always that of its cell's bytes.
     """
     if commitment.matrix_width != partial.width:
         raise ValueError("commitment width does not match matrix")
     w = partial.width
     k = partial.k
     verified = [[False] * w for _ in range(2)]  # [axis][j]
+    grid: list[list[Optional[bytes]]] = [[None] * w for _ in range(w)]
     filled_by: dict[tuple[int, int], tuple[int, list[bytes]]] = {}
 
     changed = True
@@ -420,14 +482,16 @@ def recover_matrix(
                     continue
                 if w - len(holes) < k:
                     continue
-                decoded, fault = _decode_axis(partial, axis, j, commitment, filled_by)
+                decoded, digests, fault = _decode_axis(
+                    partial, axis, j, commitment, grid, filled_by
+                )
                 if fault is not None:
                     return fault
                 assert decoded is not None
                 for pos in holes:
                     x, y = (j, pos) if axis == ROW else (pos, j)
                     partial.cells[x][y] = decoded[pos]
-                    filled_by[(x, y)] = (axis, decoded)
+                    filled_by[(x, y)] = (axis, digests)
                 verified[axis][j] = True
                 changed = True
 
@@ -440,7 +504,7 @@ def recover_matrix(
         for j in range(w):
             if verified[axis][j]:
                 continue
-            _, fault = _decode_axis(partial, axis, j, commitment, filled_by)
+            _, _, fault = _decode_axis(partial, axis, j, commitment, grid, filled_by)
             if fault is not None:
                 return fault
 

@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import settings
 
+from daproofs import merkle
 from daproofs.merkle import hash_bytes
 from daproofs.smt import StateTree
 from daproofs.state import AccountValue, Transaction
@@ -49,3 +51,25 @@ def transfer_chain(keys, count, rng: random.Random, max_amount: int = 40) -> lis
 @pytest.fixture(scope="session")
 def base_state():
     return funded_state()
+
+
+@pytest.fixture
+def merkle_hashes(monkeypatch):
+    """Counters of every merkle.leaf_hash and merkle.node_hash input, taken
+    at the two points the benchmark's tracer patches; clear them to start
+    counting."""
+    leaves: Counter = Counter()
+    nodes: Counter = Counter()
+    leaf_hash, node_hash = merkle.leaf_hash, merkle.node_hash
+
+    def counted_leaf_hash(data: bytes) -> bytes:
+        leaves[data] += 1
+        return leaf_hash(data)
+
+    def counted_node_hash(left: bytes, right: bytes) -> bytes:
+        nodes[left, right] += 1
+        return node_hash(left, right)
+
+    monkeypatch.setattr(merkle, "leaf_hash", counted_leaf_hash)
+    monkeypatch.setattr(merkle, "node_hash", counted_node_hash)
+    return leaves, nodes

@@ -1,6 +1,9 @@
-"""Reference implementations that check daproofs.prob: slow or random ones
+"""Reference implementations that check daproofs: slow or random ones
 that have no place at run time.
 
+- merkle_proof_verifies, share_proof_verifies: one proof at a time, with
+  no memo and hashlib spelled out, the oracles for the batched
+  merkle.verify_merkle_proofs and rs2d.verify_share_merkle_proofs.
 - pe_series_fraction: the inclusion-exclusion series with a fresh
   math.comb per binomial in every term, the oracle for the incremental
   binomials of prob.pe_exact_fraction.
@@ -10,12 +13,15 @@ that have no place at run time.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
+from daproofs.merkle import DIGEST_SIZE, MerkleProof
+from daproofs.rs2d import ShareProof, matrix_width_for
 from daproofs.prob import (
     _check_pe_params,
     _check_px_params,
@@ -23,6 +29,48 @@ from daproofs.prob import (
     sample_distinct,
     unavailable_minimum,
 )
+
+
+def merkle_proof_verifies(
+    element: bytes, proof: MerkleProof, root_digest: bytes, tree_size: int, index: int
+) -> bool:
+    """The per-proof fold: True iff proof binds element to position index
+    in a tree of tree_size leaves under root_digest."""
+    if tree_size < 1 or not 0 <= index < tree_size:
+        return False
+    if proof.tree_size != tree_size or proof.leaf_index != index:
+        return False
+    if any(len(sib) != DIGEST_SIZE for sib in proof.siblings):
+        return False
+    siblings = iter(proof.siblings)
+    node = hashlib.sha256(b"\x00" + element).digest()
+    while tree_size > 1:
+        if index ^ 1 < tree_size:
+            sib = next(siblings, None)
+            if sib is None:
+                return False
+            pair = sib + node if index & 1 else node + sib
+            node = hashlib.sha256(b"\x01" + pair).digest()
+        index >>= 1
+        tree_size = (tree_size + 1) >> 1
+    return next(siblings, None) is None and node == root_digest
+
+
+def share_proof_verifies(
+    share: bytes, proof: ShareProof, data_root: bytes, data_length: int, index: int
+) -> bool:
+    """One share against the data root at a virtual-tree index: its root
+    path, then its axis path."""
+    try:
+        w = matrix_width_for(data_length)
+    except ValueError:
+        return False
+    if not 0 <= index < data_length:
+        return False
+    top, pos = divmod(index, w)
+    return merkle_proof_verifies(
+        proof.axis_root, proof.root_proof, data_root, 2 * w, top
+    ) and merkle_proof_verifies(share, proof.axis_proof, proof.axis_root, w, pos)
 
 
 def pe_series_fraction(n: int, s: int, c: int, lam: int) -> Fraction:

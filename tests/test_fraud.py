@@ -269,6 +269,62 @@ def test_codec_fault_with_recovered_inputs_round_trip(invalid_code):
         generate_codec_fraud_proof(fault, built.header.block_hash(), built.commitment)
 
 
+def test_codec_verification_hashes_each_input_once(invalid_code, merkle_hashes):
+    leaves_hashed, nodes_hashed = merkle_hashes
+    built, _, store = invalid_code
+    proof = codec_proof_for(built)
+    # the tampered cell is in row 0, the first axis checked, and every
+    # input arrived through its row: all of them lie on the faulty axis
+    assert proof.axis == ROW and all(ax == ROW for _, _, ax in proof.shares)
+    leaves_hashed.clear()
+    nodes_hashed.clear()
+    assert verify_codec_fraud_proof(proof, store)
+    assert max(nodes_hashed.values()) == 1
+    assert max(leaves_hashed.values()) == 1
+    assert all(leaves_hashed[share] == 1 for share, _, _ in proof.shares)
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_recovery_digest_grid_keeps_every_verdict_sound(data):
+    """Tampered cells make decoded shares differ from present ones, which
+    recovery must hash afresh: every recovery it completes is the committed
+    matrix and a valid 2D codeword, and every fault it reports, proven
+    partly through filled cells, yields a codec proof that verifies."""
+    k = data.draw(st.sampled_from([2, 4]))
+    w = 2 * k
+    cells = st.tuples(st.integers(0, w - 1), st.integers(0, w - 1))
+    # one axis loses some cells, up to all but one, so crossing axes may
+    # fill them before it decodes; its last cell may be tampered, and a few
+    # random cells are tampered or withheld besides
+    axis, j = data.draw(st.sampled_from([ROW, COLUMN])), data.draw(st.integers(0, w - 1))
+    positions = data.draw(st.permutations(range(w)))
+    order = [(j, pos) if axis == ROW else (pos, j) for pos in positions]
+    rng = random.Random(data.draw(st.integers(0, 2**16)))
+    matrix = rs2d.extend_shares([rng.randbytes(8) for _ in range(k * k)], k, 8)
+    tampered = order[-1:] * data.draw(st.integers(0, 1))
+    tampered += data.draw(st.lists(cells, max_size=1))
+    for x, y in tampered:
+        matrix.cells[x][y] = bytes(b ^ 0x5A for b in matrix.cells[x][y])
+    matrix.invalidate_roots()
+    commitment = rs2d.commit(matrix)
+    withheld = order[: data.draw(st.integers(0, w - 1))] + data.draw(st.lists(cells, max_size=k))
+    partial = PartialMatrix.from_matrix(matrix, withhold=withheld, with_proofs=True)
+    try:
+        result = rs2d.recover_matrix(partial, commitment)
+    except rs2d.Unrecoverable:
+        return
+    if isinstance(result, rs2d.ExtendedMatrix):
+        assert result.cells == matrix.cells
+        quadrant = [result.cells[r][c] for r in range(k) for c in range(k)]
+        assert rs2d.extend_shares(quadrant, k, 8).cells == result.cells
+        return
+    header = BlockHeader(bytes(32), commitment.data_root, commitment.data_length, bytes(32))
+    store = HeaderStore()
+    proof = generate_codec_fraud_proof(result, store.add(header), commitment)
+    assert verify_codec_fraud_proof(proof, store)
+
+
 def test_codec_proof_mutations_fail(invalid_code, honest):
     built, _, store = invalid_code
     honest_built, _, honest_store = honest

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from daproofs import merkle
 from daproofs.merkle import MerkleProof, leaf_hash, node_hash
+from tests.oracles import merkle_proof_verifies
 
 
 def oracle_root(leaves):
@@ -180,3 +181,99 @@ def test_round_trip_property(leaves, data):
     root = merkle.root(leaves)
     proof = merkle.prove(leaves, index)
     assert merkle.verify_merkle_proof(leaves[index], proof, root, len(leaves), index)
+
+
+# Item mutations for the batch differential test. One item in four is
+# mutated, so that most batches hold at most one failing item: one more
+# would mask a wrong verdict on it.
+MUTATIONS = (
+    "element",
+    "sibling_byte",
+    "sibling_swap",
+    "index",
+    "index_and_proof",
+    "proof_tree_size",
+    "drop_sibling",
+    "extra_sibling",
+    "short_sibling",
+    "long_sibling",
+    "other_path",
+)
+
+
+def mutated_item(data, tree, leaves, i):
+    """(element, proof, index) for leaf i, with one drawn mutation."""
+    n = len(leaves)
+    proof = tree.prove(i)
+    element, siblings, leaf_index, size, index = leaves[i], list(proof.siblings), i, n, i
+    mutate = data.draw(st.integers(0, 3)) == 0
+    kind = data.draw(st.sampled_from(MUTATIONS)) if mutate else None
+    d = data.draw(st.integers(0, max(len(siblings) - 1, 0)))
+    if kind == "element":
+        element = data.draw(st.sampled_from([element + b"!", leaves[(i + 1) % n]]))
+    elif kind == "sibling_byte" and siblings:
+        siblings[d] = bytes([siblings[d][0] ^ 1]) + siblings[d][1:]
+    elif kind == "sibling_swap" and len(siblings) > 1:
+        siblings[0], siblings[-1] = siblings[-1], siblings[0]
+    elif kind == "index":
+        index = data.draw(st.integers(-1, n))
+    elif kind == "index_and_proof":
+        index = leaf_index = data.draw(st.integers(0, n - 1))
+    elif kind == "proof_tree_size":
+        size = data.draw(st.integers(0, n + 2))
+    elif kind == "drop_sibling" and siblings:
+        del siblings[d]
+    elif kind == "extra_sibling":
+        siblings.insert(d, leaf_hash(b"extra"))
+    elif kind == "short_sibling" and siblings:
+        siblings[d] = siblings[d][:-1]
+    elif kind == "long_sibling" and siblings:
+        siblings[d] += b"\x00"
+    elif kind == "other_path":
+        siblings = list(tree.prove(data.draw(st.integers(0, n - 1))).siblings)
+    return element, MerkleProof(tuple(siblings), leaf_index, size), index
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_batch_verifier_matches_per_proof_oracle(data):
+    n = data.draw(st.integers(1, 70))
+    distinct = data.draw(st.integers(1, n))  # fewer distinct contents than leaves
+    leaves = [bytes([n, i % distinct]) * 3 for i in range(n)]
+    tree = merkle.MerkleTree(leaves)
+    # up to three variants of each picked leaf, so passing and failing
+    # items meet at one position, and exact duplicates recur
+    picks = data.draw(st.lists(st.integers(0, n - 1), max_size=6))
+    items = [
+        mutated_item(data, tree, leaves, i)
+        for i in picks
+        for _ in range(data.draw(st.integers(1, 3)))
+    ]
+    # echoes of earlier items: exact, or moved by one position with or
+    # without their proof's leaf index
+    echoes = data.draw(st.lists(st.sampled_from(items), max_size=3)) if items else []
+    for element, proof, index in echoes:
+        moved = data.draw(st.sampled_from([0, 0, 1, -1]))
+        leaf_index = proof.leaf_index + moved * data.draw(st.integers(0, 1))
+        moved_proof = MerkleProof(proof.siblings, leaf_index, proof.tree_size)
+        items.append((element, moved_proof, index + moved))
+    tree_size = data.draw(st.sampled_from([n] * 6 + [n - 1, n + 1, 0]))
+    root = data.draw(st.sampled_from([tree.root] * 8 + [leaf_hash(b"root")]))
+    expected = all(merkle_proof_verifies(e, p, root, tree_size, i) for e, p, i in items)
+    assert merkle.verify_merkle_proofs(items, root, tree_size) is expected
+    for element, proof, index in items[:3]:
+        alone = merkle_proof_verifies(element, proof, root, tree_size, index)
+        assert merkle.verify_merkle_proof(element, proof, root, tree_size, index) is alone
+
+
+def test_batch_verifier_hashes_each_distinct_input_once(merkle_hashes):
+    leaves_hashed, nodes_hashed = merkle_hashes
+    leaves = distinct_leaves(37)
+    tree = merkle.MerkleTree(leaves)
+    items = [(leaves[i], tree.prove(i), i) for i in range(37)] * 2
+    leaves_hashed.clear()
+    nodes_hashed.clear()
+    assert merkle.verify_merkle_proofs(items, tree.root, 37)
+    # every leaf once and every internal node once: a full rebuild
+    assert sorted(leaves_hashed.values()) == [1] * 37
+    assert sorted(nodes_hashed.values()) == [1] * 36

@@ -2,15 +2,19 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from daproofs import merkle, rs2d
 from daproofs.erasure import Unrecoverable, rs_encode
+from daproofs.merkle import MerkleProof
 from daproofs.rs2d import (
     COLUMN,
     ROW,
     DataCommitment,
     ExtendedMatrix,
     PartialMatrix,
+    ShareProof,
     commit,
     extend,
     extend_shares,
@@ -18,7 +22,9 @@ from daproofs.rs2d import (
     recover_matrix,
     share_index,
     verify_share_merkle_proof,
+    verify_share_merkle_proofs,
 )
+from tests.oracles import share_proof_verifies
 
 
 def random_shares(rng, count, size=8):
@@ -197,6 +203,86 @@ def test_verify_share_wrong_everything():
     assert not verify_share_merkle_proof(
         share, proof, bytes(32), commitment.data_length, virtual
     )
+
+
+SHARE_MUTATIONS = (
+    "share",
+    "index",
+    "other_axis_root",
+    "other_root_path",
+    "other_axis_path",
+    "axis_sibling",
+    "root_tree_size",
+)
+
+
+def mutated_share_item(data, matrix, commitment, x, y, origin):
+    """(share, proof, index) for cell (x, y) through its origin axis, with
+    one drawn mutation in four items; "other" parts come from a drawn axis
+    or cell, which mixes axis roots within a batch."""
+    w = matrix.width
+    share, proof = prove_share(matrix, x, y, origin)
+    j, pos = (x, y) if origin == ROW else (y, x)
+    index = share_index(origin, j, pos, origin, w, commitment.data_length)
+    mutate = data.draw(st.integers(0, 3)) == 0
+    kind = data.draw(st.sampled_from(SHARE_MUTATIONS)) if mutate else None
+    axis = data.draw(st.tuples(st.sampled_from([ROW, COLUMN]), st.integers(0, w - 1)))
+    cell = data.draw(st.tuples(st.integers(0, w - 1), st.integers(0, w - 1)))
+    axis_root, axis_proof, root_proof = proof.axis_root, proof.axis_proof, proof.root_proof
+    if kind == "share":
+        share = matrix.cells[(x + 1) % w][y]
+    elif kind == "index":
+        index = data.draw(st.integers(-1, commitment.data_length))
+    elif kind == "other_axis_root":
+        axis_root = commitment.axis_root(*axis)
+    elif kind == "other_root_path":
+        root_proof = commitment.prove_axis_root(*axis)
+    elif kind == "other_axis_path":
+        axis_proof = prove_share(matrix, *cell, origin)[1].axis_proof
+    elif kind == "axis_sibling" and axis_proof.siblings:
+        axis_proof = MerkleProof((bytes(32),) + axis_proof.siblings[1:], pos, w)
+    elif kind == "root_tree_size":
+        root_proof = MerkleProof(root_proof.siblings, root_proof.leaf_index, w)
+    return share, ShareProof(axis_root, axis_proof, root_proof), index
+
+
+@settings(max_examples=250)
+@given(st.data())
+def test_batch_share_verifier_matches_per_item_oracle(data):
+    k = data.draw(st.sampled_from([1, 2, 4]))
+    matrix, commitment = build(k=k, seed=k)
+    w = matrix.width
+    cells = st.tuples(st.integers(0, w - 1), st.integers(0, w - 1), st.sampled_from([ROW, COLUMN]))
+    items = [
+        mutated_share_item(data, matrix, commitment, x, y, origin)
+        for x, y, origin in data.draw(st.lists(cells, max_size=6))
+        for _ in range(data.draw(st.integers(1, 3)))
+    ]
+    lengths = [commitment.data_length] * 6 + [commitment.data_length + 2, 2 * (2 * w) ** 2]
+    data_length = data.draw(st.sampled_from(lengths))
+    root = data.draw(st.sampled_from([commitment.data_root] * 8 + [bytes(32)]))
+    expected = all(share_proof_verifies(s, p, root, data_length, i) for s, p, i in items)
+    assert verify_share_merkle_proofs(items, root, data_length) is expected
+
+
+@pytest.mark.parametrize("k", [4, 8])
+def test_commitment_hashes_each_cell_once(k, merkle_hashes):
+    leaves_hashed, _ = merkle_hashes
+    matrix, _ = build(k=k, seed=k)  # commit reads the cached commitment
+    fresh = ExtendedMatrix(k, matrix.share_size, [list(row) for row in matrix.cells])
+    leaves_hashed.clear()
+    assert fresh.commitment == commit(matrix)
+    assert sum(leaves_hashed.values()) == (2 * k) ** 2
+
+
+@pytest.mark.parametrize("k", [4, 8])
+def test_recovery_of_complete_matrix_hashes_each_cell_once(k, merkle_hashes):
+    leaves_hashed, _ = merkle_hashes
+    matrix, commitment = build(k=k, seed=k)
+    partial = PartialMatrix.from_matrix(matrix)
+    leaves_hashed.clear()
+    assert recover_matrix(partial, commitment) == matrix
+    assert sum(leaves_hashed.values()) == (2 * k) ** 2
 
 
 def test_recovery_random_patterns():
