@@ -11,19 +11,24 @@ gives positions 0..k-1. Decoding re-evaluates any present share beyond
 its first k, so inconsistent inputs surface as a mismatch between the
 reconstruction and whatever the caller committed to.
 
-The rule has two evaluators. When k is a power of two and the k given
-positions are one half of the codeword (0..k-1 or k..2k-1), those points
-are the F2-subspace V = {0..k-1} of GF(2^16) or its coset k ^ V, and an
-additive FFT in Lin, Chung and Han's novel polynomial basis (FOCS 2014)
-interpolates on one half and evaluates on the other in O(k log k) per
-lane. Every other pattern, and every k that is not a power of two,
-multiplies by a Lagrange interpolation matrix: O(k^2) time per lane and
-O(k^2) memory, several k x k arrays, which is over 5 GiB at k = 16384.
+The rule has two evaluators, both additive FFTs in Lin, Chung and Han's
+novel polynomial basis (FOCS 2014), and both O(n log n) per lane:
+- Half to half: when k is a power of two and the k given positions are
+  one half of the codeword (0..k-1 or k..2k-1), those points are the
+  F2-subspace V = {0..k-1} of GF(2^16) or its coset k ^ V, so an inverse
+  FFT on one half and an FFT on the other evaluate it in O(k log k).
+- Every other pattern, and every k that is not a power of two: the
+  erasure decoder of Lin, Al-Naffouri, Han and Chung (IEEE Trans. IT
+  62(11), 2016), as in the leopard codec, on the domain {0..N-1} with N
+  the smallest power of two >= 2k. It takes one Walsh-Hadamard
+  convolution for the erasure locator's logs, an inverse FFT, a formal
+  derivative and an FFT, all of size N, so O(N log N) time and O(N)
+  memory per lane; it costs about three times the half-to-half path.
 Both produce the same bytes, because the polynomial of degree below k
-through k points is unique.
+through k points is unique, and both serve every pattern up to MAX_K.
 
 GF(2^16) keeps codewords of length 2k below the field size for k up to
-16384. Arithmetic runs on log/antilog tables built once at import.
+MAX_K = 16384. Arithmetic runs on log/antilog tables built once at import.
 """
 
 from __future__ import annotations
@@ -81,32 +86,6 @@ def gf_inv(a: int) -> int:
     return int(_EXP[_ORDER - int(_LOG[a])])
 
 
-def _matmul(matrix: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """GF(2^16) matrix product: (m, k) x (k, lanes) -> (m, lanes)."""
-    m = matrix.shape[0]
-    out = np.zeros((m, data.shape[1]), dtype=np.uint16)
-    log_rows = _LOG_PAD[matrix]          # (m, k)
-    log_data = _LOG_PAD[data]            # (k, lanes)
-    for i in range(matrix.shape[1]):
-        out ^= _EXP_PAD[log_rows[:, i, None] + log_data[None, i, :]]
-    return out
-
-
-@lru_cache(maxsize=4096)
-def _interpolation_matrix(xs: tuple[int, ...], targets: tuple[int, ...]) -> np.ndarray:
-    """Rows evaluate the polynomial through points xs at each target.
-
-    Entry [t, m] is L_m(t) = prod_j (t ^ x_j) / ((t ^ x_m) prod_{j!=m} (x_m ^ x_j)), one
-    antilog of a log sum: no target is in xs, and x_m ^ x_m = 0 adds _LOG[0] = 0.
-    """
-    support = np.array(xs, dtype=np.int64)
-    diff_logs = _LOG[np.bitwise_xor.outer(np.array(targets, dtype=np.int64), support)]
-    numer = diff_logs.sum(axis=1, dtype=np.int64)
-    denom = _LOG[np.bitwise_xor.outer(support, support)].sum(axis=1, dtype=np.int64)
-    exponents = (numer[:, None] - diff_logs - denom[None, :]) % _ORDER
-    return _EXP[exponents].astype(np.uint16)
-
-
 def _subspace_table() -> np.ndarray:
     """Row i holds Ŵ_i(2^b) for each bit b, the normalised subspace polynomials.
 
@@ -117,7 +96,7 @@ def _subspace_table() -> np.ndarray:
     """
     w = [1 << b for b in range(FIELD_BITS)]
     rows = []
-    for i in range(MAX_K.bit_length() - 1):
+    for i in range(FIELD_BITS - 1):
         inv = gf_inv(w[i])
         rows.append([gf_mul(v, inv) for v in w])
         w = [gf_mul(v, v ^ w[i]) for v in w]
@@ -126,31 +105,49 @@ def _subspace_table() -> np.ndarray:
 _W_HAT = _subspace_table()
 
 
+def _derivative_logs() -> np.ndarray:
+    """log c_i for each layer i, c_i the coefficient of x in Ŵ_i.
+
+    Ŵ_i is linearised, so c_i is its whole formal derivative: the x
+    coefficient of W_i = x prod_{0<a<2^i} (x ^ a) over W_i(2^i) =
+    prod_{2^i<=a<2^(i+1)} a.
+    """
+    sums = [int(_LOG[1 << i : 2 << i].sum(dtype=np.int64)) for i in range(FIELD_BITS - 1)]
+    return np.array([(sum(sums[:i]) - sums[i]) % _ORDER for i in range(len(sums))])
+
+_DERIVATIVE_LOGS = _derivative_logs()
+
+
 @lru_cache(maxsize=64)
-def _skew_logs(k: int, beta: int) -> tuple[np.ndarray, ...]:
-    """Per layer i, log Ŵ_i(beta ^ c) for each block base c in range(0, k, 2^(i+1)).
+def _skew_logs(k: int, beta: int) -> tuple[tuple[int, np.ndarray], ...]:
+    """Per layer i, log Ŵ_i(beta ^ c) for each block base c in range(0, k, 2^(i+1)),
+    after the first block when its skew is zero.
 
     Ŵ_i is linear, so each skew is the XOR of its row's values at the set
-    bits of beta ^ c.
+    bits of beta ^ c. Its roots are {0..2^i-1}, so only the block at c = 0
+    can have skew zero, when beta is 0; its butterflies skip the product.
     """
     layers = []
     for i in range(k.bit_length() - 1):
         points = beta ^ np.arange(0, k, 2 << i)
         bits = (points[:, None] >> np.arange(FIELD_BITS)) & 1
-        layers.append(_LOG_PAD[np.bitwise_xor.reduce(bits * _W_HAT[i], axis=1)])
+        skews = np.bitwise_xor.reduce(bits * _W_HAT[i], axis=1)
+        first = int(skews[0] == 0)
+        layers.append((first, _LOG_PAD[skews[first:]]))
     return tuple(layers)
 
 
-def _butterflies(symbols: np.ndarray, logs: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+def _butterflies(symbols: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
     """Views of the low and high halves of each block of width 2^(i+1)."""
-    blocks = symbols.reshape(len(logs), 2, 1 << i, -1)
+    blocks = symbols.reshape(-1, 2, 1 << i, symbols.shape[1])
     return blocks[:, 0], blocks[:, 1]
 
 
-def _skew_mul(high: np.ndarray, logs: np.ndarray) -> np.ndarray:
-    """Each block's high half times its skew: one log gather, one antilog gather."""
-    exponents = _LOG_PAD.take(high)
-    exponents += logs[:, None, None]
+def _mul_logs(symbols: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """symbols times field elements given by their logs, one per index of
+    the first axis: one log gather, one antilog gather."""
+    exponents = _LOG_PAD.take(symbols)
+    exponents += logs.reshape((-1,) + (1,) * (symbols.ndim - 1))
     return _EXP_PAD.take(exponents)
 
 
@@ -161,22 +158,92 @@ def _fft(coeffs: np.ndarray, beta: int) -> np.ndarray:
     the block's low coset and s ^ 1 on its high one, so the halves become
     D0 + s D1 and that plus D1.
     """
-    logs = _skew_logs(coeffs.shape[0], beta)
-    for i in reversed(range(len(logs))):
-        low, high = _butterflies(coeffs, logs[i], i)
-        low ^= _skew_mul(high, logs[i])
+    layers = _skew_logs(coeffs.shape[0], beta)
+    for i in reversed(range(len(layers))):
+        first, logs = layers[i]
+        low, high = _butterflies(coeffs, i)
+        low[first:] ^= _mul_logs(high[first:], logs)
         high ^= low
     return coeffs
 
 
 def _inverse_fft(values: np.ndarray, beta: int) -> np.ndarray:
     """Novel-basis coefficients, in place, of the polynomial through values at beta ^ j."""
-    logs = _skew_logs(values.shape[0], beta)
-    for i in range(len(logs)):
-        low, high = _butterflies(values, logs[i], i)
+    layers = _skew_logs(values.shape[0], beta)
+    for i in range(len(layers)):
+        first, logs = layers[i]
+        low, high = _butterflies(values, i)
         high ^= low
-        low ^= _skew_mul(high, logs[i])
+        low[first:] ^= _mul_logs(high[first:], logs)
     return values
+
+
+def _walsh_hadamard(values: np.ndarray) -> np.ndarray:
+    """Unnormalised Walsh-Hadamard transform, in place, of an int64 vector
+    of power-of-two length."""
+    h = 1
+    while h < len(values):
+        blocks = values.reshape(-1, 2, h)
+        low, high = blocks[:, 0], blocks[:, 1]
+        low += high
+        high *= -2
+        high += low
+        h *= 2
+    return values
+
+
+def _locator_logs(erased: np.ndarray) -> np.ndarray:
+    """L[x] = sum over erasures e of LOG[x ^ e] mod 2^16 - 1, for every x in the domain.
+
+    erased is the 0/1 indicator of E over the domain {0..N-1}. With
+    LOG[0] = 0 this is log l(x) at a known x and log l'(e) at an erasure e,
+    for the locator l(x) = prod_{e in E} (x ^ e). It is one XOR convolution
+    of the indicator with LOG, so one product of Walsh-Hadamard transforms;
+    every term stays below 2^62 in int64 for N <= 2^15.
+    """
+    n = len(erased)
+    spectrum = _walsh_hadamard(erased.copy()) * _walsh_hadamard(_LOG[:n].astype(np.int64))
+    return _walsh_hadamard(spectrum) // n % _ORDER
+
+
+def _formal_derivative(coeffs: np.ndarray) -> np.ndarray:
+    """The derivative of novel-basis coefficients (N, lanes).
+
+    The basis polynomial X_j is the product of Ŵ_i over the set bits i of
+    j, and each Ŵ_i' is the constant c_i, so coefficient j adds c_i coef[j]
+    into j ^ 2^i for every set bit i. Every layer reads the input, so the
+    sum goes to a new array.
+    """
+    out = np.zeros_like(coeffs)
+    exponents = _LOG_PAD.take(coeffs)
+    for i in range(coeffs.shape[0].bit_length() - 1):
+        low = _butterflies(out, i)[0]
+        low ^= _EXP_PAD.take(_butterflies(exponents, i)[1] + _DERIVATIVE_LOGS[i])
+    return out
+
+
+def _evaluate_erasures(
+    symbols: np.ndarray, xs: Sequence[int], k: int
+) -> tuple[list[int], np.ndarray]:
+    """The positions of 0..2k-1 outside xs, and the polynomial of degree
+    below k through (xs, symbols) at each of them.
+
+    Lin, Al-Naffouri, Han and Chung's erasure decoder on the domain
+    {0..N-1}, N the smallest power of two >= 2k; every point outside xs,
+    those >= 2k included, is an erasure. g = f l is f times the locator at
+    the known points and 0 at the erasures, and has degree below N, so an
+    inverse FFT gives its coefficients; at an erasure e, g'(e) = f(e) l'(e).
+    """
+    n = 1 << (2 * k - 1).bit_length()
+    known = list(xs)
+    erased = np.ones(n, dtype=np.int64)
+    erased[known] = 0
+    logs = _locator_logs(erased)
+    g = np.zeros((n, symbols.shape[1]), dtype=np.uint16)
+    g[known] = _mul_logs(symbols, logs[known])
+    derivative = _fft(_formal_derivative(_inverse_fft(g, 0)), 0)
+    targets = np.flatnonzero(erased[: 2 * k])
+    return targets.tolist(), _mul_logs(derivative[targets], _ORDER - logs[targets])
 
 
 def _shares_to_symbols(shares: Sequence[bytes]) -> np.ndarray:
@@ -204,8 +271,7 @@ def _codeword(given: Sequence[tuple[int, bytes]], k: int) -> list[bytes]:
         targets = tuple(range(other, other + k))
         evaluated = _fft(_inverse_fft(symbols, xs[0]), other)
     else:
-        targets = tuple(sorted(set(range(2 * k)).difference(xs)))
-        evaluated = _matmul(_interpolation_matrix(xs, targets), symbols)
+        targets, evaluated = _evaluate_erasures(symbols, xs, k)
     codeword = dict(zip(targets, _symbols_to_shares(evaluated)))
     codeword.update((pos, bytes(share)) for pos, share in given)
     return [codeword[pos] for pos in range(2 * k)]

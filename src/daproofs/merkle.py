@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Callable, Optional, Sequence, TypeVar
 
 DIGEST_SIZE = 32
 
@@ -208,7 +208,7 @@ def verify_merkle_proof(
 
 
 def verify_merkle_proofs(
-    items: Iterable[tuple[bytes, MerkleProof, int]],
+    items: Sequence[tuple[bytes, MerkleProof, int]],
     root_digest: bytes,
     tree_size: int,
     memo: Optional[HashMemo] = None,
@@ -217,11 +217,15 @@ def verify_merkle_proofs(
     against root_digest and tree_size; vacuously True for no items.
 
     The folds share memo (a fresh one by default), and an item identical
-    to an earlier one is not folded again; see the module docstring.
+    to an earlier one is not folded again; see the module docstring. One
+    item with no memo given has nothing to share, so it is folded with
+    plain hashes, and no memo or dedupe set is kept.
     """
-    if memo is None:
+    if memo is None and len(items) > 1:
         memo = HashMemo()
-    nodes = memo.nodes
+    shared = memo is not None
+    leaf = memo.leaf if shared else leaf_hash
+    nodes = memo.nodes if shared else {}
     seen = set()
     for element, proof, index in items:
         if not 0 <= index < tree_size:
@@ -229,12 +233,13 @@ def verify_merkle_proofs(
         if proof.tree_size != tree_size or proof.leaf_index != index:
             return False
         siblings = proof.siblings
-        # with the checks above passed, this is the whole item
-        key = (element, siblings, index)
-        if key in seen:
-            continue
-        seen.add(key)
-        node = memo.leaf(element)
+        if shared:
+            # with the checks above passed, this is the whole item
+            key = (element, siblings, index)
+            if key in seen:
+                continue
+            seen.add(key)
+        node = leaf(element)
         used = 0
         n = tree_size
         while n > 1:
@@ -246,7 +251,9 @@ def verify_merkle_proofs(
                 # memo.node(*pair), spelled out in the hot loop
                 parent = nodes.get(pair)
                 if parent is None:
-                    parent = nodes[pair] = node_hash(*pair)
+                    parent = node_hash(*pair)
+                    if shared:
+                        nodes[pair] = parent
                 node = parent
             index >>= 1
             n = (n + 1) >> 1

@@ -24,6 +24,13 @@ decoded share that differs from the present cell afresh, without storing
 it. Grids are not kept: prove_share rebuilds one axis tree at a time.
 Share proofs are checked in batches (verify_share_merkle_proofs) with
 exactly the per-proof accept set.
+
+The 3k rule: 3k axes fix the rest. When every row and every column < k
+decodes to exactly its cells, each column >= k is, by the row code's
+linearity, a combination of codewords, hence a codeword itself, and its
+decode would return its cells unchanged. recover_matrix therefore checks
+such a column's root without decoding it, so checking a complete matrix
+takes 3k decodes, not 4k, with the same verdicts, faults and hash counts.
 """
 
 from __future__ import annotations
@@ -276,13 +283,14 @@ def verify_share_merkle_proofs(
 
     Every root-tree path is checked in one merkle batch, where the
     identical ones fold once, and the axis paths in one batch per axis
-    root; all of them share memo (a fresh one by default).
+    root; all of them share memo (a fresh one by default, none for one
+    item, which has nothing to share).
     """
     try:
         w = matrix_width_for(data_length)
     except ValueError:
         return not items  # no item can pass
-    if memo is None:
+    if memo is None and len(items) > 1:
         memo = merkle.HashMemo()
     tops = []
     axes: dict[bytes, list[tuple[bytes, MerkleProof, int]]] = {}
@@ -396,32 +404,38 @@ def _decode_axis(
     commitment: DataCommitment,
     grid: list[list[Optional[bytes]]],
     filled_by: dict[tuple[int, int], tuple[int, list[bytes]]],
-) -> tuple[Optional[list[bytes]], list[bytes], Optional[CodecFault]]:
+    codeword: bool = False,
+) -> tuple[Optional[list[bytes]], list[bytes], Optional[CodecFault], bool]:
     """Decode one axis from its k best inputs and check the committed root.
 
-    Returns the decoded content and its leaf digests, or a fault. grid is
-    recover_matrix's digest grid (see there). filled_by maps each
-    recovered cell to (axis that filled it, that axis's leaf digests); a
-    fault proves such inputs through that axis.
+    The inputs are the first k present cells, those received before those
+    recovery filled, each in position order. Returns the decoded content,
+    its leaf digests, a fault or None, and whether the content equals
+    every present cell. grid is recover_matrix's digest grid (see there).
+    filled_by maps each recovered cell to (axis that filled it, that axis's
+    leaf digests); a fault proves such inputs through that axis. With
+    codeword, the caller knows the axis is complete and a codeword, which
+    its decode would return unchanged, so it is not decoded.
     """
     k = partial.k
     cells = _axis_cells(partial, axis, j)
-    candidates = [pos for pos, cell in enumerate(cells) if cell is not None]
-    if len(candidates) < k:
-        return None, [], None
-    # prefer cells that arrived with a proof origin over recovered fills
-    def origin_of(pos: int) -> Optional[int]:
-        x, y = (j, pos) if axis == ROW else (pos, j)
-        return partial.origins[x][y]
-
-    candidates.sort(key=lambda pos: (origin_of(pos) is None, pos))
-    chosen = sorted(candidates[:k])
-    decoded = rs_decode([(pos, cells[pos]) for pos in chosen], k)
+    received = []
+    filled = []
+    for pos, cell in enumerate(cells):
+        if cell is not None:
+            x, y = (j, pos) if axis == ROW else (pos, j)
+            (received if partial.origins[x][y] is not None else filled).append(pos)
+    if len(received) + len(filled) < k:
+        return None, [], None, False
+    chosen = sorted((received + filled)[:k])
+    decoded = cells if codeword else rs_decode([(pos, cells[pos]) for pos in chosen], k)
+    exact = True
     digests = []
     for pos, share in enumerate(decoded):
         x, y = (j, pos) if axis == ROW else (pos, j)
         if cells[pos] is not None and cells[pos] != share:
             digests.append(merkle.leaf_hash(share))
+            exact = False
             continue
         digest = grid[x][y]
         if digest is None:
@@ -440,8 +454,9 @@ def _decode_axis(
                 proof = _fill_proof(commitment, x, y, origin, filler)
             triples.append((cells[pos], pos, ROW if origin is None else origin))
             proofs.append(proof)
-        return None, [], CodecFault(axis, j, committed_root, tuple(triples), tuple(proofs))
-    return decoded, digests, None
+        fault = CodecFault(axis, j, committed_root, tuple(triples), tuple(proofs))
+        return None, [], fault, exact
+    return decoded, digests, None, exact
 
 
 def recover_matrix(
@@ -460,12 +475,24 @@ def recover_matrix(
     computes for a present cell or fills into a hole. A decoded share that
     differs from the present cell is hashed afresh and never stored, so a
     grid digest is always that of its cell's bytes.
+
+    Once the matrix is complete, every axis that peeling did not decode is
+    checked, rows first, then columns by index. A column c >= k is not
+    decoded once every row and every column < k has decoded to exactly its
+    cells (3k decodes for a complete matrix, not 4k). The rule is exact:
+    those rows are codewords, so each cell of column c is one fixed linear
+    combination of the same row's cells in columns < k, which makes column
+    c the same combination of the codewords in columns < k, hence a
+    codeword, and its decode would return its cells unchanged. Its root is
+    still checked, from the grid digests, and a fault carries the inputs a
+    decode would have chosen.
     """
     if commitment.matrix_width != partial.width:
         raise ValueError("commitment width does not match matrix")
     w = partial.width
     k = partial.k
     verified = [[False] * w for _ in range(2)]  # [axis][j]
+    exact = [[False] * w for _ in range(2)]  # decoded to exactly its present cells
     grid: list[list[Optional[bytes]]] = [[None] * w for _ in range(w)]
     filled_by: dict[tuple[int, int], tuple[int, list[bytes]]] = {}
 
@@ -482,7 +509,7 @@ def recover_matrix(
                     continue
                 if w - len(holes) < k:
                     continue
-                decoded, digests, fault = _decode_axis(
+                decoded, digests, fault, exact[axis][j] = _decode_axis(
                     partial, axis, j, commitment, grid, filled_by
                 )
                 if fault is not None:
@@ -504,7 +531,10 @@ def recover_matrix(
         for j in range(w):
             if verified[axis][j]:
                 continue
-            _, _, fault = _decode_axis(partial, axis, j, commitment, grid, filled_by)
+            codeword = axis == COLUMN and j >= k and all(exact[ROW]) and all(exact[COLUMN][:k])
+            _, _, fault, exact[axis][j] = _decode_axis(
+                partial, axis, j, commitment, grid, filled_by, codeword
+            )
             if fault is not None:
                 return fault
 

@@ -1,6 +1,11 @@
 """Reference implementations that check daproofs: slow or random ones
 that have no place at run time.
 
+- interpolation_matrix, gf_matmul, lagrange_codeword: the closed-form
+  Lagrange matrix and its GF(2^16) product, O(k^2) per pattern, the
+  oracle for erasure's FFT evaluators.
+- recover_every_axis: recover_matrix without the digest grid or the 3k
+  rule, decoding every axis and leaf-hashing every decoded share.
 - merkle_proof_verifies, share_proof_verifies: one proof at a time, with
   no memo and hashlib spelled out, the oracles for the batched
   merkle.verify_merkle_proofs and rs2d.verify_share_merkle_proofs.
@@ -20,6 +25,7 @@ from typing import Optional
 
 import numpy as np
 
+from daproofs import erasure, merkle, rs2d
 from daproofs.merkle import DIGEST_SIZE, MerkleProof
 from daproofs.rs2d import ShareProof, matrix_width_for
 from daproofs.prob import (
@@ -29,6 +35,44 @@ from daproofs.prob import (
     sample_distinct,
     unavailable_minimum,
 )
+
+
+def gf_matmul(matrix: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """GF(2^16) matrix product: (m, k) x (k, lanes) -> (m, lanes)."""
+    out = np.zeros((matrix.shape[0], data.shape[1]), dtype=np.uint16)
+    log_rows = erasure._LOG_PAD[matrix]  # (m, k)
+    log_data = erasure._LOG_PAD[data]  # (k, lanes)
+    for i in range(matrix.shape[1]):
+        out ^= erasure._EXP_PAD[log_rows[:, i, None] + log_data[None, i, :]]
+    return out
+
+
+def interpolation_matrix(xs: tuple[int, ...], targets: tuple[int, ...]) -> np.ndarray:
+    """Rows evaluate the polynomial through points xs at each target.
+
+    Entry [t, m] is L_m(t) = prod_j (t ^ x_j) / ((t ^ x_m) prod_{j!=m} (x_m ^ x_j)), one
+    antilog of a log sum: no target is in xs, and x_m ^ x_m = 0 adds LOG[0] = 0.
+    """
+    support = np.array(xs, dtype=np.int64)
+    diff_logs = erasure._LOG[np.bitwise_xor.outer(np.array(targets, dtype=np.int64), support)]
+    numer = diff_logs.sum(axis=1, dtype=np.int64)
+    denom = erasure._LOG[np.bitwise_xor.outer(support, support)].sum(axis=1, dtype=np.int64)
+    exponents = (numer[:, None] - diff_logs - denom[None, :]) % 65535
+    return erasure._EXP[exponents].astype(np.uint16)
+
+
+def lagrange_codeword(present: list[tuple[int, bytes]], k: int) -> list[bytes]:
+    """rs_decode through the Lagrange matrix: interpolate through the first
+    k shares by position and evaluate every other position."""
+    chosen = sorted(present)[:k]
+    xs = tuple(pos for pos, _ in chosen)
+    targets = tuple(pos for pos in range(2 * k) if pos not in xs)
+    symbols = erasure._shares_to_symbols([sh for _, sh in chosen])
+    codeword = dict(zip(targets, erasure._symbols_to_shares(
+        gf_matmul(interpolation_matrix(xs, targets), symbols)
+    )))
+    codeword.update(chosen)
+    return [codeword[pos] for pos in range(2 * k)]
 
 
 def merkle_proof_verifies(
@@ -147,3 +191,75 @@ def mc_pc(
     rng = np.random.default_rng(seed)
     successes = rng.binomial(c, hit, size=trials)
     return float(np.mean(successes > c_hat))
+
+
+def recover_every_axis(
+    partial: rs2d.PartialMatrix, commitment: rs2d.DataCommitment
+) -> rs2d.ExtendedMatrix | rs2d.CodecFault:
+    """recover_matrix as the plain rule: peel axis by axis, then decode
+    every axis peeling left undecoded, each through the Lagrange oracle,
+    with every root built from the decoded shares' own leaf hashes."""
+    k, w = partial.k, partial.width
+
+    def at(axis: int, j: int, pos: int) -> tuple[int, int]:
+        return (j, pos) if axis == rs2d.ROW else (pos, j)
+
+    def axis_cells(axis: int, j: int) -> list[Optional[bytes]]:
+        return [partial.cells[x][y] for x, y in (at(axis, j, pos) for pos in range(w))]
+
+    def received(axis: int, j: int, pos: int) -> bool:
+        x, y = at(axis, j, pos)
+        return partial.origins[x][y] is not None
+
+    filled_by: dict[tuple[int, int], tuple[int, list[bytes]]] = {}
+
+    def decode(axis: int, j: int) -> tuple[list[bytes], Optional[rs2d.CodecFault]]:
+        cells = axis_cells(axis, j)
+        present = [pos for pos in range(w) if cells[pos] is not None]
+        present.sort(key=lambda pos: (not received(axis, j, pos), pos))
+        chosen = sorted(present[:k])
+        decoded = lagrange_codeword([(pos, cells[pos]) for pos in chosen], k)
+        root = commitment.axis_root(axis, j)
+        if merkle.MerkleTree(decoded).root == root:
+            return decoded, None
+        shares, proofs = [], []
+        for pos in chosen:
+            x, y = at(axis, j, pos)
+            origin, proof = partial.origins[x][y], partial.proofs[x][y]
+            if origin is None and (x, y) in filled_by:
+                origin, content = filled_by[(x, y)]
+                fill_j, fill_pos = (x, y) if origin == rs2d.ROW else (y, x)
+                proof = commitment.share_proof(
+                    origin, fill_j, merkle.MerkleTree(content).prove(fill_pos)
+                )
+            shares.append((cells[pos], pos, rs2d.ROW if origin is None else origin))
+            proofs.append(proof)
+        return decoded, rs2d.CodecFault(axis, j, root, tuple(shares), tuple(proofs))
+
+    decoded_axes = set()
+    changed = True
+    while changed:
+        changed = False
+        for axis in (rs2d.ROW, rs2d.COLUMN):
+            for j in range(w):
+                holes = [pos for pos, cell in enumerate(axis_cells(axis, j)) if cell is None]
+                if (axis, j) in decoded_axes or not holes or w - len(holes) < k:
+                    continue
+                decoded, fault = decode(axis, j)
+                if fault is not None:
+                    return fault
+                for pos in holes:
+                    x, y = at(axis, j, pos)
+                    partial.cells[x][y] = decoded[pos]
+                    filled_by[(x, y)] = (axis, decoded)
+                decoded_axes.add((axis, j))
+                changed = True
+    if partial.missing():
+        raise erasure.Unrecoverable("peeling stalled with cells absent")
+    for axis in (rs2d.ROW, rs2d.COLUMN):
+        for j in range(w):
+            if (axis, j) not in decoded_axes:
+                _, fault = decode(axis, j)
+                if fault is not None:
+                    return fault
+    return rs2d.ExtendedMatrix(k, partial.share_size, [list(row) for row in partial.cells])

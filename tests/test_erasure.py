@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from daproofs import erasure
 from daproofs.erasure import Unrecoverable, gf_inv, gf_mul, rs_decode, rs_encode
+from tests.oracles import gf_matmul, interpolation_matrix, lagrange_codeword
 
 
 def slow_gf_mul(a, b):
@@ -166,14 +167,14 @@ def oracle_decode(present, k):
     chosen = sorted(present, key=lambda item: item[0])[:k]
     xs = tuple(pos for pos, _ in chosen)
     symbols = erasure._shares_to_symbols([sh for _, sh in chosen])
-    evaluated = erasure._matmul(oracle_matrix(xs, tuple(range(2 * k))), symbols)
+    evaluated = gf_matmul(oracle_matrix(xs, tuple(range(2 * k))), symbols)
     return erasure._symbols_to_shares(evaluated)
 
 
 def oracle_encode(data):
     k = len(data)
     symbols = erasure._shares_to_symbols(data)
-    parity = erasure._matmul(oracle_matrix(tuple(range(k)), tuple(range(k, 2 * k))), symbols)
+    parity = gf_matmul(oracle_matrix(tuple(range(k)), tuple(range(k, 2 * k))), symbols)
     return list(data) + erasure._symbols_to_shares(parity)
 
 
@@ -206,7 +207,7 @@ def test_codec_matches_all_points_oracle(k, lanes, rng):
 def test_closed_form_matrix_matches_scalar_builder(k, rng):
     xs = tuple(rng.sample(range(2 * k), k))
     targets = tuple(pos for pos in range(2 * k) if pos not in xs)
-    assert np.array_equal(erasure._interpolation_matrix(xs, targets), oracle_matrix(xs, targets))
+    assert np.array_equal(interpolation_matrix(xs, targets), oracle_matrix(xs, targets))
 
 
 # --- The additive FFT: the two half-to-half patterns at power-of-two k. ----
@@ -244,14 +245,27 @@ def test_half_to_half_fft_matches_oracle(k, lanes, from_parity, rng):
         assert decoded[corrupted] != dict(present)[corrupted]
 
 
-def test_half_to_half_patterns_skip_lagrange():
+def test_half_to_half_patterns_skip_general_evaluator(monkeypatch):
+    general = erasure._evaluate_erasures
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return general(*args)
+
+    monkeypatch.setattr(erasure, "_evaluate_erasures", counted)
     rng = random.Random(3)
     k = 64
     data = [rng.randbytes(16) for _ in range(k)]
-    before = erasure._interpolation_matrix.cache_info()
     codeword = rs_encode(data)
     assert rs_decode(list(enumerate(codeword))[k:], k) == codeword
-    assert erasure._interpolation_matrix.cache_info() == before
+    assert rs_decode(list(enumerate(codeword))[: k + 3], k) == codeword
+    assert calls == []
+    # the general evaluator serves every other pattern, and every k that is
+    # not a power of two
+    assert rs_decode(list(enumerate(codeword))[1 : k + 1], k) == codeword
+    rs_encode(data[:-1])
+    assert calls == [tuple(range(1, k + 1)), tuple(range(k - 1))]
 
 
 def subspace_lagrange_at(values, target):
@@ -279,3 +293,66 @@ def test_max_k_encode_and_decode_from_parity():
     for target in [k, k + 1, *rng.sample(range(k, 2 * k), 4), 2 * k - 1]:
         assert int.from_bytes(codeword[target], "big") == subspace_lagrange_at(values, target)
     assert rs_decode(list(enumerate(codeword))[k:], k) == codeword
+
+
+# --- The general evaluator: every other pattern, against Lagrange. ---------
+
+
+@settings(max_examples=80)
+@given(
+    st.one_of(st.integers(min_value=1, max_value=24), st.sampled_from([32, 64, 100, 128])),
+    st.integers(min_value=1, max_value=4),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_fft_evaluator_matches_lagrange_oracle(k, lanes, arbitrary, rng):
+    """Random patterns of k..2k shares: from a codeword with some extras
+    corrupted, or arbitrary symbols, as a codec fraud proof may carry."""
+    data = [rng.randbytes(2 * lanes) for _ in range(k)]
+    codeword = rs_encode(data)
+    positions = rng.sample(range(2 * k), rng.randint(k, 2 * k))
+    extras = sorted(positions)[k:]
+    corrupted = set(rng.sample(extras, rng.randint(0, len(extras))))
+    if arbitrary:
+        present = [(pos, rng.randbytes(2 * lanes)) for pos in positions]
+    else:
+        present = [
+            (pos, bytes([codeword[pos][0] ^ 0x40]) + codeword[pos][1:] if pos in corrupted
+             else codeword[pos])
+            for pos in positions
+        ]
+    decoded = rs_decode(present, k)
+    assert decoded == lagrange_codeword(present, k)
+    if not arbitrary:
+        assert decoded == codeword
+        assert all(decoded[pos] != share for pos, share in present if pos in corrupted)
+
+
+def lagrange_at(xs, values, target):
+    """P(target) for P of degree below len(xs) through (xs[m], values[m]),
+    as the Lagrange sum in logs; the denominators in chunks of 256 rows."""
+    xs = np.asarray(xs, dtype=np.int64)
+    log_denoms = np.concatenate([
+        erasure._LOG[xs[start : start + 256, None] ^ xs[None, :]].sum(axis=1, dtype=np.int64)
+        for start in range(0, len(xs), 256)
+    ])
+    diff_logs = erasure._LOG[target ^ xs].astype(np.int64)
+    exponents = (int(diff_logs.sum()) - diff_logs - log_denoms) % 65535
+    terms = erasure._EXP_PAD[erasure._LOG_PAD[np.asarray(values)] + exponents]
+    return int(np.bitwise_xor.reduce(terms))
+
+
+def test_random_pattern_at_k4096():
+    k = 4096
+    rng = random.Random(21)
+    codeword = rs_encode([rng.randbytes(4) for _ in range(k)])
+    positions = rng.sample(range(2 * k), k)
+    assert rs_decode([(pos, codeword[pos]) for pos in positions], k) == codeword
+    given_shares = [(pos, rng.randbytes(2)) for pos in positions]
+    decoded = rs_decode(given_shares, k)
+    assert all(decoded[pos] == share for pos, share in given_shares)
+    xs = [pos for pos, _ in given_shares]
+    values = [int.from_bytes(share, "big") for _, share in given_shares]
+    missing = sorted(set(range(2 * k)).difference(xs))
+    for target in [missing[0], missing[-1], *rng.sample(missing, 3)]:
+        assert int.from_bytes(decoded[target], "big") == lagrange_at(xs, values, target)

@@ -24,7 +24,7 @@ from daproofs.rs2d import (
     verify_share_merkle_proof,
     verify_share_merkle_proofs,
 )
-from tests.oracles import share_proof_verifies
+from tests.oracles import recover_every_axis, share_proof_verifies
 
 
 def random_shares(rng, count, size=8):
@@ -283,6 +283,99 @@ def test_recovery_of_complete_matrix_hashes_each_cell_once(k, merkle_hashes):
     leaves_hashed.clear()
     assert recover_matrix(partial, commitment) == matrix
     assert sum(leaves_hashed.values()) == (2 * k) ** 2
+
+
+@pytest.mark.parametrize("k", [4, 8])
+def test_complete_matrix_check_makes_3k_decodes(k, merkle_hashes, monkeypatch):
+    leaves_hashed, nodes_hashed = merkle_hashes
+    decode = rs2d.rs_decode
+    decodes = []
+
+    def counted_decode(present, k):
+        decodes.append([pos for pos, _ in present])
+        return decode(present, k)
+
+    monkeypatch.setattr(rs2d, "rs_decode", counted_decode)
+    matrix, commitment = build(k=k, seed=k)
+    partial = PartialMatrix.from_matrix(matrix)
+    leaves_hashed.clear()
+    nodes_hashed.clear()
+    assert recover_matrix(partial, commitment) == matrix
+    w = 2 * k
+    # every row and every column < k, each from its first k cells
+    assert decodes == [list(range(k))] * (3 * k)
+    assert sum(leaves_hashed.values()) == w * w
+    assert sum(nodes_hashed.values()) == 2 * w * (w - 1)
+
+
+def copy_partial(partial):
+    copy = PartialMatrix(partial.k, partial.share_size)
+    copy.cells = [list(row) for row in partial.cells]
+    copy.origins = [list(row) for row in partial.origins]
+    copy.proofs = [list(row) for row in partial.proofs]
+    return copy
+
+
+PLANTED_FAULTS = (
+    "parity_cell_before_commit",
+    "present_cell_differs",
+    "wrong_column_root",
+    "parity_row_disagrees_with_columns",
+)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_recovery_matches_every_axis_oracle(data):
+    """recover_matrix, with its digest grid and its 3k rule, returns what
+    decoding every axis returns: the same cells, or the same fault with
+    the same inputs and proofs."""
+    k = data.draw(st.integers(2, 8), label="k")
+    w = 2 * k
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    matrix = extend_shares(random_shares(rng, k * k, 4), k, 4)
+    planted = data.draw(st.sampled_from(PLANTED_FAULTS), label="planted")
+    x, y = data.draw(st.tuples(st.integers(0, w - 1), st.integers(0, w - 1)))
+    if planted == "parity_cell_before_commit" and x < k and y < k:
+        y += k
+    if planted == "parity_row_disagrees_with_columns" and x < k:
+        x += k
+    c = data.draw(st.integers(k, w - 1), label="c")
+    tampered = ExtendedMatrix(k, 4, [list(row) for row in matrix.cells])
+    tampered.cells[x][y] = bytes([matrix.cells[x][y][0] ^ 1]) + matrix.cells[x][y][1:]
+    honest = commit(matrix)
+    if planted == "parity_cell_before_commit":
+        shown, commitment = tampered, commit(tampered)
+    elif planted == "present_cell_differs":
+        shown, commitment = tampered, honest
+    elif planted == "parity_row_disagrees_with_columns":
+        # every row a codeword under its root, and the column roots those of
+        # the honest columns: columns < k pass their roots but not exactly
+        tampered.cells[x] = rs_encode(random_shares(rng, k, 4))
+        shown = tampered
+        commitment = DataCommitment(commit(tampered).row_roots, honest.column_roots)
+    else:
+        roots = honest.column_roots
+        shown = matrix
+        commitment = DataCommitment(honest.row_roots, roots[:c] + (bytes(32),) + roots[c + 1 :])
+    cells = st.tuples(st.integers(0, w - 1), st.integers(0, w - 1))
+    # more than k cells of column c withheld: the rows fill them, and the
+    # column is checked from received and filled inputs
+    column_rows = st.lists(st.integers(0, w - 1), unique=True, min_size=k + 1, max_size=w)
+    withheld = data.draw(st.one_of(
+        st.just([]),
+        st.lists(cells, unique=True, max_size=k * k),
+        column_rows.map(lambda rows: [(row, c) for row in rows]),
+    ))
+    partial = PartialMatrix.from_matrix(shown, withheld, with_proofs=data.draw(st.booleans()))
+
+    def outcome(recover):
+        try:
+            return recover(copy_partial(partial), commitment)
+        except Unrecoverable:
+            return "unrecoverable"
+
+    assert outcome(recover_matrix) == outcome(recover_every_axis)
 
 
 def test_recovery_random_patterns():
