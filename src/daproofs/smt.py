@@ -11,21 +11,44 @@ least significant) picks the side at height i (leaves at height 0), so a
 1 makes the path node the right child there. StateTree's flush, verify
 and witness seeding all fold the path by this rule.
 
-Only non-default nodes are stored, and the root is lazy: an update marks
-its key's path dirty, and the next root, prove or copy rehashes each
-dirty node once. The flush rule: dirty keys go from the largest down, and
-each climbs alone from its leaf to just below the height where its path
-meets the next smaller dirty key's; the smallest climbs to the root. The
-other child of every node a key hashes is then either clean or already
-finished by a larger key, and each dirty node is hashed exactly once, by
-the smallest key beneath it. d updates cost at most 257·d hashes whatever
-the population, fewer where paths share nodes. A witness subtree is the
-same StateTree holding only the nodes its proofs reveal.
+A present key's run is the part of its path that holds no other key:
+its leaf digest, then the node digests up to height L - 1, where L is the
+lowest height at which its path meets another present key (L = 257 for a
+lone key, whose run ends at the root). Each run is kept as one bytes value
+of 32·L bytes; the node dict keeps only the nodes with two or more keys
+below them and the top node of each run. Empty nodes are never stored.
+That is every non-empty sibling a proof reads: a present key's siblings
+below its run top are empty, and a non-empty sibling from there up holds
+either two or more keys or exactly one, whose run tops out there because
+its path meets this one a level higher. An absent key's proof reads one
+sibling inside a run at most, where its path first meets a present key,
+and slices it from that run.
+
+The root is lazy: an update marks its key's path dirty, and the next
+root, prove or copy rehashes each dirty node once. The flush rule: dirty
+keys go from the largest down, and each climbs alone from its leaf to
+just below the height where its path meets the next smaller dirty key's;
+the smallest climbs to the root. The other child of every node a key
+hashes is then either clean or already finished by a larger key, and each
+dirty node is hashed exactly once, by the smallest key beneath it. Within
+its run a key's siblings are known to be empty, so that part of the climb
+reads and stores no node and ends in one join. A new key that meets a run
+below its top splits it: the new top is a slice of the run, so nothing is
+rehashed. Deleting a key's nearest neighbour extends its run with the
+nodes it now holds alone, which the deleted key's climb has just hashed. A
+key absent both now and at the last flush changes no node and is not
+climbed. d updates cost at most 257·d hashes whatever the population,
+fewer where paths share nodes.
+
+A witness subtree is the same StateTree holding only the nodes its proofs
+reveal. It cannot tell where an unproven key's path meets its own, so it
+keeps no runs: every node stays in the dict, as do its copies'.
 """
 
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -103,15 +126,20 @@ class SparseProof:
 class StateTree:
     """Mutable key-value map with a lazily rehashed root.
 
-    Non-default internal nodes are kept in a dict keyed by (level, prefix),
-    where level counts bits consumed from the root (leaves at level 256)
-    and prefix is the integer value of those bits; keys written since the
-    last flush wait in _dirty.
+    Nodes are addressed by (level, prefix), where level counts bits
+    consumed from the root (leaves at level 256) and prefix is the integer
+    value of those bits. _nodes holds the nodes with two or more keys below
+    them and the top node of every run; _runs maps each present key's path
+    (as an integer) to its run, and _paths lists those paths in order. Keys
+    written since the last flush wait in _dirty.
     """
 
     def __init__(self) -> None:
         self._values: dict[bytes, bytes] = {}
         self._nodes: dict[tuple[int, int], bytes] = {}
+        self._runs: dict[int, bytes] = {}
+        # None keeps no runs, so every node stays in _nodes (witness subtrees)
+        self._paths: Optional[list[int]] = []
         self._dirty: set[bytes] = set()
 
     def copy(self) -> "StateTree":
@@ -119,6 +147,8 @@ class StateTree:
         dup = StateTree()
         dup._values = self._values.copy()
         dup._nodes = self._nodes.copy()
+        dup._runs = self._runs.copy()
+        dup._paths = None if self._paths is None else self._paths.copy()
         return dup
 
     def root(self) -> bytes:
@@ -145,18 +175,81 @@ class StateTree:
             self._values[key] = bytes(value)
         self._dirty.add(key)
 
+    def _neighbours(self, path: int) -> list[int]:
+        """The present paths just below and just above path, path itself excluded."""
+        paths = self._paths
+        assert paths is not None
+        i = bisect_left(paths, path)
+        j = i + 1 if i < len(paths) and paths[i] == path else i
+        return paths[max(i - 1, 0) : i] + paths[j : j + 1]
+
+    def _meeting(self, path: int) -> tuple[int, Optional[int]]:
+        """Lowest height at which path meets another present key, and that
+        key's path; (DEPTH + 1, None) when no other key is present. For a
+        present key this height is its run length."""
+        return min(
+            (((path ^ other).bit_length(), other) for other in self._neighbours(path)),
+            default=(DEPTH + 1, None),
+        )
+
+    def _restructure(
+        self, keys: list[bytes]
+    ) -> tuple[list[tuple[bytes, int, int]], list[tuple[int, int, int]]]:
+        """Bring _paths to the dirty keys' new presence and split each clean
+        run that a new key meets. Return the dirty keys to climb, in order,
+        with their paths and new run lengths (0 if absent or if no runs are
+        kept), and for every run the flush must then extend or clear above,
+        its path, new length and the height where that path met the tree
+        before (a present key's old length). A key absent both now and at
+        the last flush changes no node, so it is not climbed."""
+        values, nodes, runs, order = self._values, self._nodes, self._runs, self._paths
+        paths = [int.from_bytes(key, "big") for key in keys]
+        if order is None:
+            return [
+                (key, path, 0)
+                for key, path in zip(keys, paths)
+                if key in values or (DEPTH, path) in nodes
+            ], []
+        # the height where each path met the tree before: no node below it was stored
+        olds = [self._meeting(path)[0] for path in paths]
+        changed = set()
+        for key, path in zip(keys, paths):
+            if (key in values) != (path in runs):
+                changed.add(path)
+                if key in values:
+                    insort(order, path)
+                else:
+                    del order[bisect_left(order, path)], runs[path]
+        climbs, settle = [], []
+        for key, path, old in zip(keys, paths, olds):
+            if key in values:
+                length = self._meeting(path)[0]
+                climbs.append((key, path, length))
+                settle.append((path, length, old))
+            elif path in changed:
+                climbs.append((key, path, 0))
+        for path in {near for path in changed for near in self._neighbours(path)} - set(paths):
+            length, run = self._meeting(path)[0], runs[path]
+            old = len(run) // DIGEST_SIZE
+            if length < old:
+                # split: the new top is a slice of the run, so nothing is rehashed
+                runs[path] = run = run[: length * DIGEST_SIZE]
+                nodes[DEPTH + 1 - length, path >> (length - 1)] = run[-DIGEST_SIZE:]
+            elif length > old:
+                settle.append((path, length, old))
+        return climbs, settle
+
     def _flush(self) -> None:
         """Rehash every node on a dirty path once, by the module's flush rule."""
         if not self._dirty:
             return
         global _hash_invocations
-        nodes, values, empty = self._nodes, self._values, EMPTY_SUBTREE
+        nodes, values, runs, empty = self._nodes, self._values, self._runs, EMPTY_SUBTREE
         get, pop, sha = nodes.get, nodes.pop, hashlib.sha256
-        keys = sorted(self._dirty, reverse=True)
+        climbs, settle = self._restructure(sorted(self._dirty, reverse=True))
         self._dirty.clear()
-        paths = [int.from_bytes(key, "big") for key in keys] + [None]
         hashes = 0
-        for key, path, smaller in zip(keys, paths, paths[1:]):
+        for (key, path, length), smaller in zip(climbs, [c[1] for c in climbs[1:]] + [None]):
             top = DEPTH + 1 if smaller is None else (path ^ smaller).bit_length()
             value = values.get(key, DEFAULT_VALUE)
             if value == DEFAULT_VALUE:
@@ -164,23 +257,52 @@ class StateTree:
                 pop((DEPTH, path), None)
             else:
                 node = sha(_LEAF + key + value).digest()
-                nodes[DEPTH, path] = node
                 hashes += 1
-            level = DEPTH
-            for height in range(1, top):
-                sibling = get((level, path ^ 1), empty[height - 1])
-                if path & 1:
+            level, prefix, start = DEPTH, path, 1
+            if length:
+                # the run: every sibling is empty, so no node is read or
+                # stored below its top (or below the height where the flush
+                # rule hands the climb to a smaller key)
+                start = min(length, top)
+                run = [node]
+                for height in range(1, start):
+                    if prefix & 1:
+                        node = sha(_NODE + empty[height - 1] + node).digest()
+                    else:
+                        node = sha(_NODE + node + empty[height - 1]).digest()
+                    prefix >>= 1
+                    run.append(node)
+                runs[path] = b"".join(run)
+                level -= start - 1
+                nodes[level, prefix] = node
+            elif value != DEFAULT_VALUE:
+                nodes[DEPTH, path] = node
+            for height in range(start, top):
+                sibling = get((level, prefix ^ 1), empty[height - 1])
+                if prefix & 1:
                     node = sha(_NODE + sibling + node).digest()
                 else:
                     node = sha(_NODE + node + sibling).digest()
-                path >>= 1
+                prefix >>= 1
                 level -= 1
                 if node == empty[height]:
-                    pop((level, path), None)
+                    pop((level, prefix), None)
                 else:
-                    nodes[level, path] = node
+                    nodes[level, prefix] = node
             hashes += top - 1
         _hash_invocations += hashes
+        for path, length, old in settle:
+            # a run whose climb stopped short takes the nodes that a deleted
+            # key's climb stored above it; then no node below its top stays
+            # stored, neither these nor any from before the flush
+            run = runs[path]
+            have = len(run) // DIGEST_SIZE
+            if have < length:
+                runs[path] = run + b"".join(
+                    [nodes[DEPTH - height, path >> height] for height in range(have, length)]
+                )
+            for height in range(min(old, have) - 1, length - 1):
+                pop((DEPTH - height, path >> height), None)
 
     def prove(self, key: bytes) -> SparseProof:
         """Proof for key's current value (the default value if absent)."""
@@ -189,11 +311,19 @@ class StateTree:
         self._flush()
         path = int.from_bytes(key, "big")
         get = self._nodes.get
-        siblings = tuple(
+        siblings = [
             get((DEPTH - height, (path >> height) ^ 1), EMPTY_SUBTREE[height])
             for height in range(DEPTH)
-        )
-        return SparseProof(key, self.get(key), siblings)
+        ]
+        if self._paths and key not in self._values:
+            # where an absent key's path meets the tree, its sibling may lie
+            # inside a lone key's run
+            height, other = self._meeting(path)
+            height -= 1
+            if other is not None and (DEPTH - height, (path >> height) ^ 1) not in self._nodes:
+                run = self._runs[other]
+                siblings[height] = run[height * DIGEST_SIZE : (height + 1) * DIGEST_SIZE]
+        return SparseProof(key, self.get(key), tuple(siblings))
 
 
 def _path_digests(key: bytes, value: bytes, proof: SparseProof) -> Optional[list[bytes]]:
@@ -251,6 +381,7 @@ class WitnessSubtree(StateTree):
 
     def __init__(self, root_digest: bytes) -> None:
         super().__init__()
+        self._paths = None
         self._covered: set[bytes] = set()
         if root_digest != EMPTY_SUBTREE[DEPTH]:
             self._nodes[0, 0] = root_digest

@@ -485,6 +485,48 @@ def test_codec_proof_size_at_the_megabyte_block():
     assert codec_proof_size(64, 256) == 52_386
 
 
+def transition_proof_size(k, share_size, shares, witnesses):
+    """Encoded transition-proof bytes at power-of-two k, with L = log2(k):
+    a 47-byte head (tag, block hash, start index, share size, share
+    count); per share, the share, its origin byte and its 164 + 64L-byte
+    proof (axis root, then its proofs in the 2k-cell axis tree and the
+    4k-leaf axis-root tree, each behind an 18-byte size, index and count
+    head); a 2-byte witness count; a 1-byte payout flag; and per witness,
+    the payout witness included, a 2-byte entry count and, per entry with
+    a v-byte value and s non-default siblings, 66 + v + 32s bytes (key,
+    value length, value, sibling bitmap, siblings). witnesses lists each
+    witness's entries as (v, s) pairs."""
+    log_k = k.bit_length() - 1
+    return (
+        50
+        + shares * (share_size + 165 + 64 * log_k)
+        + sum(2 + sum(66 + v + 32 * s for v, s in entries) for entries in witnesses)
+    )
+
+
+@pytest.mark.parametrize("k", [4, 8, 16])
+@pytest.mark.parametrize("corrupt", ["trace", "header"])
+def test_transition_proof_size_closed_form(k, corrupt):
+    tree, keys = funded_state()
+    built = build_block(
+        genesis_header(tree), tree, transfer_chain(keys, 25, random.Random(k)),
+        k=k, share_size=SHARE_SIZE, p=P, mode="invalid-transition", corrupt=corrupt,
+    )
+    proof = generate_transition_fraud_proof(built, tree)
+    witnesses = proof.witnesses + (() if proof.payout_witness is None else (proof.payout_witness,))
+    assert (proof.payout_witness is None) == (corrupt == "trace")
+    entries = [
+        [
+            (len(value), sum(sib != smt.EMPTY_SUBTREE[i] for i, sib in enumerate(sparse.siblings)))
+            for _, value, sparse in witness.entries
+        ]
+        for witness in witnesses
+    ]
+    assert len(encode_transition_fraud_proof(proof)) == transition_proof_size(
+        k, SHARE_SIZE, len(proof.shares), entries
+    )
+
+
 def test_verifier_rejects_share_size_below_the_framing_minimum():
     # 4-byte shares commit fine but cannot frame messages; the share proof
     # is valid, so only the parser sees the bad size, and it must not raise

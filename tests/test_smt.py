@@ -3,7 +3,7 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from daproofs import smt
@@ -17,6 +17,7 @@ from daproofs.smt import (
     WitnessSubtree,
     hash_invocations,
 )
+from daproofs.state import FEES_KEY
 
 
 def rand_key(rng):
@@ -295,6 +296,49 @@ def _outcome(call):
         return WitnessError
 
 
+def _node_map(tree):
+    """Every node a flushed tree keeps, with each run spelled out node by
+    node, after checking the storage rule: a present key's run reaches just
+    below the lowest height where its path meets another key, its top and
+    the nodes with two or more keys below are in _nodes, and nothing else is."""
+    paths = sorted(int.from_bytes(key, "big") for key in tree._values)
+    if tree._paths is None:
+        assert tree._runs == {}
+        return tree._nodes
+    assert tree._paths == sorted(tree._runs) == paths
+    nodes = dict(tree._nodes)
+    for path, run in tree._runs.items():
+        others = (other for other in paths if other != path)
+        length = min(((path ^ other).bit_length() for other in others), default=DEPTH + 1)
+        assert len(run) == 32 * length
+        for height in range(length):
+            at, digest = (DEPTH - height, path >> height), run[32 * height : 32 * height + 32]
+            if height == length - 1:
+                assert tree._nodes[at] == digest
+            else:
+                assert at not in tree._nodes
+                nodes[at] = digest
+    tops = {
+        (DEPTH + 1 - len(run) // 32, path >> (len(run) // 32 - 1))
+        for path, run in tree._runs.items()
+    }
+    for level, prefix in tree._nodes.keys() - tops:
+        assert sum(path >> (DEPTH - level) == prefix for path in paths) >= 2
+    return nodes
+
+
+def _assert_same_nodes(tree, oracle):
+    """The flushed tree keeps exactly the oracle's nodes. The maps are
+    compared before the assert, so a failure names a few differing nodes
+    instead of printing both maps."""
+    nodes = _node_map(tree)
+    differ = sorted(
+        at for at in nodes.keys() | oracle._nodes.keys() if nodes.get(at) != oracle._nodes.get(at)
+    )
+    count = len(differ)
+    assert count == 0, f"{count} nodes differ, first (level, prefix): {differ[:4]}"
+
+
 def _check_step(lazy, eager, op, pool=KEY_POOL):
     """Run op on both trees, compare what it returns, then compare the lazy
     tree's flushed state with the oracle's without flushing the lazy tree."""
@@ -319,7 +363,7 @@ def _check_step(lazy, eager, op, pool=KEY_POOL):
         assert _outcome(lambda: lazy.get(key)) == _outcome(lambda: eager.get(key))
     flushed = copy.deepcopy(lazy)
     assert flushed.root() == eager.root()
-    assert flushed._nodes == eager._nodes
+    _assert_same_nodes(flushed, eager)
 
 
 @settings(max_examples=60)
@@ -417,16 +461,21 @@ def test_lazy_witness_matches_eager_oracle_on_nested_merges(contents, covered, o
         _check_wide_step(lazy, eager, op)
 
 
-def _flush_work(tree):
-    """Hashes one flush needs: each distinct node above the leaves on a
-    dirty path, plus each dirty leaf that holds a value."""
-    paths = [int.from_bytes(key, "big") for key in tree._dirty]
-    nodes = {(height, path >> height) for path in paths for height in range(1, DEPTH + 1)}
-    return len(nodes) + sum(key in tree._values for key in tree._dirty)
+def _flush_work(tree, flushed):
+    """Hashes one flush needs: each distinct node above the leaves on the
+    path of a dirty key that holds a value now or held one at the last
+    flush (the keys in flushed), plus each dirty leaf that holds a value."""
+    keys = {key for key in tree._dirty if key in tree._values or key in flushed}
+    nodes = {
+        (height, int.from_bytes(key, "big") >> height)
+        for key in keys
+        for height in range(1, DEPTH + 1)
+    }
+    return len(nodes) + sum(key in tree._values for key in keys)
 
 
-def _assert_flush_work(tree):
-    expected = _flush_work(tree)
+def _assert_flush_work(tree, flushed):
+    expected = _flush_work(tree, flushed)
     before = hash_invocations()
     tree.root()
     assert hash_invocations() - before == expected
@@ -444,10 +493,144 @@ def test_flush_hashes_each_dirty_node_once(contents, covered, writes):
         full.update(WIDE_POOL[index], value)
     entries = [(WIDE_POOL[i], full.get(WIDE_POOL[i]), full.prove(WIDE_POOL[i])) for i in covered]
     subtree = WitnessSubtree.from_entries(full.root(), entries)
+    flushed = {WIDE_POOL[index] for index in contents}
     for index, value in writes:
         full.update(WIDE_POOL[index], value)
         if index in covered:
             subtree.update(WIDE_POOL[index], value)
-    _assert_flush_work(full)
-    _assert_flush_work(subtree)
-    assert _flush_work(subtree) == 0
+    _assert_flush_work(full, flushed)
+    _assert_flush_work(subtree, flushed)
+    assert _flush_work(subtree, flushed) == 0
+
+
+# --- runs: a present key's nodes up to where its path meets another key ----------
+
+
+def _lone_pair(meet):
+    """A key and the key whose path first meets it at height meet."""
+    key = node_hash(b"run", b"lone")
+    return key, (int.from_bytes(key, "big") ^ 1 << (meet - 1)).to_bytes(32, "big")
+
+
+def _run_lengths(tree):
+    return {path: len(run) // 32 for path, run in tree._runs.items()}
+
+
+def test_insert_beside_a_run_splits_it_without_rehashing():
+    lone, beside = _lone_pair(4)
+    tree = StateTree()
+    tree.update(lone, b"lone")
+    tree.root()
+    assert _run_lengths(tree) == {int.from_bytes(lone, "big"): DEPTH + 1}
+    before = hash_invocations()
+    tree.update(beside, b"beside")
+    root = tree.root()
+    # the new key's leaf and its 256 nodes; the lone run is only sliced
+    assert hash_invocations() - before <= 257
+    assert _run_lengths(tree) == {int.from_bytes(key, "big"): 4 for key in (lone, beside)}
+    eager = EagerTree()
+    eager.update(lone, b"lone")
+    eager.update(beside, b"beside")
+    assert root == eager.root()
+    _assert_same_nodes(tree, eager)
+
+
+def test_deleting_the_only_neighbour_extends_the_run():
+    lone, beside = _lone_pair(4)
+    tree = StateTree()
+    tree.update(lone, b"lone")
+    tree.update(beside, b"beside")
+    tree.root()
+    tree.update(beside, b"")
+    _assert_flush_work(tree, {lone, beside})
+    assert _run_lengths(tree) == {int.from_bytes(lone, "big"): DEPTH + 1}
+    alone = EagerTree()
+    alone.update(lone, b"lone")
+    assert tree.root() == alone.root()
+    _assert_same_nodes(tree, alone)
+
+
+def test_new_run_through_deleted_keys_keeps_none_of_their_nodes():
+    # two keys meeting at height 8 are deleted in the flush that inserts a
+    # smaller key beneath them: its run covers every node they shared
+    path = int.from_bytes(node_hash(b"run", b"lone"), "big") & ~(1 << 4 | 1 << 7)
+    key, *pair = ((path | flip).to_bytes(32, "big") for flip in (0, 1 << 4, 1 << 7))
+    tree = StateTree()
+    for other in pair:
+        tree.update(other, b"pair")
+    tree.root()
+    for other in pair:
+        tree.update(other, b"")
+    tree.update(key, b"new")
+    alone = EagerTree()
+    alone.update(key, b"new")
+    assert tree.root() == alone.root()
+    _assert_same_nodes(tree, alone)
+
+
+@pytest.mark.parametrize("meet", [1, 4, 200, DEPTH])
+def test_absent_key_beside_a_run_proves_without_hashing(meet):
+    lone, absent = _lone_pair(meet)
+    tree, eager = StateTree(), EagerTree()
+    for dest in (tree, eager):
+        dest.update(lone, b"lone")
+        dest.update(node_hash(b"run", b"far"), b"far")
+    root = tree.root()
+    before = hash_invocations()
+    proof = tree.prove(absent)
+    assert hash_invocations() == before
+    assert proof.siblings == eager.prove(absent).siblings
+    assert smt.verify(absent, b"", proof, root)
+
+
+def test_copy_keeps_the_original_runs():
+    lone, beside = _lone_pair(9)
+    far = node_hash(b"run", b"far")
+    tree, eager = StateTree(), EagerTree()
+    for dest in (tree, eager):
+        for key in (lone, far):
+            dest.update(key, b"v")
+    root, runs = tree.root(), dict(tree._runs)
+    dup = tree.copy()
+    # split the lone key's run in the copy, extend it again, then rewrite it
+    for key, value in ((beside, b"split"), (far, b""), (lone, b"changed")):
+        dup.update(key, value)
+        dup.root()
+    assert dup.root() != root
+    assert tree.root() == root == eager.root()
+    assert tree._runs == runs
+    _assert_same_nodes(tree, eager)
+
+
+# The replay's key shape: hashed account keys, the fee accumulator that a
+# block's payout deletes and its next transfer re-inserts, and recipients
+# first written mid-block.
+REPLAY_ACCOUNTS = [node_hash(b"replay", i.to_bytes(2, "big")) for i in range(64)]
+REPLAY_RECIPIENTS = [node_hash(b"recipient", bytes([i])) for i in range(8)]
+REPLAY_KEYS = REPLAY_ACCOUNTS + REPLAY_RECIPIENTS + [FEES_KEY]
+REPLAY_VALUE = st.binary(min_size=16, max_size=16)
+REPLAY_WRITE = st.one_of(
+    st.tuples(st.sampled_from(REPLAY_ACCOUNTS + REPLAY_RECIPIENTS), REPLAY_VALUE),
+    st.tuples(st.just(FEES_KEY), st.one_of(st.just(b""), REPLAY_VALUE)),
+)
+
+
+# Hypothesis's explain phase traces every line of each rerun of a failing
+# example; on this test that grew past 2 GB, so a failure is reported
+# without it.
+@settings(max_examples=20, phases=[p for p in Phase if p is not Phase.explain])
+@given(st.lists(st.lists(REPLAY_WRITE, min_size=10, max_size=10), min_size=1, max_size=5))
+def test_replay_shaped_periods_match_eager_oracle(periods):
+    lazy, eager = StateTree(), EagerTree()
+    for key in REPLAY_ACCOUNTS:
+        lazy.update(key, b"genesis")
+        eager.update(key, b"genesis")
+    assert lazy.root() == eager.root()
+    for period in periods:
+        for key, value in period:
+            lazy.update(key, value)
+            eager.update(key, value)
+        assert lazy.root() == eager.root()
+        for key in REPLAY_KEYS:
+            assert lazy.prove(key).siblings == eager.prove(key).siblings
+        _assert_same_nodes(lazy, eager)
