@@ -27,6 +27,14 @@ novel polynomial basis (FOCS 2014), and both O(n log n) per lane:
 Both produce the same bytes, because the polynomial of degree below k
 through k points is unique, and both serve every pattern up to MAX_K.
 
+Batches: both evaluators code every lane on its own, so axes that share
+their k given positions xs (a pattern) go through one call as extra
+lanes, laid out as a (k, axes * lanes) array, with the bytes each would
+get alone. evaluate_axes is that entry point; rs_encode and rs_decode are
+its one-axis case. A call's working array is capped at CALL_SYMBOLS
+symbols, so a wide batch is cut into runs of consecutive axes, one call
+each, and memory stays that of one run whatever the batch's width.
+
 GF(2^16) keeps codewords of length 2k below the field size for k up to
 MAX_K = 16384. Arithmetic runs on log/antilog tables built once at import.
 """
@@ -34,7 +42,8 @@ MAX_K = 16384. Arithmetic runs on log/antilog tables built once at import.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
+from itertools import chain, islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -44,6 +53,15 @@ _PRIMITIVE_POLY = 0x1100B  # x^16 + x^12 + x^3 + x + 1
 _ORDER = FIELD_SIZE - 1
 
 MAX_K = 16384
+
+# The most symbols one evaluator call's working array holds (rows times
+# lanes): evaluate_axes codes as many axes per call as fit, and at least
+# one. A call's temporaries take 8 to 20 bytes per symbol, about 0.3 to
+# 0.6 MB. With 256-byte shares at k=64 that is four axes per half-to-half
+# call and two per general call, whose working array has 2k rows. On the
+# k=64 block, half this cap ran an iteration about 13% slower, and twice it
+# about 4% faster but with a higher peak memory at k=32.
+CALL_SYMBOLS = 1 << 15
 
 
 class Unrecoverable(Exception):
@@ -222,11 +240,9 @@ def _formal_derivative(coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _evaluate_erasures(
-    symbols: np.ndarray, xs: Sequence[int], k: int
-) -> tuple[list[int], np.ndarray]:
-    """The positions of 0..2k-1 outside xs, and the polynomial of degree
-    below k through (xs, symbols) at each of them.
+def _evaluate_erasures(symbols: np.ndarray, xs: Sequence[int], k: int) -> np.ndarray:
+    """The polynomial of degree below k through (xs, symbols) at each
+    position of 0..2k-1 outside xs, in order.
 
     Lin, Al-Naffouri, Han and Chung's erasure decoder on the domain
     {0..N-1}, N the smallest power of two >= 2k; every point outside xs,
@@ -243,42 +259,94 @@ def _evaluate_erasures(
     g[known] = _mul_logs(symbols, logs[known])
     derivative = _fft(_formal_derivative(_inverse_fft(g, 0)), 0)
     targets = np.flatnonzero(erased[: 2 * k])
-    return targets.tolist(), _mul_logs(derivative[targets], _ORDER - logs[targets])
+    return _mul_logs(derivative[targets], _ORDER - logs[targets])
 
 
 def _shares_to_symbols(shares: Sequence[bytes]) -> np.ndarray:
     length = len(shares[0])
     if length == 0 or length % 2:
         raise ValueError("share length must be positive and even")
-    if any(len(sh) != length for sh in shares):
+    if len(set(map(len, shares))) != 1:
         raise ValueError("shares must all have the same length")
     raw = np.frombuffer(b"".join(shares), dtype=">u2")
     return raw.reshape(len(shares), -1).astype(np.uint16)
 
 
-def _symbols_to_shares(symbols: np.ndarray) -> list[bytes]:
+def symbols_to_shares(symbols: np.ndarray) -> list[bytes]:
+    """One share per run of the last axis of symbols, in C order."""
     raw = symbols.astype(">u2").tobytes()
-    width = 2 * symbols.shape[1]
+    width = 2 * symbols.shape[-1]
     return [raw[i : i + width] for i in range(0, len(raw), width)]
+
+
+def erased(xs: Sequence[int], k: int) -> list[int]:
+    """The positions of 0..2k-1 outside xs, in order: where evaluate_axes evaluates."""
+    given = set(xs)
+    return [pos for pos in range(2 * k) if pos not in given]
+
+
+def evaluate_axes(
+    xs: Sequence[int], axes: Iterable[Sequence[bytes]], k: int
+) -> Iterator[np.ndarray]:
+    """For axes that share the given positions xs (k of them, increasing,
+    in [0, 2k)), each given as its k shares at xs, all of one length: the
+    polynomial of degree below k through each axis's shares, at every
+    position erased(xs, k).
+
+    Yields, for each run of consecutive axes, a (k, axes, lanes) uint16
+    array from one evaluator call on the run laid out as (k, axes * lanes).
+    A run is as many axes as keep that call's working array, k rows on
+    the half-to-half path and N on the general one, within CALL_SYMBOLS
+    symbols, and at least one axis. axes is read one run at a time.
+    """
+    xs = tuple(xs)
+    if not 1 <= k <= MAX_K:
+        raise ValueError(f"k must be in 1..{MAX_K}")
+    if len(xs) != k or xs[0] < 0 or xs[-1] >= 2 * k or any(
+        a >= b for a, b in zip(xs, xs[1:])
+    ):
+        raise ValueError("xs must be k increasing positions in [0, 2k)")
+    axes = iter(axes)
+    first = next(axes, None)
+    if first is None:
+        return
+    lanes = len(first[0]) // 2 if first else 0
+    half = k & (k - 1) == 0 and xs[0] in (0, k) and xs[-1] == xs[0] + k - 1
+    rows = k if half else 1 << (2 * k - 1).bit_length()
+    run = max(1, CALL_SYMBOLS // (rows * max(lanes, 1)))
+    axes = chain([first], axes)
+    while batch := list(islice(axes, run)):
+        # the arrays live in _evaluate_run's frame, not this suspended one
+        yield _evaluate_run(xs, batch, k, half)
+
+
+def _evaluate_run(
+    xs: tuple[int, ...], axes: Sequence[Sequence[bytes]], k: int, half: bool
+) -> np.ndarray:
+    """One evaluator call on a run of axes: (k, axes, lanes) values at erased(xs, k)."""
+    if any(len(shares) != k for shares in axes):
+        raise ValueError("each axis needs one share per given position")
+    symbols = _shares_to_symbols([shares[i] for i in range(k) for shares in axes])
+    symbols = symbols.reshape(k, -1)
+    if half:
+        values = _fft(_inverse_fft(symbols, xs[0]), k - xs[0])
+    else:
+        values = _evaluate_erasures(symbols, xs, k)
+    return values.reshape(k, len(axes), -1)
 
 
 def _codeword(given: Sequence[tuple[int, bytes]], k: int) -> list[bytes]:
     """The 2k shares through k given (position, share) pairs, those unchanged."""
-    symbols = _shares_to_symbols([sh for _, sh in given])
-    xs = tuple(pos for pos, _ in given)
-    if k & (k - 1) == 0 and xs[0] in (0, k) and xs == tuple(range(xs[0], xs[0] + k)):
-        other = k - xs[0]
-        targets = tuple(range(other, other + k))
-        evaluated = _fft(_inverse_fft(symbols, xs[0]), other)
-    else:
-        targets, evaluated = _evaluate_erasures(symbols, xs, k)
-    codeword = dict(zip(targets, _symbols_to_shares(evaluated)))
+    xs = [pos for pos, _ in given]
+    (values,) = evaluate_axes(xs, [[sh for _, sh in given]], k)
+    codeword = dict(zip(erased(xs, k), symbols_to_shares(values)))
     codeword.update((pos, bytes(share)) for pos, share in given)
     return [codeword[pos] for pos in range(2 * k)]
 
 
 def rs_encode(data: Sequence[bytes]) -> list[bytes]:
-    """Extend k equal-length shares to a systematic codeword of 2k shares."""
+    """Extend k equal-length shares to a systematic codeword of 2k shares:
+    evaluate_axes for one axis, given at 0..k-1."""
     k = len(data)
     if not 1 <= k <= MAX_K:
         raise ValueError(f"k must be in 1..{MAX_K}")
@@ -286,7 +354,8 @@ def rs_encode(data: Sequence[bytes]) -> list[bytes]:
 
 
 def rs_decode(present: Sequence[tuple[int, bytes]], k: int) -> list[bytes]:
-    """Reconstruct the full 2k-share codeword from any k present shares.
+    """Reconstruct the full 2k-share codeword from any k present shares:
+    evaluate_axes for one axis, given at its first k present positions.
 
     present holds (position, share) pairs with distinct positions in
     [0, 2k). Raises Unrecoverable when fewer than k shares are given.

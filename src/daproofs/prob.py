@@ -317,26 +317,3 @@ def px_complement(s: int, c: int, d: int) -> float:
     """Same probability as 1 - C(s(c-1), d)/C(cs, d)."""
     _check_px_params(s, c, d)
     return float(1 - Fraction(math.comb(s * (c - 1), d), math.comb(c * s, d)))
-
-
-# --- uniform sampling without replacement -------------------------------------
-
-
-def sample_distinct(rng: np.random.Generator, n: int, s: int, trials: int) -> np.ndarray:
-    """(trials, s) matrix of uniform draws without replacement per row."""
-    if not 0 <= s <= n:
-        raise ValueError("need 0 <= s <= n")
-    if s == 0:
-        return np.empty((trials, 0), dtype=np.int64)
-    draws = rng.integers(0, n, size=(trials, s))
-    for _ in range(64):
-        ordered = np.sort(draws, axis=1)
-        dup = (np.diff(ordered, axis=1) == 0).any(axis=1)
-        if not dup.any():
-            return draws
-        draws[dup] = rng.integers(0, n, size=(int(dup.sum()), s))
-    # dense regime: draw by shuffling explicit index rows
-    bad = np.nonzero(dup)[0]
-    for row in bad:
-        draws[row] = rng.permutation(n)[:s]
-    return draws

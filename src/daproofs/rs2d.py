@@ -1,12 +1,13 @@
 """Two-dimensional erasure-coded share matrix with Merkle commitments.
 
 A block of at most k*k shares is arranged into a k x k grid and extended
-three times with the systematic Reed-Solomon codec: every original row is
-extended rightward, every original column downward, and the new bottom
-rows rightward again (which, by linearity, agrees with extending the new
-right columns downward). Each of the 2k rows and 2k columns gets its own
-Merkle root. The data root is the root of the root-level tree over the row
-roots then the column roots; top_index gives an axis root's leaf in it.
+with the systematic Reed-Solomon codec in two batch calls (evaluate_axes):
+the k original rows rightward, then all 2k columns of the top half
+downward. By linearity the bottom-right quadrant this gives is the
+rightward extension of the new bottom rows. Each of the 2k rows and 2k
+columns gets its own Merkle root. The data root is the root of the
+root-level tree over the row roots then the column roots; top_index gives
+an axis root's leaf in it.
 
 Indexing convention: everything is 0-based. The "virtual" data tree has
 data_length = 2 * (2k)^2 leaf slots; slot r*w + c addresses the cell at
@@ -25,6 +26,17 @@ it. Grids are not kept: prove_share rebuilds one axis tree at a time.
 Share proofs are checked in batches (verify_share_merkle_proofs) with
 exactly the per-proof accept set.
 
+Pattern groups: recover_matrix decodes in passes (all rows, then all
+columns, until nothing changes; then the complete-matrix check). The axes
+of one pass are disjoint, so no decode in a pass reads another's fills.
+Within a pass the axes are grouped by their chosen input positions, and
+each group is decoded in evaluate_axes calls of at most CALL_SYMBOLS
+symbols, pulled only when the first axis of a call is checked. The
+results are checked and applied in j order, so the cells filled, the grid
+digests, filled_by and the first fault are those of decoding axis by
+axis; a fault stops the pass before any later call is made. A withheld
+k x k quadrant, for one, leaves its k rows one group.
+
 The 3k rule: 3k axes fix the rest. When every row and every column < k
 decodes to exactly its cells, each column >= k is, by the row code's
 linearity, a combination of codewords, hence a codeword itself, and its
@@ -38,10 +50,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import isqrt
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from . import merkle
-from .erasure import Unrecoverable, rs_decode, rs_encode
+from .erasure import (  # rs_encode re-exported: callers and tools reach the codec here
+    Unrecoverable,
+    erased,
+    evaluate_axes,
+    rs_encode,  # noqa: F401
+    symbols_to_shares,
+)
 from .merkle import MerkleProof
 
 ROW = 0
@@ -183,21 +203,23 @@ def extend_shares(shares: Sequence[bytes], k: int, share_size: int) -> ExtendedM
         if len(sh) != share_size:
             raise ValueError("share has wrong size")
     padded = list(shares) + [b"\x00" * share_size] * (k * k - len(shares))
-    w = 2 * k
-    cells: list[list[Optional[bytes]]] = [[None] * w for _ in range(w)]
-    for r in range(k):
-        extended = rs_encode(padded[r * k : (r + 1) * k])
-        for c in range(w):
-            cells[r][c] = extended[c]
-    for c in range(k):
-        extended = rs_encode([cells[r][c] for r in range(k)])  # type: ignore[list-item]
-        for r in range(k, w):
-            cells[r][c] = extended[r]
-    for r in range(k, w):
-        extended = rs_encode(cells[r][:k])  # type: ignore[arg-type]
-        for c in range(k, w):
-            cells[r][c] = extended[c]
-    return ExtendedMatrix(k, share_size, [list(row) for row in cells])  # type: ignore[arg-type]
+    top = [padded[r * k : (r + 1) * k] for r in range(k)]
+    given = range(k)
+    start = 0
+    for values in evaluate_axes(given, top, k):
+        for parity in _split(symbols_to_shares(values.transpose(1, 0, 2)), k):
+            top[start] = top[start] + parity
+            start += 1
+    bottom: list[list[bytes]] = [[] for _ in range(k)]
+    columns = ([row[c] for row in top] for c in range(2 * k))
+    for values in evaluate_axes(given, columns, k):
+        for row, parity in zip(bottom, _split(symbols_to_shares(values), values.shape[1])):
+            row += parity
+    return ExtendedMatrix(k, share_size, top + bottom)
+
+
+def _split(items: list[bytes], size: int) -> list[list[bytes]]:
+    return [items[i : i + size] for i in range(0, len(items), size)]
 
 
 def extend(raw: bytes, k: int, share_size: int) -> ExtendedMatrix:
@@ -381,10 +403,89 @@ class CodecFault:
     proofs: tuple[Optional[ShareProof], ...]
 
 
-def _axis_cells(partial: PartialMatrix, axis: int, j: int) -> list[Optional[bytes]]:
-    if axis == ROW:
-        return list(partial.cells[j])
-    return [partial.cells[r][j] for r in range(partial.width)]
+def _line(rows: list[list], axis: int, j: int) -> list:
+    """Row j of a w x w grid (the grid's own list) or a copy of column j."""
+    return rows[j] if axis == ROW else [row[j] for row in rows]
+
+
+def _chosen(partial: PartialMatrix, axis: int, j: int) -> tuple[int, ...]:
+    """The k decode inputs of an axis with at least k present cells: its
+    first k present cells, those received before those recovery filled,
+    in position order."""
+    k = partial.k
+    cells, origins = _line(partial.cells, axis, j), _line(partial.origins, axis, j)
+    received = [
+        pos for pos, cell in enumerate(cells) if cell is not None and origins[pos] is not None
+    ]
+    if len(received) >= k:
+        return tuple(received[:k])
+    filled = [pos for pos, cell in enumerate(cells) if cell is not None and origins[pos] is None]
+    return tuple(sorted(received + filled[: k - len(received)]))
+
+
+def _decoded(
+    partial: PartialMatrix, axis: int, js: list[int], xs: tuple[int, ...]
+) -> Iterator[tuple[list[bytes], frozenset[int]]]:
+    """Decode the axes js, which share the inputs xs, in order: yields each
+    one's decoded content and the present positions where that content
+    differs from the cell.
+
+    The cells of a run of axes are read when evaluate_axes reaches it, and
+    its call is compared with them in numpy: only holes and differing cells
+    get bytes of their own, and every other share is its cell. A call's
+    arrays are dropped before its axes are yielded.
+    """
+    k = partial.k
+    targets = erased(xs, k)
+    inputs = ([cells[pos] for pos in xs] for cells in (_line(partial.cells, axis, j) for j in js))
+    start = 0
+    for values in evaluate_axes(xs, inputs, k):
+        batch = [_line(partial.cells, axis, j) for j in js[start : start + values.shape[1]]]
+        start += len(batch)
+        width = 2 * values.shape[2]
+        blank = bytes(width)
+        present = np.frombuffer(
+            b"".join([cells[t] or blank for t in targets for cells in batch]), dtype=">u2"
+        )
+        same = (values == present.reshape(values.shape)).all(axis=2).T.tolist()
+        raw = b""
+        results = []
+        for a, cells in enumerate(batch):
+            decoded: list = list(cells)  # holes get bytes below
+            differs = []
+            for i in [i for i, t in enumerate(targets) if not same[a][i] or cells[t] is None]:
+                raw = raw or values.astype(">u2").tobytes()
+                offset = (i * len(batch) + a) * width
+                t = targets[i]
+                if cells[t] is not None:
+                    differs.append(t)
+                decoded[t] = raw[offset : offset + width]
+            results.append((decoded, frozenset(differs)))
+        del values, present, same, raw, batch
+        yield from results
+
+
+def _axis_digests(
+    grid: list[list[Optional[bytes]]],
+    axis: int,
+    j: int,
+    decoded: list[bytes],
+    differs: frozenset[int],
+) -> list[bytes]:
+    """Leaf digests of axis j's decoded content: a cell's grid digest where
+    the share is the cell's bytes (hashed into the grid the first time, as
+    for a hole the content fills), a fresh one where it differs."""
+    digests = list(grid[j]) if axis == ROW else [row[j] for row in grid]
+    for pos in differs:
+        digests[pos] = merkle.leaf_hash(decoded[pos])
+    for pos, digest in enumerate(digests):
+        if digest is None:
+            digests[pos] = digest = merkle.leaf_hash(decoded[pos])
+            if axis == ROW:
+                grid[j][pos] = digest
+            else:
+                grid[pos][j] = digest
+    return digests
 
 
 def _fill_proof(
@@ -397,66 +498,72 @@ def _fill_proof(
     return commitment.share_proof(axis, j, tree.prove(pos))
 
 
-def _decode_axis(
+def _fault(
     partial: PartialMatrix,
     axis: int,
     j: int,
+    cells: Sequence[Optional[bytes]],
+    chosen: tuple[int, ...],
+    commitment: DataCommitment,
+    filled_by: dict[tuple[int, int], tuple[int, list[bytes]]],
+) -> CodecFault:
+    """The fault of axis j, with its decode inputs and their proofs; an
+    input recovery filled is proved through the axis that filled it."""
+    triples = []
+    proofs = []
+    for pos in chosen:
+        x, y = (j, pos) if axis == ROW else (pos, j)
+        origin = partial.origins[x][y]
+        proof = partial.proofs[x][y]
+        if origin is None and (x, y) in filled_by:
+            origin, filler = filled_by[(x, y)]
+            proof = _fill_proof(commitment, x, y, origin, filler)
+        triples.append((cells[pos], pos, ROW if origin is None else origin))
+        proofs.append(proof)
+    root = commitment.axis_root(axis, j)
+    return CodecFault(axis, j, root, tuple(triples), tuple(proofs))
+
+
+def _check_axes(
+    partial: PartialMatrix,
+    axis: int,
+    js: list[int],
     commitment: DataCommitment,
     grid: list[list[Optional[bytes]]],
     filled_by: dict[tuple[int, int], tuple[int, list[bytes]]],
+    exact: list[list[bool]],
     codeword: bool = False,
-) -> tuple[Optional[list[bytes]], list[bytes], Optional[CodecFault], bool]:
-    """Decode one axis from its k best inputs and check the committed root.
+) -> Optional[CodecFault]:
+    """Decode the axes js of one pass, check each against its committed
+    root, and fill its holes, in j order; returns the first fault.
 
-    The inputs are the first k present cells, those received before those
-    recovery filled, each in position order. Returns the decoded content,
-    its leaf digests, a fault or None, and whether the content equals
-    every present cell. grid is recover_matrix's digest grid (see there).
-    filled_by maps each recovered cell to (axis that filled it, that axis's
-    leaf digests); a fault proves such inputs through that axis. With
-    codeword, the caller knows the axis is complete and a codeword, which
-    its decode would return unchanged, so it is not decoded.
+    The axes of one pass are disjoint, so no decode reads another's fills:
+    each group of axes with the same inputs is decoded in evaluate_axes
+    calls, pulled only when the first of their axes is checked. A fault
+    thus stops the pass where checking axis by axis would, with the same
+    cells filled before it. exact[axis][j] records whether axis j decoded
+    to exactly its present cells. With codeword, the caller knows the axes
+    are complete and codewords, which a decode would return unchanged, so
+    they are not decoded.
     """
-    k = partial.k
-    cells = _axis_cells(partial, axis, j)
-    received = []
-    filled = []
-    for pos, cell in enumerate(cells):
-        if cell is not None:
-            x, y = (j, pos) if axis == ROW else (pos, j)
-            (received if partial.origins[x][y] is not None else filled).append(pos)
-    if len(received) + len(filled) < k:
-        return None, [], None, False
-    chosen = sorted((received + filled)[:k])
-    decoded = cells if codeword else rs_decode([(pos, cells[pos]) for pos in chosen], k)
-    exact = True
-    digests = []
-    for pos, share in enumerate(decoded):
-        x, y = (j, pos) if axis == ROW else (pos, j)
-        if cells[pos] is not None and cells[pos] != share:
-            digests.append(merkle.leaf_hash(share))
-            exact = False
-            continue
-        digest = grid[x][y]
-        if digest is None:
-            digest = grid[x][y] = merkle.leaf_hash(share)
-        digests.append(digest)
-    committed_root = commitment.axis_root(axis, j)
-    if _digest_root(digests) != committed_root:
-        triples = []
-        proofs = []
-        for pos in chosen:
-            x, y = (j, pos) if axis == ROW else (pos, j)
-            origin = partial.origins[x][y]
-            proof = partial.proofs[x][y]
-            if origin is None and (x, y) in filled_by:
-                origin, filler = filled_by[(x, y)]
-                proof = _fill_proof(commitment, x, y, origin, filler)
-            triples.append((cells[pos], pos, ROW if origin is None else origin))
-            proofs.append(proof)
-        fault = CodecFault(axis, j, committed_root, tuple(triples), tuple(proofs))
-        return None, [], fault, exact
-    return decoded, digests, None, exact
+    chosen = {j: _chosen(partial, axis, j) for j in js}
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for j in [] if codeword else js:
+        groups.setdefault(chosen[j], []).append(j)
+    streams = {xs: _decoded(partial, axis, group, xs) for xs, group in groups.items()}
+    for j in js:
+        cells = _line(partial.cells, axis, j)
+        decoded, differs = (cells, frozenset()) if codeword else next(streams[chosen[j]])
+        exact[axis][j] = not differs
+        digests = _axis_digests(grid, axis, j, decoded, differs)
+        if _digest_root(digests) != commitment.axis_root(axis, j):
+            return _fault(partial, axis, j, cells, chosen[j], commitment, filled_by)
+        for pos, cell in enumerate(cells):
+            if cell is None:
+                x, y = (j, pos) if axis == ROW else (pos, j)
+                partial.cells[x][y] = decoded[pos]
+                filled_by[(x, y)] = (axis, digests)
+    return None
 
 
 def recover_matrix(
@@ -464,10 +571,12 @@ def recover_matrix(
 ) -> ExtendedMatrix | CodecFault:
     """Peel absent cells axis by axis, checking each decode against its root.
 
-    Returns the completed matrix, or a CodecFault for the first axis whose
-    decoded content mismatches the committed root. Raises Unrecoverable
-    when peeling reaches a fixpoint with cells still absent. Present cells
-    are assumed to have been verified against the commitment.
+    Each pass decodes its axes in pattern groups (see the module
+    docstring). Returns the completed matrix, or a CodecFault for the
+    first axis whose decoded content mismatches the committed root. Raises
+    Unrecoverable when peeling reaches a fixpoint with cells still absent.
+    Present cells are assumed to have been verified against the
+    commitment.
 
     Each cell is leaf-hashed once for both of its axes, through a local
     w x w digest grid: an axis decode reuses a cell's grid digest where its
@@ -500,43 +609,34 @@ def recover_matrix(
     while changed:
         changed = False
         for axis in (ROW, COLUMN):
-            for j in range(w):
-                if verified[axis][j]:
-                    continue
-                cells = _axis_cells(partial, axis, j)
-                holes = [pos for pos, cell in enumerate(cells) if cell is None]
-                if not holes:
-                    continue
-                if w - len(holes) < k:
-                    continue
-                decoded, digests, fault, exact[axis][j] = _decode_axis(
-                    partial, axis, j, commitment, grid, filled_by
-                )
-                if fault is not None:
-                    return fault
-                assert decoded is not None
-                for pos in holes:
-                    x, y = (j, pos) if axis == ROW else (pos, j)
-                    partial.cells[x][y] = decoded[pos]
-                    filled_by[(x, y)] = (axis, digests)
+            js = [
+                j
+                for j in range(w)
+                if not verified[axis][j] and 0 < _line(partial.cells, axis, j).count(None) <= w - k
+            ]
+            fault = _check_axes(partial, axis, js, commitment, grid, filled_by, exact)
+            if fault is not None:
+                return fault
+            for j in js:
                 verified[axis][j] = True
-                changed = True
+            changed = changed or bool(js)
 
     if partial.missing():
         raise Unrecoverable("unrecoverable: peeling stalled with cells absent")
 
     # Axes never decoded above (complete from the start) still need their
-    # codeword consistency checked against the committed roots.
-    for axis in (ROW, COLUMN):
-        for j in range(w):
-            if verified[axis][j]:
-                continue
-            codeword = axis == COLUMN and j >= k and all(exact[ROW]) and all(exact[COLUMN][:k])
-            _, _, fault, exact[axis][j] = _decode_axis(
-                partial, axis, j, commitment, grid, filled_by, codeword
-            )
-            if fault is not None:
-                return fault
+    # codeword consistency checked against the committed roots: rows, then
+    # columns < k, whose exactness decides the 3k rule for columns >= k.
+    rows, columns = ([j for j in range(w) if not verified[axis][j]] for axis in (ROW, COLUMN))
+    for axis, js in (
+        (ROW, rows),
+        (COLUMN, [j for j in columns if j < k]),
+        (COLUMN, [j for j in columns if j >= k]),
+    ):
+        codeword = bool(js) and js[0] >= k and all(exact[ROW]) and all(exact[COLUMN][:k])
+        fault = _check_axes(partial, axis, js, commitment, grid, filled_by, exact, codeword)
+        if fault is not None:
+            return fault
 
     return ExtendedMatrix(
         k, partial.share_size, [list(row) for row in partial.cells]  # type: ignore[arg-type]

@@ -48,8 +48,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
-import numpy as np
-
 from . import fraud, rs2d
 from .block import (
     BlockHeader,
@@ -64,7 +62,7 @@ from .block import (
 )
 from .fraud import CodecFraudProof, HeaderStore, TransitionFraudProof
 from .merkle import hash_bytes
-from .prob import recovery_threshold, sample_distinct
+from .prob import recovery_threshold
 from .rs2d import ROW, DataCommitment, PartialMatrix, ShareProof
 from .smt import StateTree
 from .state import AccountValue, Transaction
@@ -757,22 +755,6 @@ def predicted_deceived_prefix(config: SimConfig) -> list[int]:
             break  # the producer is dark; nobody later is served either
         deceived.append(client_id)
     return deceived
-
-
-def recovery_experiment(
-    k: int, s: int, c: int, seeds: Sequence[int]
-) -> float:
-    """Fraction of seeded runs whose c clients collectively draw at least
-    gamma distinct shares (each client draws s without replacement)."""
-    n = (2 * k) ** 2
-    gamma = recovery_threshold(k)
-    hits = 0
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        draws = sample_distinct(rng, n, s, c)
-        if np.unique(draws).size >= gamma:
-            hits += 1
-    return hits / len(seeds)
 
 
 # --- output helpers --------------------------------------------------------------

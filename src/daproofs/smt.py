@@ -47,6 +47,7 @@ keeps no runs: every node stays in the dict, as do its copies'.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 from bisect import bisect_left, insort
 from dataclasses import dataclass
@@ -143,12 +144,15 @@ class StateTree:
         self._dirty: set[bytes] = set()
 
     def copy(self) -> "StateTree":
+        """A tree of the same class (a witness subtree keeps its coverage)
+        whose writes leave this tree as it is."""
         self._flush()
-        dup = StateTree()
+        dup = copy.copy(self)
         dup._values = self._values.copy()
         dup._nodes = self._nodes.copy()
         dup._runs = self._runs.copy()
         dup._paths = None if self._paths is None else self._paths.copy()
+        dup._dirty = set()
         return dup
 
     def root(self) -> bytes:

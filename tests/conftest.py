@@ -2,7 +2,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 from daproofs import merkle
 from daproofs.merkle import hash_bytes
@@ -11,8 +11,13 @@ from daproofs.state import AccountValue, Transaction
 
 # One profile for every property test: no per-example deadline, because a
 # single example (a k=64 decode, a 40-leaf tree) can exceed Hypothesis's
-# 200 ms default on a loaded 2-CPU machine. Tests still set max_examples.
-settings.register_profile("tier1", deadline=None)
+# 200 ms default on a loaded 2-CPU machine; and no explain phase, which only
+# reports on a failing example by tracing every line of every rerun, and on
+# a failing sparse-Merkle differential grew past 2 GB. Tests still set
+# max_examples.
+settings.register_profile(
+    "tier1", deadline=None, phases=[phase for phase in Phase if phase is not Phase.explain]
+)
 settings.load_profile("tier1")
 
 

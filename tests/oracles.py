@@ -14,6 +14,9 @@ that have no place at run time.
   binomials of prob.pe_exact_fraction.
 - p1_hypergeom: p1 as the hypergeometric complement, in big rationals.
 - mc_pe, mc_p1, mc_pc, mc_px: Monte Carlo estimates of pe, p1, pc and px.
+- sample_distinct, recovery_experiment: uniform draws without replacement,
+  and the seeded frequency of c clients jointly drawing enough distinct
+  shares to recover, a Monte Carlo check of pe.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import math
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -32,7 +35,7 @@ from daproofs.prob import (
     _check_pe_params,
     _check_px_params,
     p1,
-    sample_distinct,
+    recovery_threshold,
     unavailable_minimum,
 )
 
@@ -68,7 +71,7 @@ def lagrange_codeword(present: list[tuple[int, bytes]], k: int) -> list[bytes]:
     xs = tuple(pos for pos, _ in chosen)
     targets = tuple(pos for pos in range(2 * k) if pos not in xs)
     symbols = erasure._shares_to_symbols([sh for _, sh in chosen])
-    codeword = dict(zip(targets, erasure._symbols_to_shares(
+    codeword = dict(zip(targets, erasure.symbols_to_shares(
         gf_matmul(interpolation_matrix(xs, targets), symbols)
     )))
     codeword.update(chosen)
@@ -140,6 +143,40 @@ def p1_hypergeom(k: int, s: int, q: Optional[int] = None) -> float:
     if not 0 <= q <= n or not 0 <= s <= n:
         raise ValueError("parameters out of range")
     return float(1 - Fraction(math.comb(n - q, s), math.comb(n, s)))
+
+
+def sample_distinct(rng: np.random.Generator, n: int, s: int, trials: int) -> np.ndarray:
+    """(trials, s) matrix of uniform draws without replacement per row."""
+    if not 0 <= s <= n:
+        raise ValueError("need 0 <= s <= n")
+    if s == 0:
+        return np.empty((trials, 0), dtype=np.int64)
+    draws = rng.integers(0, n, size=(trials, s))
+    for _ in range(64):
+        ordered = np.sort(draws, axis=1)
+        dup = (np.diff(ordered, axis=1) == 0).any(axis=1)
+        if not dup.any():
+            return draws
+        draws[dup] = rng.integers(0, n, size=(int(dup.sum()), s))
+    # dense regime: draw by shuffling explicit index rows
+    bad = np.nonzero(dup)[0]
+    for row in bad:
+        draws[row] = rng.permutation(n)[:s]
+    return draws
+
+
+def recovery_experiment(k: int, s: int, c: int, seeds: Sequence[int]) -> float:
+    """Fraction of seeded runs whose c clients collectively draw at least
+    gamma distinct shares (each client draws s without replacement)."""
+    n = (2 * k) ** 2
+    gamma = recovery_threshold(k)
+    hits = 0
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        draws = sample_distinct(rng, n, s, c)
+        if np.unique(draws).size >= gamma:
+            hits += 1
+    return hits / len(seeds)
 
 
 def mc_pe(n: int, s: int, c: int, lam: int, trials: int = 100_000, seed: int = 0) -> float:

@@ -168,14 +168,14 @@ def oracle_decode(present, k):
     xs = tuple(pos for pos, _ in chosen)
     symbols = erasure._shares_to_symbols([sh for _, sh in chosen])
     evaluated = gf_matmul(oracle_matrix(xs, tuple(range(2 * k))), symbols)
-    return erasure._symbols_to_shares(evaluated)
+    return erasure.symbols_to_shares(evaluated)
 
 
 def oracle_encode(data):
     k = len(data)
     symbols = erasure._shares_to_symbols(data)
     parity = gf_matmul(oracle_matrix(tuple(range(k)), tuple(range(k, 2 * k))), symbols)
-    return list(data) + erasure._symbols_to_shares(parity)
+    return list(data) + erasure.symbols_to_shares(parity)
 
 
 CODEC_KS = st.one_of(st.integers(min_value=1, max_value=24), st.sampled_from([32, 64]))
@@ -356,3 +356,68 @@ def test_random_pattern_at_k4096():
     missing = sorted(set(range(2 * k)).difference(xs))
     for target in [missing[0], missing[-1], *rng.sample(missing, 3)]:
         assert int.from_bytes(decoded[target], "big") == lagrange_at(xs, values, target)
+
+
+# --- The batch entry point: axes that share their given positions. --------
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_batch_codec_matches_per_axis_decode_and_lagrange(data):
+    """evaluate_axes against rs_decode and the Lagrange oracle, axis by
+    axis: half-to-half and general patterns, k not a power of two, given
+    shares from codewords or arbitrary, corrupted extra shares beyond the
+    given ones, and caps that cut the axes into several calls."""
+    k = data.draw(st.one_of(st.integers(1, 20), st.sampled_from([32, 64])), label="k")
+    lanes = data.draw(st.integers(1, 3), label="lanes")
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    pattern = data.draw(st.sampled_from(["data", "parity", "random"]), label="pattern")
+    if pattern == "random":
+        present = sorted(rng.sample(range(2 * k), rng.randint(k, 2 * k)))
+    else:
+        start = 0 if pattern == "data" else k
+        extras = rng.sample(range(k - start, 2 * k - start), rng.randint(0, k))
+        present = sorted([*range(start, start + k), *extras])
+    xs = present[:k]
+    count = data.draw(st.integers(1, 9), label="axes")
+    axes = []
+    for _ in range(count):
+        if rng.random() < 0.5:
+            shares = dict(enumerate(rs_encode([rng.randbytes(2 * lanes) for _ in range(k)])))
+        else:
+            shares = {pos: rng.randbytes(2 * lanes) for pos in range(2 * k)}
+        for pos in present[k:]:
+            if rng.random() < 0.3:
+                shares[pos] = bytes([shares[pos][0] ^ 0x10]) + shares[pos][1:]
+        axes.append([(pos, shares[pos]) for pos in present])
+    # the working array: k rows half to half, N >= 2k on the general path
+    half = k & (k - 1) == 0 and xs in (list(range(k)), list(range(k, 2 * k)))
+    rows = k if half else 1 << (2 * k - 1).bit_length()
+    run = data.draw(st.sampled_from([1, 2, 3, erasure.CALL_SYMBOLS // (rows * lanes)]))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(erasure, "CALL_SYMBOLS", run * rows * lanes)
+        calls = list(erasure.evaluate_axes(xs, [[sh for _, sh in axis[:k]] for axis in axes], k))
+    assert [values.shape for values in calls] == [
+        (k, min(run, count - start), lanes) for start in range(0, count, run)
+    ]
+    targets = erasure.erased(xs, k)
+    batch = [
+        erasure.symbols_to_shares(values[:, a]) for values in calls for a in range(values.shape[1])
+    ]
+    for axis, evaluated in zip(axes, batch):
+        decoded = rs_decode(axis, k)
+        assert decoded == lagrange_codeword(axis, k)
+        assert evaluated == [decoded[pos] for pos in targets]
+        assert all(decoded[pos] == share for pos, share in axis[:k])
+
+
+def test_batch_codec_rejects_bad_positions_and_shares():
+    shares = [[b"ab", b"cd"]]
+    for xs in ([0], [1, 0], [0, 0], [0, 4], [-1, 0]):
+        with pytest.raises(ValueError):
+            list(erasure.evaluate_axes(xs, shares, 2))
+    for bad in ([[b"ab", b"c"]], [[b"ab"]], [[b"a", b"c"]]):
+        with pytest.raises(ValueError):
+            list(erasure.evaluate_axes([0, 1], bad, 2))
+    assert list(erasure.evaluate_axes([0, 1], [], 2)) == []

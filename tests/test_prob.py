@@ -24,7 +24,15 @@ from daproofs.prob import (
     px_complement,
     recovery_threshold,
 )
-from tests.oracles import mc_p1, mc_pc, mc_pe, mc_px, p1_hypergeom, pe_series_fraction
+from tests.oracles import (
+    mc_p1,
+    mc_pc,
+    mc_pe,
+    mc_px,
+    p1_hypergeom,
+    pe_series_fraction,
+    sample_distinct,
+)
 
 
 def pe_enumeration(n, s, c, lam):
@@ -317,7 +325,7 @@ def test_recovery_threshold_identities():
 
 def test_sample_distinct_rows_are_distinct():
     rng = np.random.default_rng(0)
-    draws = prob.sample_distinct(rng, 10, 7, 500)
+    draws = sample_distinct(rng, 10, 7, 500)
     assert draws.shape == (500, 7)
     for row in draws:
         assert len(set(row.tolist())) == 7

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from daproofs import merkle, rs2d
+from daproofs import erasure, merkle, rs2d
 from daproofs.erasure import Unrecoverable, rs_encode
 from daproofs.merkle import MerkleProof
 from daproofs.rs2d import (
@@ -24,7 +24,7 @@ from daproofs.rs2d import (
     verify_share_merkle_proof,
     verify_share_merkle_proofs,
 )
-from tests.oracles import recover_every_axis, share_proof_verifies
+from tests.oracles import lagrange_codeword, recover_every_axis, share_proof_verifies
 
 
 def random_shares(rng, count, size=8):
@@ -63,6 +63,39 @@ def test_q4_rowwise_equals_columnwise():
             extended = rs_encode(column_q2)
             for r in range(k, 2 * k):
                 assert matrix.cells[r][c] == extended[r]
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 9), st.sampled_from([2, 4, 6]), st.data())
+def test_extend_shares_matches_per_axis_oracle(k, size, data):
+    """Two batch calls, the second extending every column of the top half,
+    give the cells of the per-axis construction: rows < k rightward,
+    columns < k downward, then rows >= k rightward; the calls are cut into
+    runs of one to three axes."""
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    shares = random_shares(rng, data.draw(st.integers(0, k * k)), size)
+    run = data.draw(st.integers(1, 3))
+    calls = []
+    evaluate = rs2d.evaluate_axes
+
+    def counted(xs, axes, k):
+        calls.append(0)
+        for values in evaluate(xs, axes, k):
+            calls[-1] += values.shape[1]
+            yield values
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rs2d, "evaluate_axes", counted)
+        patch.setattr(erasure, "CALL_SYMBOLS", run * k * (size // 2))
+        matrix = extend_shares(shares, k, size)
+    assert calls == [k, 2 * k]
+    padded = shares + [bytes(size)] * (k * k - len(shares))
+    cells = [lagrange_codeword(list(enumerate(padded[r * k : (r + 1) * k])), k) for r in range(k)]
+    columns = [lagrange_codeword([(r, cells[r][c]) for r in range(k)], k) for c in range(k)]
+    cells += [[column[r] for column in columns] for r in range(k, 2 * k)]
+    for r in range(k, 2 * k):
+        cells[r] = lagrange_codeword(list(enumerate(cells[r])), k)
+    assert matrix.cells == cells
 
 
 def test_data_length_formula():
@@ -288,24 +321,63 @@ def test_recovery_of_complete_matrix_hashes_each_cell_once(k, merkle_hashes):
 @pytest.mark.parametrize("k", [4, 8])
 def test_complete_matrix_check_makes_3k_decodes(k, merkle_hashes, monkeypatch):
     leaves_hashed, nodes_hashed = merkle_hashes
-    decode = rs2d.rs_decode
-    decodes = []
-
-    def counted_decode(present, k):
-        decodes.append([pos for pos, _ in present])
-        return decode(present, k)
-
-    monkeypatch.setattr(rs2d, "rs_decode", counted_decode)
     matrix, commitment = build(k=k, seed=k)
+    decoded_axes = counted_batches(monkeypatch)
     partial = PartialMatrix.from_matrix(matrix)
     leaves_hashed.clear()
     nodes_hashed.clear()
     assert recover_matrix(partial, commitment) == matrix
     w = 2 * k
-    # every row and every column < k, each from its first k cells
-    assert decodes == [list(range(k))] * (3 * k)
+    # every row and every column < k, each from its first k cells: one
+    # batch call for the rows, one for the columns
+    assert decoded_axes == [(tuple(range(k)), w), (tuple(range(k)), k)]
+    assert sum(count for _, count in decoded_axes) == 3 * k
     assert sum(leaves_hashed.values()) == w * w
     assert sum(nodes_hashed.values()) == 2 * w * (w - 1)
+
+
+def test_withheld_quadrant_rows_decode_as_one_pattern(monkeypatch):
+    k = 8
+    matrix, commitment = build(k=k, seed=1)
+    decoded_axes = counted_batches(monkeypatch)
+    quadrant = [(r, c) for r in range(k) for c in range(k)]
+    partial = PartialMatrix.from_matrix(matrix, withhold=quadrant)
+    assert recover_matrix(partial, commitment) == matrix
+    parity = tuple(range(k, 2 * k))
+    # peeling: the k withheld rows as one group from their parity half;
+    # the complete-matrix check: rows >= k, then columns < k from their
+    # received half; columns >= k by the 3k rule
+    assert decoded_axes == [(parity, k), (tuple(range(k)), k), (parity, k)]
+
+
+def test_fault_stops_the_pass_before_later_calls(monkeypatch):
+    k = 4
+    matrix, _ = build(k=k, seed=7)
+    cell = matrix.cells[2][2 * k - 1]
+    matrix.cells[2][2 * k - 1] = bytes([cell[0] ^ 1]) + cell[1:]
+    matrix.invalidate_roots()
+    commitment = commit(matrix)  # row 2 is not a codeword under its root
+    monkeypatch.setattr(erasure, "CALL_SYMBOLS", 1)  # one axis per call
+    decoded_axes = counted_batches(monkeypatch)
+    fault = recover_matrix(PartialMatrix.from_matrix(matrix), commitment)
+    assert isinstance(fault, rs2d.CodecFault)
+    assert (fault.axis, fault.j) == (ROW, 2)
+    # rows 0, 1 and 2 only: a call is made when its first axis is checked
+    assert decoded_axes == [(tuple(range(k)), 1)] * 3
+
+
+def counted_batches(monkeypatch) -> list[tuple[tuple[int, ...], int]]:
+    """(positions, number of axes) of every batch codec call recover_matrix makes."""
+    batches = []
+    evaluate = rs2d.evaluate_axes
+
+    def counted(xs, axes, k):
+        for values in evaluate(xs, axes, k):
+            batches.append((tuple(xs), values.shape[1]))
+            yield values
+
+    monkeypatch.setattr(rs2d, "evaluate_axes", counted)
+    return batches
 
 
 def copy_partial(partial):

@@ -11,9 +11,9 @@ from daproofs.sim import (
     VERDICT_UNAVAILABLE,
     predicted_deceived_prefix,
     prepare_scenario,
-    recovery_experiment,
     run_sampling,
 )
+from tests.oracles import recovery_experiment
 
 BASE = dict(k=4, share_size=128, s=3, light_clients=8, full_nodes=2, tx_count=12)
 

@@ -3,7 +3,7 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from daproofs import smt
@@ -175,6 +175,33 @@ def test_witness_subtree_matches_full_tree_updates():
         assert subtree.get(key) == tree.get(key)
     with pytest.raises(WitnessError):
         subtree.update(keys[10], b"uncovered")
+
+
+def test_witness_copy_keeps_coverage():
+    rng = random.Random(4)
+    tree = StateTree()
+    keys = [rand_key(rng) for _ in range(6)]
+    for key in keys[:4]:
+        tree.update(key, b"seed")
+    entries = tuple((key, tree.get(key), tree.prove(key)) for key in keys[:3])
+    subtree = WitnessSubtree.from_entries(tree.root(), entries)
+    dup = subtree.copy()
+    assert isinstance(dup, WitnessSubtree)
+    assert dup.covered == subtree.covered
+    for uncovered in (keys[3], keys[5]):
+        with pytest.raises(WitnessError):
+            dup.update(uncovered, b"copy only")
+        with pytest.raises(WitnessError):
+            dup.get(uncovered)
+    # a covered write moves the copy as it moves the full tree, and leaves
+    # the subtree it was copied from as it was, with nothing to rehash
+    root = subtree.root()
+    dup.update(keys[0], b"changed")
+    before = hash_invocations()
+    assert subtree.root() == root
+    assert hash_invocations() == before
+    tree.update(keys[0], b"changed")
+    assert dup.root() == tree.root() != root
 
 
 def test_witness_seeding_hashes_each_proof_once():
@@ -357,8 +384,12 @@ def _check_step(lazy, eager, op, pool=KEY_POOL):
         )
     else:
         dup = lazy.copy()
+        assert type(dup) is type(lazy)
         assert dup.root() == eager.root()
-        dup.update(pool[0], b"copy only")
+        # a witness subtree's copy keeps its coverage
+        uncovered = isinstance(lazy, WitnessSubtree) and pool[0] not in lazy.covered
+        expected = WitnessError if uncovered else None
+        assert _outcome(lambda: dup.update(pool[0], b"copy only")) == expected
     for key in pool:
         assert _outcome(lambda: lazy.get(key)) == _outcome(lambda: eager.get(key))
     flushed = copy.deepcopy(lazy)
@@ -615,10 +646,7 @@ REPLAY_WRITE = st.one_of(
 )
 
 
-# Hypothesis's explain phase traces every line of each rerun of a failing
-# example; on this test that grew past 2 GB, so a failure is reported
-# without it.
-@settings(max_examples=20, phases=[p for p in Phase if p is not Phase.explain])
+@settings(max_examples=20)
 @given(st.lists(st.lists(REPLAY_WRITE, min_size=10, max_size=10), min_size=1, max_size=5))
 def test_replay_shaped_periods_match_eager_oracle(periods):
     lazy, eager = StateTree(), EagerTree()
