@@ -1,8 +1,9 @@
 """Block data layout: message framing into shares, periods, and headers.
 
-Block data is a stream of length-prefixed messages (transfers and
-intermediate state roots, "traces") packed contiguously into fixed-size
-shares. Every share starts with a 2-byte field holding the 1-based
+Block data is a stream of length-prefixed messages packed contiguously
+into fixed-size shares. A message is a Transaction or a 32-byte
+intermediate state root (a "trace"), and the parser hands out those two
+types. Every share starts with a 2-byte field holding the 1-based
 payload position of the first message that starts inside it, or 0 when
 none does, so a parser can enter the stream at any share boundary. The
 field is 2 bytes and 1-based (rather than a raw byte index) so that
@@ -13,13 +14,19 @@ A trace is emitted after every p transfers, and p is at least
 min_period(share_size), so that every period's fraud proof can name its
 slice by a share. The block's final state root lives in the header only
 and includes the producer's fee payout, so the data stream ends either
-with a boundary trace or with a partial run of transfers.
+with a boundary trace or with a partial run of transfers. read_period is
+the one rule for where a period starts and ends; the fraud prover and
+verifier both slice through it.
+
+A BuiltBlock is its header, its extended matrix and p: the original
+shares (the matrix's top-left k x k quadrant), the commitment and the
+producer (the header's additional data) all derive from those.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from . import merkle, rs2d
 from .merkle import DIGEST_SIZE, hash_bytes
@@ -45,48 +52,6 @@ class ParseError(Exception):
 
 class PeriodError(ParseError):
     """Message list violates the period criterion."""
-
-
-@dataclass(frozen=True)
-class Message:
-    kind: int
-    body: bytes
-
-    def __post_init__(self) -> None:
-        if self.kind == MSG_TX:
-            if len(self.body) != Transaction.WIRE_SIZE:
-                raise ValueError("transfer message must be 88 bytes")
-        elif self.kind == MSG_TRACE:
-            if len(self.body) != DIGEST_SIZE:
-                raise ValueError("trace message must be 32 bytes")
-        else:
-            raise ValueError("unknown message kind")
-
-    @classmethod
-    def transaction(cls, tx: Transaction) -> "Message":
-        return cls(MSG_TX, tx.to_bytes())
-
-    @classmethod
-    def trace(cls, root: bytes) -> "Message":
-        return cls(MSG_TRACE, root)
-
-    def as_transaction(self) -> Transaction:
-        if self.kind != MSG_TX:
-            raise ValueError("not a transfer message")
-        return Transaction.from_bytes(self.body)
-
-    @property
-    def is_trace(self) -> bool:
-        return self.kind == MSG_TRACE
-
-
-@dataclass(frozen=True)
-class PeriodSlice:
-    """One replay unit: optional boundary traces around at most p transfers."""
-
-    pre_root: Optional[bytes]
-    post_root: Optional[bytes]
-    txs: tuple[Transaction, ...]
 
 
 def _check_share_size(share_size: int, error: type[Exception] = ValueError) -> None:
@@ -115,19 +80,22 @@ def shares_needed(tx_count: int, p: int, share_size: int) -> int:
     return -(-stream // (share_size - 2))
 
 
-def serialize_shares(messages: Sequence[Message], share_size: int) -> list[bytes]:
-    """Pack messages into shares of share_size bytes each."""
+def serialize_shares(
+    messages: Sequence[Union[Transaction, bytes]], share_size: int
+) -> list[bytes]:
+    """Pack transfers and traces into shares of share_size bytes each."""
     _check_share_size(share_size)
     payload_size = share_size - 2
     stream = bytearray()
     starts: list[int] = []
-    for msg in messages:
-        if len(msg.body) > 0xFFFF:
-            raise ValueError("message too large to frame")
+    for message in messages:
         starts.append(len(stream))
-        stream.append(msg.kind)
-        stream += len(msg.body).to_bytes(2, "big")
-        stream += msg.body
+        if isinstance(message, Transaction):
+            stream += bytes([MSG_TX, 0, Transaction.WIRE_SIZE]) + message.to_bytes()
+        elif len(message) == DIGEST_SIZE:
+            stream += bytes([MSG_TRACE, 0, DIGEST_SIZE]) + message
+        else:
+            raise ValueError("trace message must be 32 bytes")
     if not stream:
         return []
     shares = []
@@ -146,7 +114,7 @@ def serialize_shares(messages: Sequence[Message], share_size: int) -> list[bytes
 
 @dataclass(frozen=True)
 class ParsedMessage:
-    message: Message
+    message: Union[Transaction, bytes]  # a transfer, or a trace's 32-byte root
     start: int  # byte offset of the message header within the payload stream
     end: int    # one past the last body byte
 
@@ -193,49 +161,63 @@ def parse_shares_with_spans(shares: Sequence[bytes]) -> list[ParsedMessage]:
         body = stream[pos + 3 : pos + 3 + length]
         if len(body) < length:
             break  # body continues past the run
-        try:
-            message = Message(tag, body)
-            if tag == MSG_TX:
-                message.as_transaction()
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
+        message: Union[Transaction, bytes] = body
+        if tag == MSG_TX:
+            try:
+                message = Transaction.from_bytes(body)
+            except ValueError as exc:
+                raise ParseError(str(exc)) from exc
+        elif length != DIGEST_SIZE:
+            raise ParseError("trace message must be 32 bytes")
         messages.append(ParsedMessage(message, pos, pos + 3 + length))
         pos += 3 + length
     return messages
 
 
-def parse_shares(shares: Sequence[bytes]) -> list[Message]:
-    return [parsed.message for parsed in parse_shares_with_spans(shares)]
+@dataclass(frozen=True)
+class PeriodSlice:
+    """One replay unit: optional boundary traces around at most p transfers,
+    and the parsed messages it was read from, pre-root through post-root."""
+
+    pre_root: Optional[bytes]
+    txs: tuple[Transaction, ...]
+    post_root: Optional[bytes]
+    messages: tuple[ParsedMessage, ...]
 
 
-def parse_period(messages: Sequence[Message], p: int = DEFAULT_PERIOD) -> PeriodSlice:
-    """Extract the leading period from a message list.
+def read_period(
+    run: Sequence[ParsedMessage], at_block_start: bool, p: int = DEFAULT_PERIOD
+) -> PeriodSlice:
+    """The period that a run of parsed messages opens.
 
-    The slice is an optional leading trace, then transfers up to the next
-    trace (the post-root) or the end of the list. Messages after the
-    closing trace belong to the following period and are ignored. More
-    than p transfers before the closing trace violate the period
+    At block start the pre-root is the previous block's state root, so the
+    slice opens with the run's first message, and an empty run is the
+    empty block's final slice. Elsewhere transfers before the run's first
+    trace spill over from the previous period, and that trace is the
+    pre-root. Transfers then run up to the next trace, the post-root;
+    messages after it belong to the following period. A slice that reaches
+    the end of the run without one is the block-final slice. More than p
+    transfers, or a mid-block run without a trace, violate the period
     criterion and raise PeriodError.
     """
     if p < 1:
         raise ValueError("period length must be positive")
-    if not messages:
-        raise PeriodError("period criterion violated: no messages")
-    idx = 0
+    start = 0
     pre_root: Optional[bytes] = None
-    if messages[0].is_trace:
-        pre_root = messages[0].body
-        idx = 1
+    if not at_block_start:
+        start = next((i for i, pm in enumerate(run) if isinstance(pm.message, bytes)), -1)
+        if start < 0:
+            raise PeriodError("period criterion violated: no pre-root trace")
+        pre_root = run[start].message
     txs: list[Transaction] = []
-    post_root: Optional[bytes] = None
-    for msg in messages[idx:]:
-        if msg.is_trace:
-            post_root = msg.body
-            break
-        txs.append(msg.as_transaction())
+    for end in range(start if at_block_start else start + 1, len(run)):
+        message = run[end].message
+        if isinstance(message, bytes):
+            return PeriodSlice(pre_root, tuple(txs), message, tuple(run[start : end + 1]))
+        txs.append(message)
         if len(txs) > p:
             raise PeriodError("period criterion violated: too many transfers")
-    return PeriodSlice(pre_root, post_root, tuple(txs))
+    return PeriodSlice(pre_root, tuple(txs), None, tuple(run[start:]))
 
 
 @dataclass(frozen=True)
@@ -289,12 +271,21 @@ _MODES = (MODE_HONEST, MODE_INVALID_TRANSITION, MODE_INVALID_CODE, MODE_WITHHOLD
 class BuiltBlock:
     header: BlockHeader
     matrix: ExtendedMatrix
-    commitment: DataCommitment
-    shares: list[bytes]            # the k*k original framed shares, padding included
-    messages: list[Message]
-    traces: list[bytes]            # boundary traces as they appear in the data
-    producer: bytes
     p: int = DEFAULT_PERIOD
+
+    @property
+    def shares(self) -> list[bytes]:
+        """The k*k original framed shares, padding included, row-major."""
+        k = self.matrix.k
+        return [share for row in self.matrix.cells[:k] for share in row[:k]]
+
+    @property
+    def commitment(self) -> DataCommitment:
+        return self.matrix.commitment
+
+    @property
+    def producer(self) -> bytes:
+        return self.header.additional_data
 
 
 def _tamper(data: bytes) -> bytes:
@@ -358,11 +349,11 @@ def build_block(
         else:
             state_root = _tamper(state_root)
 
-    messages: list[Message] = []
+    messages: list[Union[Transaction, bytes]] = []
     for index, tx in enumerate(txs):
-        messages.append(Message.transaction(tx))
+        messages.append(tx)
         if (index + 1) % p == 0:
-            messages.append(Message.trace(traces[index // p]))
+            messages.append(traces[index // p])
 
     shares = serialize_shares(messages, share_size)
     shares += [b"\x00" * share_size] * (k * k - len(shares))
@@ -382,16 +373,7 @@ def build_block(
         state_root=state_root,
         additional_data=producer,
     )
-    return BuiltBlock(
-        header=header,
-        matrix=matrix,
-        commitment=commitment,
-        shares=shares,
-        messages=messages,
-        traces=traces,
-        producer=producer,
-        p=p,
-    )
+    return BuiltBlock(header, matrix, p)
 
 
 def original_share_count(data_length: int) -> int:
@@ -462,8 +444,11 @@ class DoubleTreeBlock:
     header: DoubleTreeHeader
     txs: list[Transaction]
     traces: list[bytes]
-    producer: bytes
     p: int
+
+    @property
+    def producer(self) -> bytes:
+        return self.header.additional_data
 
 
 def build_double_tree_block(
@@ -500,4 +485,4 @@ def build_double_tree_block(
         state_root=state_root,
         additional_data=producer,
     )
-    return DoubleTreeBlock(header, list(txs), traces, producer, p)
+    return DoubleTreeBlock(header, list(txs), traces, p)

@@ -6,6 +6,12 @@ Subcommands:
   simulate  run the sampling simulator from a key=value config file
   fraud     generate or verify fraud proofs against block files
 
+A block directory, which `fraud gen` reads and write_block_dir lays out,
+holds header.bin and prev_header.bin (wire headers), matrix.bin (all 2k x
+2k cells, row-major; the original shares are its top-left quadrant),
+meta.json (k, share size, p) and prev_state.json (the previous block's
+accounts).
+
 Every command that writes artifacts also writes a manifest.json recording
 the subcommand, inputs, and seed, so outputs are reproducible from the
 manifest alone. The seed falls back to the DA_SEED environment variable.
@@ -23,7 +29,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import fraud, prob, rs2d, sim
-from .block import BlockHeader
+from .block import BlockHeader, BuiltBlock
 from .fraud import HeaderStore
 from .merkle import Reader
 from .smt import StateTree
@@ -191,11 +197,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def write_block_dir(built, prev_header: BlockHeader, prev_state: StateTree, out_dir: Path) -> None:
-    """Lay out a block for the fraud commands: header, shares, matrix, state."""
+    """Lay out a block for the fraud commands: headers, matrix, meta, state."""
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "header.bin").write_bytes(built.header.to_bytes())
     (out_dir / "prev_header.bin").write_bytes(prev_header.to_bytes())
-    (out_dir / "shares.bin").write_bytes(b"".join(built.shares))
     width = built.matrix.width
     (out_dir / "matrix.bin").write_bytes(
         b"".join(built.matrix.cells[r][c] for r in range(width) for c in range(width))
@@ -211,15 +216,10 @@ def write_block_dir(built, prev_header: BlockHeader, prev_state: StateTree, out_
 
 
 def _load_block_dir(block_dir: Path):
-    from .block import BuiltBlock
-    from .rs2d import ExtendedMatrix
-
     meta = json.loads((block_dir / "meta.json").read_text())
     k, share_size, p = meta["k"], meta["share_size"], meta["p"]
     header = BlockHeader.from_bytes((block_dir / "header.bin").read_bytes())
     prev_header = BlockHeader.from_bytes((block_dir / "prev_header.bin").read_bytes())
-    share_blob = (block_dir / "shares.bin").read_bytes()
-    shares = [share_blob[i : i + share_size] for i in range(0, len(share_blob), share_size)]
     matrix_blob = (block_dir / "matrix.bin").read_bytes()
     width = 2 * k
     cells = [
@@ -229,23 +229,12 @@ def _load_block_dir(block_dir: Path):
         ]
         for r in range(width)
     ]
-    matrix = ExtendedMatrix(k, share_size, cells)
-    commitment = rs2d.commit(matrix)
+    matrix = rs2d.ExtendedMatrix(k, share_size, cells)
     prev_state = StateTree()
     accounts = json.loads((block_dir / "prev_state.json").read_text())
     for key_hex, (balance, nonce) in accounts.items():
         prev_state.update(bytes.fromhex(key_hex), AccountValue(balance, nonce).encode())
-    built = BuiltBlock(
-        header=header,
-        matrix=matrix,
-        commitment=commitment,
-        shares=shares,
-        messages=[],
-        traces=[],
-        producer=header.additional_data,
-        p=p,
-    )
-    return built, prev_header, prev_state
+    return BuiltBlock(header, matrix, p), prev_header, prev_state
 
 
 def cmd_fraud(args: argparse.Namespace) -> int:

@@ -7,13 +7,16 @@ state root after the producer's fee payout). A codec proof demonstrates
 that the content of one committed row or column, reconstructed from
 proven shares, does not hash to its committed axis root.
 
-The slice rule, shared by prover and verifier: a period is an optional
-pre-state trace (absent only at block start, where the previous block's
-state root stands in), then at most p transfers, then a post-state
-trace. Whatever follows the last trace is the block-final slice: it has
-no post-state trace, possibly no transfers, and its replay is checked
-against the header state root after the fee payout. Both layouts (in-band
-traces and the double tree) replay a slice through the same fold.
+The slice rule is block.read_period, which the prover calls on the
+parsed data at block start and at every trace, and the verifier on the
+proof's shares. A period is an optional pre-state trace (absent only at
+block start, where the previous block's state root stands in), then at
+most p transfers, then a post-state trace. Whatever follows the last
+trace is the block-final slice: it has no post-state trace, possibly no
+transfers, and its replay is checked against the header state root after
+the fee payout. An empty block is one such slice, the fee payout alone
+from the previous state root. Both layouts (in-band traces and the
+double tree) replay a slice through the same fold.
 
 The wire decoders read through merkle.Reader and raise only ValueError
 on a malformed record. The verifiers never raise on attacker-supplied
@@ -37,11 +40,10 @@ from .block import (
     DoubleTreeBlock,
     DoubleTreeHeader,
     ParseError,
-    ParsedMessage,
     original_share_count,
-    parse_period,
     parse_shares_with_spans,
     period,
+    read_period,
 )
 from .erasure import Unrecoverable, rs_decode
 from .merkle import MerkleProof, Reader
@@ -93,9 +95,6 @@ class HeaderStore:
     def is_rejected(self, block_hash: bytes) -> bool:
         return block_hash in self.rejected
 
-    def is_accepted(self, block_hash: bytes) -> bool:
-        return block_hash in self.headers and block_hash not in self.rejected
-
 
 # --- Transition fraud proofs -------------------------------------------------
 
@@ -117,22 +116,6 @@ class TransitionFraudProof:
     share_proofs: tuple[ShareProof, ...]
     witnesses: tuple[StateWitness, ...]
     payout_witness: Optional[StateWitness] = None
-
-
-def _trim_to_period(messages: Sequence[ParsedMessage], at_block_start: bool) -> list[ParsedMessage]:
-    """Drop leading transfers that spill over from the previous period.
-
-    A mid-block share run legitimately begins with the tail of the prior
-    period; its transfers precede the first trace and are not part of the
-    slice being replayed. At block start there is no prior period, so
-    leading transfers are the slice.
-    """
-    if at_block_start:
-        return list(messages)
-    for i, parsed in enumerate(messages):
-        if parsed.message.is_trace:
-            return list(messages[i:])
-    return []
 
 
 def _replay_disagrees(
@@ -241,15 +224,11 @@ def verify_transition_fraud_proof(
         return False
 
     try:
-        parsed = parse_shares_with_spans(proof.shares)
-        trimmed = _trim_to_period(parsed, at_block_start=(y == 0))
-        slice_ = parse_period([pm.message for pm in trimmed], p)
+        slice_ = read_period(parse_shares_with_spans(proof.shares), y == 0, p)
     except ParseError:
         return False
 
-    if slice_.pre_root is None and y != 0:
-        return False
-    if slice_.post_root is None and y + count - 1 != orig_count - 1:
+    if slice_.post_root is None and y + count != orig_count:
         return False
     if len(proof.witnesses) != len(slice_.txs):
         return False
@@ -262,23 +241,6 @@ def verify_transition_fraud_proof(
     )
 
 
-def _period_boundaries(parsed: Sequence[ParsedMessage]) -> list[tuple[int, int]]:
-    """(start, end) message index ranges, one per period, end exclusive.
-
-    Each range runs from its pre-root trace through its post-root trace;
-    the final range is whatever follows the last trace, which is just
-    that trace when the data ends on a boundary.
-    """
-    ranges = []
-    start = 0
-    for i, pm in enumerate(parsed):
-        if pm.message.is_trace:
-            ranges.append((start, i + 1))
-            start = i  # next period begins at its pre-root trace
-    ranges.append((start, len(parsed)))
-    return ranges
-
-
 def generate_transition_fraud_proof(
     built: BuiltBlock, prev_state: StateTree
 ) -> Optional[TransitionFraudProof]:
@@ -289,42 +251,44 @@ def generate_transition_fraud_proof(
     block data and the previous block's state. Data that violates the
     period criterion raises PeriodError.
     """
-    header = built.header
-    payload_size = built.matrix.share_size - 2
-    parsed = parse_shares_with_spans(built.shares)
+    shares = built.shares
+    parsed = parse_shares_with_spans(shares)
     tree = prev_state.copy()
-
-    for start, end in _period_boundaries(parsed):
-        msgs = parsed[start:end]
-        if not msgs:
-            continue
-        slice_ = parse_period([pm.message for pm in msgs], built.p)
+    start = 0  # index of the period's pre-root trace, or 0 at block start
+    at_block_start = True
+    while True:
+        slice_ = read_period(parsed[start:], at_block_start, built.p)
         replay = _replay_period(
-            tree, slice_.txs, slice_.post_root, built.producer, header.state_root
+            tree, slice_.txs, slice_.post_root, built.producer, built.header.state_root
         )
-        if replay is None:
-            continue
-        witnesses, payout_witness = replay
-        y = msgs[0].start // payload_size
+        if replay is not None:
+            break
         if slice_.post_root is None:
-            end_share = len(built.shares) - 1
-        else:
-            end_share = (msgs[-1].end - 1) // payload_size
-        share_run = built.shares[y : end_share + 1]
-        share_proofs = [
-            rs2d.prove_share(built.matrix, *divmod(y + offset, built.matrix.k), ROW)[1]
-            for offset in range(len(share_run))
-        ]
-        return TransitionFraudProof(
-            block_hash=header.block_hash(),
-            start_index=y,
-            shares=tuple(share_run),
-            origins=tuple([ROW] * len(share_run)),
-            share_proofs=tuple(share_proofs),
-            witnesses=tuple(witnesses),
-            payout_witness=payout_witness,
-        )
-    return None
+            return None
+        start += len(slice_.messages) - 1  # the post-root opens the next period
+        at_block_start = False
+
+    witnesses, payout_witness = replay
+    payload_size = built.matrix.share_size - 2
+    y = 0 if at_block_start else slice_.messages[0].start // payload_size
+    if slice_.post_root is None:
+        end_share = len(shares) - 1
+    else:
+        end_share = (slice_.messages[-1].end - 1) // payload_size
+    share_run = shares[y : end_share + 1]
+    share_proofs = [
+        rs2d.prove_share(built.matrix, *divmod(y + offset, built.matrix.k), ROW)[1]
+        for offset in range(len(share_run))
+    ]
+    return TransitionFraudProof(
+        block_hash=built.header.block_hash(),
+        start_index=y,
+        shares=tuple(share_run),
+        origins=tuple([ROW] * len(share_run)),
+        share_proofs=tuple(share_proofs),
+        witnesses=tuple(witnesses),
+        payout_witness=payout_witness,
+    )
 
 
 # --- Codec fraud proofs -------------------------------------------------------
@@ -454,7 +418,7 @@ def verify_double_tree_fraud_proof(
     if header is None:
         return False
     count = len(proof.txs)
-    if count == 0 or len(proof.tx_proofs) != count or len(proof.witnesses) != count:
+    if len(proof.tx_proofs) != count or len(proof.witnesses) != count:
         return False
     y = proof.start_index
     if y < 0 or y + count > header.tx_length:

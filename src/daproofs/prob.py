@@ -88,11 +88,6 @@ def p1(k: int, s: int, q: Optional[int] = None) -> float:
     return 1.0 - miss
 
 
-def p1_limit(s: int) -> float:
-    """Large-k limit of p1 at the unrecoverability minimum: 1 - (3/4)^s."""
-    return 1.0 - 0.75 ** s
-
-
 # --- multi-client detection ----------------------------------------------------
 
 
@@ -311,9 +306,3 @@ def px(s: int, c: int, d: int) -> float:
     for i in range(1, min(s, d) + 1):
         acc += Fraction(math.comb(s, i) * math.comb(others, d - i), total)
     return float(acc)
-
-
-def px_complement(s: int, c: int, d: int) -> float:
-    """Same probability as 1 - C(s(c-1), d)/C(cs, d)."""
-    _check_px_params(s, c, d)
-    return float(1 - Fraction(math.comb(s * (c - 1), d), math.comb(c * s, d)))

@@ -386,6 +386,14 @@ class PartialMatrix:
     def missing(self) -> int:
         return sum(row.count(None) for row in self.cells)
 
+    def copy(self) -> "PartialMatrix":
+        """A copy that recovery can fill without touching this matrix."""
+        dup = PartialMatrix(self.k, self.share_size)
+        dup.cells = [list(row) for row in self.cells]
+        dup.origins = [list(row) for row in self.origins]
+        dup.proofs = [list(row) for row in self.proofs]
+        return dup
+
 
 @dataclass(frozen=True)
 class CodecFault:

@@ -496,7 +496,7 @@ class _FullNode:
             return
         commitment = sim.scenario.built.commitment
         try:
-            result = rs2d.recover_matrix(_copy_partial(self.partial), commitment)
+            result = rs2d.recover_matrix(self.partial.copy(), commitment)
         except rs2d.Unrecoverable:
             return
         if isinstance(result, rs2d.CodecFault):
@@ -515,9 +515,7 @@ class _FullNode:
             return
         self.transition_checked = True
         sim = self.sim
-        k = sim.config.k
-        shares = [matrix.cells[i // k][i % k] for i in range(k * k)]
-        rebuilt = replace(sim.scenario.built, matrix=matrix, shares=shares)
+        rebuilt = replace(sim.scenario.built, matrix=matrix)
         proof = fraud.generate_transition_fraud_proof(rebuilt, sim.scenario.genesis_state)
         if proof is not None:
             sim.engine.log(f"fullnode:{self.node_id}", "transition-fraud", f"y={proof.start_index}")
@@ -539,14 +537,6 @@ class _FullNode:
     def _tell_clients(self, proof: FraudProof) -> None:
         for client in self.clients:
             self.sim.send(client.receive_fraud, proof)
-
-
-def _copy_partial(partial: PartialMatrix) -> PartialMatrix:
-    dup = PartialMatrix(partial.k, partial.share_size)
-    dup.cells = [list(row) for row in partial.cells]
-    dup.origins = [list(row) for row in partial.origins]
-    dup.proofs = [list(row) for row in partial.proofs]
-    return dup
 
 
 class _Client:
@@ -726,35 +716,6 @@ def run_sampling(config: SimConfig, scenario: Optional[Scenario] = None) -> SimV
     if scenario is None:
         scenario = prepare_scenario(config)
     return _Simulation(config, scenario).run()
-
-
-def predicted_deceived_prefix(config: SimConfig) -> list[int]:
-    """Replay the request-budget arithmetic on the clients' sample draws.
-
-    Standard model only: walks requests in client order, releasing new
-    cells until the budget would overflow, and returns the clients whose
-    requests were all answered before the producer went dark.
-    """
-    if config.network_model != "standard":
-        raise ValueError("prefix prediction applies to the standard model")
-    limit = config.effective_selective_limit
-    released: set[tuple[int, int]] = set()
-    deceived = []
-    for client_id in range(config.light_clients):
-        rng = random.Random(f"{config.seed}:client:{client_id}")
-        served_all = True
-        for cell in draw_coordinates(rng, 2 * config.k, config.s):
-            if cell in released:
-                continue
-            if len(released) < limit:
-                released.add(cell)
-                continue
-            served_all = False
-            break
-        if not served_all:
-            break  # the producer is dark; nobody later is served either
-        deceived.append(client_id)
-    return deceived
 
 
 # --- output helpers --------------------------------------------------------------

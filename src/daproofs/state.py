@@ -8,7 +8,7 @@ nonce, credits the recipient, and accrues the fee into the reserved
 accumulator key. Illegal transfers yield ERR, which absorbs: once a
 replay hits ERR it stays ERR.
 
-Replay works either on a full tree (transition) or statelessly from a
+Replay works either on a full tree (apply_transaction) or statelessly from a
 root plus a witness (root_transition). Both run one rule set that does
 not read the lazy root: full-tree replays read it only at traces, the
 stateless fold after every transfer. A witness that fails verification
@@ -158,21 +158,6 @@ def apply_transaction(tree: StateTree, tx: Transaction) -> StateRoot:
     return tree.root() if _apply_rules(tree, tx) else ERR
 
 
-def transition(state: Union[StateTree, _ErrType], tx: Transaction) -> Union[StateTree, _ErrType]:
-    """Pure transfer: returns a new tree, or the absorbing ERR."""
-    if state is ERR:
-        return ERR
-    assert isinstance(state, StateTree)
-    new = state.copy()
-    return new if _apply_rules(new, tx) else ERR
-
-
-def valid(txs: Iterable[Transaction], state: StateTree) -> bool:
-    """True iff replaying every transfer in order never hits ERR."""
-    current = state.copy()
-    return all(_apply_rules(current, tx) for tx in txs)
-
-
 def make_witness(tree: StateTree, keys: Iterable[bytes]) -> StateWitness:
     """Minimal witness: one proven entry per key, in canonical order."""
     entries = tuple(
@@ -222,13 +207,6 @@ def apply_fee_payout(tree: StateTree, producer: bytes) -> bytes:
     return tree.root()
 
 
-def collect_fees(tree: StateTree, producer: bytes) -> StateTree:
-    """Pure fee payout, applied as a block's final implicit transition."""
-    new = tree.copy()
-    apply_fee_payout(new, producer)
-    return new
-
-
 def payout_keys(producer: bytes) -> tuple[bytes, ...]:
     return tuple(sorted({producer, FEES_KEY}))
 
@@ -240,8 +218,3 @@ def root_fee_payout(state_root: bytes, producer: bytes, witness: StateWitness) -
         raise WitnessError("witness does not cover payout keys")
     _apply_payout(subtree, producer)
     return subtree.root()
-
-
-def total_supply(tree: StateTree) -> int:
-    """Sum of all balances including the fee accumulator."""
-    return sum(AccountValue.decode(value).balance for _, value in tree.items())

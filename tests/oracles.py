@@ -17,18 +17,29 @@ that have no place at run time.
 - sample_distinct, recovery_experiment: uniform draws without replacement,
   and the seeded frequency of c clients jointly drawing enough distinct
   shares to recover, a Monte Carlo check of pe.
+- p1_limit, px_complement: the large-k limit of p1, and px as one
+  complement, the closed forms that check prob.p1 and prob.px.
+- transition, valid, collect_fees, total_supply: the paper's pure state
+  definitions (a new tree per transfer, ERR absorbing), the oracle of the
+  in-place replay.
+- is_accepted: a header a client holds and has not rejected.
+- predicted_deceived_prefix: the selective adversary's request budget
+  replayed on the clients' sample draws, the simulator's expected
+  deceived clients.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import random
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from daproofs import erasure, merkle, rs2d
+from daproofs.fraud import HeaderStore
 from daproofs.merkle import DIGEST_SIZE, MerkleProof
 from daproofs.rs2d import ShareProof, matrix_width_for
 from daproofs.prob import (
@@ -37,6 +48,16 @@ from daproofs.prob import (
     p1,
     recovery_threshold,
     unavailable_minimum,
+)
+from daproofs.sim import SimConfig, draw_coordinates
+from daproofs.smt import StateTree
+from daproofs.state import (
+    ERR,
+    AccountValue,
+    Transaction,
+    _apply_rules,
+    _ErrType,
+    apply_fee_payout,
 )
 
 
@@ -300,3 +321,74 @@ def recover_every_axis(
                 if fault is not None:
                     return fault
     return rs2d.ExtendedMatrix(k, partial.share_size, [list(row) for row in partial.cells])
+
+
+def p1_limit(s: int) -> float:
+    """Large-k limit of p1 at the unrecoverability minimum: 1 - (3/4)^s."""
+    return 1.0 - 0.75 ** s
+
+
+def px_complement(s: int, c: int, d: int) -> float:
+    """Same probability as 1 - C(s(c-1), d)/C(cs, d)."""
+    _check_px_params(s, c, d)
+    return float(1 - Fraction(math.comb(s * (c - 1), d), math.comb(c * s, d)))
+
+
+def transition(state: Union[StateTree, _ErrType], tx: Transaction) -> Union[StateTree, _ErrType]:
+    """Pure transfer: returns a new tree, or the absorbing ERR."""
+    if state is ERR:
+        return ERR
+    assert isinstance(state, StateTree)
+    new = state.copy()
+    return new if _apply_rules(new, tx) else ERR
+
+
+def valid(txs: Iterable[Transaction], state: StateTree) -> bool:
+    """True iff replaying every transfer in order never hits ERR."""
+    current = state.copy()
+    return all(_apply_rules(current, tx) for tx in txs)
+
+
+def collect_fees(tree: StateTree, producer: bytes) -> StateTree:
+    """Pure fee payout, applied as a block's final implicit transition."""
+    new = tree.copy()
+    apply_fee_payout(new, producer)
+    return new
+
+
+def total_supply(tree: StateTree) -> int:
+    """Sum of all balances including the fee accumulator."""
+    return sum(AccountValue.decode(value).balance for _, value in tree.items())
+
+
+def is_accepted(store: HeaderStore, block_hash: bytes) -> bool:
+    return block_hash in store.headers and not store.is_rejected(block_hash)
+
+
+def predicted_deceived_prefix(config: SimConfig) -> list[int]:
+    """Replay the request-budget arithmetic on the clients' sample draws.
+
+    Standard model only: walks requests in client order, releasing new
+    cells until the budget would overflow, and returns the clients whose
+    requests were all answered before the producer went dark.
+    """
+    if config.network_model != "standard":
+        raise ValueError("prefix prediction applies to the standard model")
+    limit = config.effective_selective_limit
+    released: set[tuple[int, int]] = set()
+    deceived = []
+    for client_id in range(config.light_clients):
+        rng = random.Random(f"{config.seed}:client:{client_id}")
+        served_all = True
+        for cell in draw_coordinates(rng, 2 * config.k, config.s):
+            if cell in released:
+                continue
+            if len(released) < limit:
+                released.add(cell)
+                continue
+            served_all = False
+            break
+        if not served_all:
+            break  # the producer is dark; nobody later is served either
+        deceived.append(client_id)
+    return deceived

@@ -37,7 +37,7 @@ from daproofs.rs2d import ROW, PartialMatrix
 from daproofs.smt import SparseProof
 from daproofs.state import StateWitness
 from tests.conftest import funded_state, transfer_chain
-from tests.oracles import mc_p1
+from tests.oracles import mc_p1, predicted_deceived_prefix, px_complement
 
 
 def report(number: int, label: str, detail: str = "") -> None:
@@ -168,7 +168,7 @@ def test_criterion_5_denial_probability(enhanced_runs):
         s = rng.randrange(1, 12)
         c = rng.randrange(2, 40)
         d = rng.randrange(0, s * c + 1)
-        gap = abs(prob.px(s, c, d) - prob.px_complement(s, c, d))
+        gap = abs(prob.px(s, c, d) - px_complement(s, c, d))
         worst = max(worst, gap)
         assert gap < 1e-12
 
@@ -219,12 +219,11 @@ def honest_content_transition_proof(built, tree):
     parsed = fraud.parse_shares_with_spans(built.shares)
     witnesses = []
     for pm in parsed:
-        if pm.message.is_trace:
+        if isinstance(pm.message, bytes):
             end_byte = pm.end - 1
             break
-        tx = pm.message.as_transaction()
-        witnesses.append(make_tx_witness(working, tx))
-        apply_transaction(working, tx)
+        witnesses.append(make_tx_witness(working, pm.message))
+        apply_transaction(working, pm.message)
     payload = FUZZ_SHARE - 2
     end_share = end_byte // payload
     share_run = built.shares[: end_share + 1]
@@ -233,9 +232,7 @@ def honest_content_transition_proof(built, tree):
         r, c = divmod(index, built.matrix.k)
         _, sp = rs2d.prove_share(built.matrix, r, c, ROW)
         proofs.append(sp)
-    slice_ = fraud.parse_period(
-        [pm.message for pm in fraud.parse_shares_with_spans(share_run)], FUZZ_P
-    )
+    slice_ = fraud.read_period(fraud.parse_shares_with_spans(share_run), True, FUZZ_P)
     witnesses = witnesses[: len(slice_.txs)]
     return TransitionFraudProof(
         block_hash=built.header.block_hash(),
@@ -511,7 +508,7 @@ def test_criterion_7_end_to_end(enhanced_runs):
     for seed in range(10):
         config = sim.SimConfig(**standard, seed=seed)
         verdict = sim.run_sampling(config)
-        predicted = sim.predicted_deceived_prefix(config)
+        predicted = predicted_deceived_prefix(config)
         assert verdict.accepting_clients == predicted, seed
         assert predicted == list(range(len(predicted)))
         assert not verdict.soundness_holds

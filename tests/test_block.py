@@ -5,32 +5,32 @@ import pytest
 from daproofs import block, rs2d
 from daproofs.block import (
     BlockHeader,
-    Message,
     ParseError,
     PeriodError,
+    PeriodSlice,
     build_block,
     build_double_tree_block,
     check_layout,
     genesis_header,
     min_period,
-    parse_period,
-    parse_shares,
     parse_shares_with_spans,
     period,
+    read_period,
     serialize_shares,
     shares_needed,
 )
-from daproofs.state import ERR, apply_transaction, collect_fees
+from daproofs.state import ERR, Transaction, apply_transaction
 from tests.conftest import account_key, transfer_chain
+from tests.oracles import collect_fees
+
+
+def parse_shares(shares):
+    return [parsed.message for parsed in parse_shares_with_spans(shares)]
 
 
 def tx_message(rng, keys=None, nonce=0):
     keys = keys or [account_key("m1"), account_key("m2")]
-    from daproofs.state import Transaction
-
-    return Message.transaction(
-        Transaction(keys[0], keys[1], rng.randrange(100), rng.randrange(4), nonce)
-    )
+    return Transaction(keys[0], keys[1], rng.randrange(100), rng.randrange(4), nonce)
 
 
 def random_messages(rng, count):
@@ -38,7 +38,7 @@ def random_messages(rng, count):
     nonce = 0
     for _ in range(count):
         if rng.random() < 0.25:
-            msgs.append(Message.trace(bytes(rng.randrange(256) for _ in range(32))))
+            msgs.append(bytes(rng.randrange(256) for _ in range(32)))
         else:
             msgs.append(tx_message(rng, nonce=nonce))
             nonce += 1
@@ -103,30 +103,55 @@ def test_parse_rejects_bad_framing():
         parse_shares([bad_tag])
     with pytest.raises(ParseError):
         parse_shares([good[0], good[0][:10]])
+    # a trace body is a 32-byte root; any other length is a framing error
+    for length in (31, 33):
+        bad_trace = b"\x00\x01\x02" + length.to_bytes(2, "big") + b"\x05" * length
+        with pytest.raises(ParseError, match="32 bytes"):
+            parse_shares([bad_trace.ljust(64, b"\x00")])
+    with pytest.raises(ValueError, match="32 bytes"):
+        serialize_shares([b"\x05" * 31], 64)
 
 
 def test_parse_period_examples():
     rng = random.Random(5)
     t1, t2 = tx_message(rng, nonce=0), tx_message(rng, nonce=1)
-    pre, post = Message.trace(b"\x01" * 32), Message.trace(b"\x02" * 32)
-    slice_ = parse_period([pre, t1, t2, post], p=10)
-    assert slice_.pre_root == pre.body
-    assert slice_.post_root == post.body
-    assert [tx.nonce for tx in slice_.txs] == [0, 1]
+    pre, post = b"\x01" * 32, b"\x02" * 32
+
+    def read(messages, at_block_start, p=10):
+        return read_period(
+            parse_shares_with_spans(serialize_shares(messages, 256)), at_block_start, p
+        )
+
+    slice_ = read([pre, t1, t2, post], False)
+    assert (slice_.pre_root, slice_.txs, slice_.post_root) == (pre, (t1, t2), post)
+    assert [pm.message for pm in slice_.messages] == [pre, t1, t2, post]
 
     txs = [tx_message(rng, nonce=i) for i in range(11)]
     with pytest.raises(PeriodError):
-        parse_period([pre] + txs + [post], p=10)
+        read([pre] + txs + [post], False)
 
-    head = parse_period([t1, post], p=10)
-    assert head.pre_root is None and head.post_root == post.body
+    # at block start the previous state root stands in for the pre-root
+    head = read([t1, post], True)
+    assert head.pre_root is None and head.txs == (t1,) and head.post_root == post
+    lead = read([post, t1], True)
+    assert lead.pre_root is None and lead.txs == () and lead.post_root == post
 
-    # messages after the closing trace belong to the next period
-    slice_ = parse_period([pre, t1, post, t2], p=10)
-    assert len(slice_.txs) == 1
+    # mid-block, transfers before the first trace belong to the prior period,
+    # and messages after the closing trace to the next one
+    slice_ = read([t1, pre, t2, post, t1], False)
+    assert (slice_.pre_root, slice_.txs, slice_.post_root) == (pre, (t2,), post)
+    assert [pm.message for pm in slice_.messages] == [pre, t2, post]
 
+    # without a closing trace the slice is block-final
+    tail = read([pre, t1], False)
+    assert tail.post_root is None and tail.txs == (t1,)
+
+    # an empty run is the empty block's final slice at block start only
+    assert read_period([], True) == PeriodSlice(None, (), None, ())
     with pytest.raises(PeriodError):
-        parse_period([], p=10)
+        read_period([], False)
+    with pytest.raises(PeriodError):
+        read([t1, t2], False)
 
 
 def test_header_wire_round_trip():
@@ -141,14 +166,13 @@ def test_honest_block_ten_txs_one_trailing_trace(base_state):
     rng = random.Random(6)
     txs = transfer_chain(keys, 10, rng)
     built = build_block(genesis_header(tree), tree, txs, k=4, share_size=128, p=10)
-    kinds = [m.kind for m in built.messages]
-    assert kinds == [block.MSG_TX] * 10 + [block.MSG_TRACE]
-    assert len(built.traces) == 1
+    messages = parse_shares(built.shares)
+    assert messages[:10] == txs and len(messages) == 11
     # replay oracle: fold the transfers, then the payout
     replay = tree.copy()
     for tx in txs:
         assert apply_transaction(replay, tx) is not ERR
-    assert replay.root() == built.traces[0]
+    assert replay.root() == messages[10]
     assert collect_fees(replay, built.producer).root() == built.header.state_root
 
 
@@ -157,14 +181,16 @@ def test_honest_block_satisfies_period_criterion(base_state):
     rng = random.Random(7)
     txs = transfer_chain(keys, 23, rng)
     built = build_block(genesis_header(tree), tree, txs, k=4, share_size=256, p=10)
+    messages = parse_shares(built.shares)
     run = 0
-    for msg in built.messages:
-        if msg.is_trace:
+    for msg in messages:
+        if isinstance(msg, bytes):
             run = 0
         else:
             run += 1
             assert run <= 10
-    assert parse_shares(built.shares) == built.messages
+    assert [msg for msg in messages if not isinstance(msg, bytes)] == txs
+    assert len(messages) == len(txs) + len(txs) // 10
 
 
 def test_block_data_round_trips_through_matrix(base_state):
@@ -235,7 +261,7 @@ def test_shares_needed_matches_serialization():
     # the closed form counts the shares serialize_shares fills, and
     # check_layout admits exactly the layouts that fit k*k of them
     rng = random.Random(21)
-    trace = Message.trace(bytes(32))
+    trace = bytes(32)
     for share_size in (34, 36, 92, 94, 128, 256):
         for p in range(min_period(share_size), min_period(share_size) + 4):
             messages = []

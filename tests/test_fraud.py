@@ -36,6 +36,7 @@ from daproofs.rs2d import COLUMN, ROW, DataCommitment, PartialMatrix, ShareProof
 from daproofs.smt import SparseProof, StateTree
 from daproofs.state import StateWitness
 from tests.conftest import funded_state, transfer_chain
+from tests.oracles import is_accepted
 
 K = 4
 SHARE_SIZE = 256
@@ -130,10 +131,12 @@ def test_corrupted_header_round_trip_payout_branch(invalid_header):
 
 
 @pytest.mark.parametrize("corrupt", ["trace", "header"])
-@pytest.mark.parametrize("tx_count", [P - 1, P, 2 * P, 2 * P + 1, 25])
+@pytest.mark.parametrize("tx_count", [0, P - 1, P, 2 * P, 2 * P + 1, 25])
 def test_transition_round_trip_at_every_period_alignment(tx_count, corrupt):
     """Prover and verifier slice alike, also when the data ends on a trace:
-    the block-final slice is then payout-only (pre-root = last trace)."""
+    the block-final slice is then payout-only (pre-root = last trace), and
+    in the empty block, whose one slice is the payout from the previous
+    state root."""
     built, prev_state, store = make_chain("invalid-transition", tx_count, corrupt)
     proof = generate_transition_fraud_proof(built, prev_state)
     assert proof is not None
@@ -162,7 +165,7 @@ def proof_verifies_at_period(share_size, p, tx_count, corrupt):
 @pytest.mark.parametrize("share_size", [64, 128, 184, 186, 256])
 def test_period_floor_is_where_every_transition_proof_verifies(share_size, monkeypatch):
     floor = min_period(share_size)
-    for tx_count in range(1, 3 * floor + 2):
+    for tx_count in range(0, 3 * floor + 2):
         for corrupt in ("trace", "header"):
             assert proof_verifies_at_period(share_size, floor, tx_count, corrupt)
     if floor == 1:
@@ -438,10 +441,10 @@ def test_header_store_permanent_rejection(invalid_trace):
     built, prev_state, store = invalid_trace
     proof = generate_transition_fraud_proof(built, prev_state)
     block_hash = built.header.block_hash()
-    assert store.is_accepted(block_hash)
+    assert is_accepted(store, block_hash)
     assert apply_fraud_proof(proof, store, P)
     assert store.is_rejected(block_hash)
-    assert not store.is_accepted(block_hash)
+    assert not is_accepted(store, block_hash)
     # re-adding the header does not clear the rejection
     store.add(built.header)
     assert store.is_rejected(block_hash)
@@ -608,13 +611,18 @@ def test_dt_round_trip(dt_invalid):
 
 
 def test_dt_header_corruption_round_trip():
-    built, tree, store = make_dt_chain("invalid-transition", tx_count=8)
-    # a block under one period long has no traces; the header is corrupted
-    assert built.header.trace_length == 0
-    proof = generate_double_tree_fraud_proof(built, tree)
-    assert proof is not None
-    assert proof.pre_trace is None and proof.post_trace is None
-    assert verify_double_tree_fraud_proof(proof, store, P, prev_state_root=tree.root())
+    # a block under one period long has no traces; the header is corrupted,
+    # also in the empty block, whose proof has no transfers at all
+    for tx_count in (8, 0):
+        built, tree, store = make_dt_chain("invalid-transition", tx_count=tx_count)
+        assert built.header.trace_length == 0
+        proof = generate_double_tree_fraud_proof(built, tree)
+        assert proof is not None
+        assert proof.pre_trace is None and proof.post_trace is None
+        assert len(proof.txs) == tx_count
+        assert verify_double_tree_fraud_proof(proof, store, P, prev_state_root=tree.root())
+        honest_built, honest_tree, _ = make_dt_chain("honest", tx_count=tx_count)
+        assert generate_double_tree_fraud_proof(honest_built, honest_tree) is None
 
 
 def test_dt_wrong_period_mapping_fails(dt_invalid):

@@ -14,14 +14,12 @@ from daproofs.prob import (
     mc_min_clients,
     min_clients,
     p1,
-    p1_limit,
     pc,
     pc_as_printed,
     pe,
     pe_exact_fraction,
     pe_reaches,
     px,
-    px_complement,
     recovery_threshold,
 )
 from tests.oracles import (
@@ -30,7 +28,9 @@ from tests.oracles import (
     mc_pe,
     mc_px,
     p1_hypergeom,
+    p1_limit,
     pe_series_fraction,
+    px_complement,
     sample_distinct,
 )
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -9,11 +10,10 @@ from daproofs.sim import (
     VERDICT_ACCEPT,
     VERDICT_FRAUD,
     VERDICT_UNAVAILABLE,
-    predicted_deceived_prefix,
     prepare_scenario,
     run_sampling,
 )
-from tests.oracles import recovery_experiment
+from tests.oracles import predicted_deceived_prefix, recovery_experiment
 
 BASE = dict(k=4, share_size=128, s=3, light_clients=8, full_nodes=2, tx_count=12)
 
@@ -52,6 +52,16 @@ def test_invalid_transition_rejected_by_transition_proof():
     assert verdicts(result) == [VERDICT_FRAUD] * 8
     kinds = {kind for _, kind in result.fraud_proof_ticks}
     assert kinds == {"transition"}
+
+
+def test_invalid_empty_block_rejected_by_transition_proof():
+    # no transfers: the block-final slice is the fee payout alone, and its
+    # proof carries every original share, with no witness but the payout's
+    config = SimConfig(**{**BASE, "tx_count": 0}, adversary="invalid-transition", seed=11)
+    result = run_sampling(config)
+    assert verdicts(result) == [VERDICT_FRAUD] * 8
+    assert {kind for _, kind in result.fraud_proof_ticks} == {"transition"}
+    assert verdicts(run_sampling(replace(config, adversary="honest"))) == [VERDICT_ACCEPT] * 8
 
 
 def test_fraud_proof_verified_once_per_header_store(monkeypatch):

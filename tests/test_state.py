@@ -10,17 +10,14 @@ from daproofs.state import (
     StateWitness,
     Transaction,
     apply_transaction,
-    collect_fees,
     make_tx_witness,
     make_witness,
     payout_keys,
     root_fee_payout,
     root_transition,
-    total_supply,
-    transition,
-    valid,
 )
 from tests.conftest import account_key, funded_state, transfer_chain
+from tests.oracles import collect_fees, total_supply, transition, valid
 
 
 def simple_tx(sender, recipient, amount=5, fee=1, nonce=0):
