@@ -128,6 +128,10 @@ def cmd_prob(args: argparse.Namespace) -> int:
             lam = n - prob.recovery_threshold(k)
             for s in ss:
                 p1_value = prob.p1(k, s)
+                pe_curve = None
+                if args.table in ("pe", "all") and any(cs):
+                    # entry [c] does not depend on c_max: one curve serves every c
+                    pe_curve = prob.pe_dp_curve(n, s, lam, max(cs))
                 for c in cs:
                     row: dict[str, object] = {
                         "k": k, "s": s, "c": c, "c_hat": "", "d": "",
@@ -138,8 +142,10 @@ def cmd_prob(args: argparse.Namespace) -> int:
                         row["c_hat"] = args.c_hat
                         row["pc"] = f"{prob.pc(k, s, c, args.c_hat):.10f}"
                         row["pc_from_j1"] = f"{prob.pc_as_printed(k, s, c, args.c_hat):.10f}"
-                    if args.table in ("pe", "all") and c:
-                        row["pe"] = f"{prob.pe(n, s, c, lam):.10f}"
+                    if pe_curve is not None and c:
+                        if c < 0:
+                            raise ValueError("c must be positive")
+                        row["pe"] = f"{pe_curve[c]:.10f}"
                     if args.d is not None and c:
                         row["d"] = args.d
                         row["px"] = f"{prob.px(s, c, args.d):.10f}"

@@ -20,15 +20,21 @@ to the unrecoverability minimum (k+1)^2):
   on the sum, which yields values above one; the sign here is fixed by
   exhaustive enumeration at small n.) Terms are astronomically large and
   nearly cancel, so the series is only ever evaluated in big rationals.
-  The same probability comes from the distinct-count chain: drawing a
+  The same probability comes from the distinct-count chain. Drawing a
   group one share at a time, its i-th share (i = 0..s-1) is new with
-  probability (n - z)/(n - i) when z distinct shares have been seen.
-  The chain needs no weights or logarithms and agrees with the series to
-  float64 rounding; pe() evaluates the chain. pe_dp_curve updates only a
-  live window of the chain: an edge entry below the smallest normal
-  float64, 2^-1022, is set to zero and skipped. At most 1 + c*s entries
-  are ever dropped, so in exact arithmetic the curve moves by at most
-  (1 + c*s) * 2^-1022, far below the rounding the chain already carries.
+  probability (n - z)/(n - i) when z distinct shares have been seen, so
+  the count of new shares one group brings is hypergeometric and does not
+  depend on c. pe_dp_curve advances the chain one group per step with
+  that banded kernel, whose entry [m, t] is the probability of going from
+  m - s + t to m; the kernel's transitions from each z are the per-draw
+  chain run from a point mass at z, computed once. The chain needs no
+  weights or logarithms and agrees with the series to float64 rounding;
+  pe() evaluates it. Only a live window of the chain is updated: an edge
+  entry below the smallest normal float64, 2^-1022, is set to zero and
+  skipped. The window gains at most s entries per group, so at most
+  1 + c*s entries are ever dropped, and in exact arithmetic the curve
+  moves by at most (1 + c*s) * 2^-1022, far below the rounding the chain
+  already carries.
 - px: with d of c*s pooled, unlinkable sample requests denied, one
   client sees at least one of its s requests denied:
   sum_i C(s,i) C(s(c-1), d-i) / C(cs, d) = 1 - C(s(c-1), d)/C(cs, d).
@@ -45,6 +51,7 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 DEFAULT_TARGET = 0.99
 
@@ -52,6 +59,10 @@ _EXACT_N_LIMIT = 4096
 
 # pe_dp_curve drops chain entries below the smallest normal float64.
 _LIVE_FLOOR = 2.0 ** -1022
+
+# Sources z whose group transitions one _group_kernel call computes; the
+# per-draw steps' fixed cost is shared among them.
+_KERNEL_CHUNK = 256
 
 
 def unavailable_minimum(k: int) -> int:
@@ -141,34 +152,76 @@ def _check_pe_params(n: int, s: int, c: int, lam: int) -> None:
         raise ValueError("lam must be in 0..n-1")
 
 
-def pe_exact_fraction(n: int, s: int, c: int, lam: int) -> Fraction:
-    """Exact series evaluation over the common denominator C(n, s)^c.
+def _series_terms(n: int, s: int, lam: int):
+    """The series' terms as pairs ((-1)^i C(lam+i-1, lam) C(n, lam+i),
+    C(n-lam-i, s)) for i = 1, 2, ... while the second is nonzero, so that
+    pe = 1 + sum coef * w^c / C(n, s)^c.
 
     The binomials of term i+1 follow from those of term i by exact integer
     ratios: C(lam+i, lam) = C(lam+i-1, lam)(lam+i)/i, C(n, lam+i+1) =
     C(n, lam+i)(n-lam-i)/(lam+i+1) and C(r-1, s) = C(r, s)(r-s)/r.
     """
-    _check_pe_params(n, s, c, lam)
-    denom_base = math.comb(n, s)
-    total = 0
     a, b = 1, math.comb(n, lam + 1)  # C(lam+i-1, lam) and C(n, lam+i) at i = 1
     remaining = n - lam - 1
     w_num = math.comb(remaining, s)  # C(n-lam-i, s), zero once remaining < s
     i = 1
     while w_num:
-        term = a * b * pow(w_num, c)
-        total += -term if i % 2 else term
+        yield (-a * b if i % 2 else a * b), w_num
         a = a * (lam + i) // i
         b = b * remaining // (lam + i + 1)
         w_num = w_num * (remaining - s) // remaining
         remaining -= 1
         i += 1
-    return 1 + Fraction(total, pow(denom_base, c))
+
+
+def pe_exact_fraction(n: int, s: int, c: int, lam: int) -> Fraction:
+    """Exact series evaluation over the common denominator C(n, s)^c."""
+    _check_pe_params(n, s, c, lam)
+    total = sum(coef * pow(w_num, c) for coef, w_num in _series_terms(n, s, lam))
+    return 1 + Fraction(total, pow(math.comb(n, s), c))
 
 
 def pe_reaches(n: int, s: int, c: int, lam: int, target: Fraction) -> bool:
     """Exact test pe >= target, avoiding any float rounding."""
     return pe_exact_fraction(n, s, c, lam) >= target
+
+
+def _reaches_below_and_at(
+    n: int, s: int, c: int, lam: int, target: Fraction
+) -> tuple[bool, bool]:
+    """Exact tests pe(c - 1) >= target and pe(c) >= target from one pass
+    over the series, compared by integer cross-multiplication. The first
+    is meaningless at c = 1."""
+    below = at = 0
+    for coef, w_num in _series_terms(n, s, lam):
+        term = coef * pow(w_num, c - 1)
+        below += term
+        at += term * w_num
+    denom_below = pow(math.comb(n, s), c - 1)
+    denom_at = denom_below * math.comb(n, s)
+    # 1 + total / denom >= p / q  <=>  (denom + total) * q >= p * denom
+    p, q = target.numerator, target.denominator
+    return (
+        (denom_below + below) * q >= p * denom_below,
+        (denom_at + at) * q >= p * denom_at,
+    )
+
+
+def _group_kernel(n: int, s: int, z0: int, rows: int) -> np.ndarray:
+    """chain[j, r]: the probability that one group of s distinct draws
+    brings j new shares when z0 + r have been seen. Column r is the
+    per-draw chain run from a point mass at z0 + r.
+    """
+    chain = np.zeros((s + 1, rows))
+    chain[0] = 1.0
+    # unseen[j, r] = n - (z0 + r + j); below 0 only where chain[j, r] is 0
+    unseen = (n - z0 - np.arange(rows, dtype=np.float64)) - np.arange(s + 1)[:, None]
+    for i in range(s):
+        move = chain[: i + 1] * unseen[: i + 1]
+        move /= n - i
+        chain[: i + 1] -= move
+        chain[1 : i + 2] += move
+    return chain
 
 
 def pe_dp_curve(
@@ -179,32 +232,63 @@ def pe_dp_curve(
     Entry [c] is the probability; entry [0] is 0. Stops early once the
     value reaches stop_at, leaving later entries at their last value.
 
-    Each step updates only the live window dist[low:high]. After a step,
-    an entry at either edge below _LIVE_FLOOR (the smallest normal
-    float64) is set to 0.0 and leaves the window. The window gains at most
-    one index per step, so at most 1 + c*s entries are ever dropped, and
-    in exact arithmetic |pe(c) - untruncated pe(c)| <= (1 + c*s) * 2^-1022.
+    One group of s draws is one product with the group kernel:
+    dist'[m] = sum over t = 0..s of dist[m - s + t] * kernel[m, t], where
+    kernel[m, t] is the probability of going from m - s + t to m. Each
+    group updates only the live window dist[low:high] and the s entries
+    above it. After a group, an entry at either edge below _LIVE_FLOOR
+    (the smallest normal float64) is set to 0.0 and leaves the window. The
+    window gains at most s indices per group, so at most 1 + c*s entries
+    are ever dropped, and in exact arithmetic
+    |pe(c) - untruncated pe(c)| <= (1 + c*s) * 2^-1022.
+
+    The kernel is held only for the rows m in mbase..built + s - 1, which
+    slide up with the window. Rows below `built` are complete; each source
+    z's transitions are computed once, by _group_kernel, when the window
+    first needs row z.
     """
     _check_pe_params(n, s, c_max, lam)
     goal = n - lam
-    unseen = np.arange(n, 0, -1, dtype=np.float64)  # n - z for z = 0..n-1
-    dist = np.zeros(n + 1)
+    width = s + 1
+    padded = np.zeros(n + 1 + s)  # s zeros below z = 0
+    dist = padded[s:]
     dist[0] = 1.0
+    windows = sliding_window_view(padded, width)  # windows[m, t] = dist[m - s + t]
+    kernel = np.zeros((_KERNEL_CHUNK + 2 * s, width))  # row m - mbase
+    mbase = built = 0
     out = np.zeros(c_max + 1)
     low, high = 0, 1  # every entry outside dist[low:high] is exactly 0.0
     for c in range(1, c_max + 1):
-        for i in range(s):
-            top = min(n, high)  # z = n cannot grow
-            move = dist[low:top] * unseen[low:top] / (n - i)
-            dist[low:top] -= move
-            dist[low + 1 : top + 1] += move
-            high = top + 1
-            while dist[low] < _LIVE_FLOOR:
-                dist[low] = 0.0
-                low += 1
-            while dist[high - 1] < _LIVE_FLOOR:
-                high -= 1
-                dist[high] = 0.0
+        top = min(n + 1, high + s)
+        if built < top:
+            end = min(n + 1, max(top, built + _KERNEL_CHUNK))
+            if end + s - mbase > len(kernel):
+                # rows below low are done with; rows up to built + s hold data
+                held = kernel[low - mbase : built + s - mbase].reshape(-1)
+                kernel.reshape(-1)[: held.size] = held  # a 1-D overlapping copy needs no temporary
+                del held
+                mbase = low
+                if end + s - low > len(kernel):
+                    # grown in place, so the peak holds one kernel; no view of it is alive
+                    kernel.resize((end + s - low, width), refcheck=False)
+            # source z = built + r moving up j lands in row z + j, column s - j
+            step = kernel.itemsize
+            as_strided(
+                kernel.reshape(-1)[(built - mbase) * width + s :],
+                shape=(width, end - built),
+                strides=(s * step, width * step),
+            )[...] = _group_kernel(n, s, built, end - built)
+            built = end
+        dist[low:top] = np.einsum(
+            "zt,zt->z", windows[low:top], kernel[low - mbase : top - mbase]
+        )
+        high = top
+        while dist[low] < _LIVE_FLOOR:
+            dist[low] = 0.0
+            low += 1
+        while dist[high - 1] < _LIVE_FLOOR:
+            high -= 1
+            dist[high] = 0.0
         out[c] = dist[goal:].sum()
         if stop_at is not None and out[c] >= stop_at:
             out[c:] = out[c]
@@ -225,11 +309,14 @@ def _target_fraction(target: float) -> Fraction:
 
 
 def min_clients(k: int, s: int, target: float = DEFAULT_TARGET) -> int:
-    """Smallest c with pe(n=(2k)^2, s, c, lam) >= target.
+    """Smallest c with pe(n=(2k)^2, s, c, lam) >= target, for 0 < target < 1.
 
     Searches the probability curve with the distinct-count chain. Up to
-    n = 4096 the boundary is then pinned in big rationals.
+    n = 4096 the boundary is then pinned exactly: one pass over the
+    series decides pe(c - 1) and pe(c) against the target.
     """
+    if not 0 < target < 1:
+        raise ValueError("target must be strictly between 0 and 1")
     n = (2 * k) ** 2
     lam = n - recovery_threshold(k)
     c_max = max(8, (2 * n) // s)
@@ -246,11 +333,14 @@ def min_clients(k: int, s: int, target: float = DEFAULT_TARGET) -> int:
         return candidate
 
     goal = _target_fraction(target)
-    while not pe_reaches(n, s, candidate, lam, goal):
-        candidate += 1
-    while candidate > 1 and pe_reaches(n, s, candidate - 1, lam, goal):
-        candidate -= 1
-    return candidate
+    while True:
+        below, at = _reaches_below_and_at(n, s, candidate, lam, goal)
+        if not at:
+            candidate += 1
+        elif candidate > 1 and below:
+            candidate -= 1
+        else:
+            return candidate
 
 
 def mc_min_clients(

@@ -12,6 +12,11 @@ that have no place at run time.
 - pe_series_fraction: the inclusion-exclusion series with a fresh
   math.comb per binomial in every term, the oracle for the incremental
   binomials of prob.pe_exact_fraction.
+- pe_per_draw_curve: the distinct-count chain one draw at a time over
+  every index, the oracle for the group kernel of prob.pe_dp_curve.
+- pe_group_curve: the group chain over every index with the kernel of
+  every source at once, the oracle for pe_dp_curve's live window and its
+  sliding kernel.
 - p1_hypergeom: p1 as the hypergeometric complement, in big rationals.
 - mc_pe, mc_p1, mc_pc, mc_px: Monte Carlo estimates of pe, p1, pc and px.
 - sample_distinct, recovery_experiment: uniform draws without replacement,
@@ -37,6 +42,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from daproofs import erasure, merkle, rs2d
 from daproofs.fraud import HeaderStore
@@ -154,6 +160,51 @@ def pe_series_fraction(n: int, s: int, c: int, lam: int) -> Fraction:
         term = math.comb(lam + i - 1, lam) * math.comb(n, lam + i) * pow(w_num, c)
         total += -term if i % 2 else term
     return 1 + Fraction(total, pow(denom_base, c))
+
+
+def pe_per_draw_curve(n: int, s: int, lam: int, c_max: int) -> np.ndarray:
+    """pe for c = 0..c_max, drawing each group one share at a time: its
+    i-th share is new with probability (n - z)/(n - i) when z are seen."""
+    goal = n - lam
+    unseen = np.arange(n, 0, -1, dtype=np.float64)
+    dist = np.zeros(n + 1)
+    dist[0] = 1.0
+    out = np.zeros(c_max + 1)
+    for c in range(1, c_max + 1):
+        for i in range(s):
+            top = min(n, (c - 1) * s + i + 1)
+            move = dist[:top] * unseen[:top] / (n - i)
+            dist[:top] -= move
+            dist[1 : top + 1] += move
+        out[c] = dist[goal:].sum()
+    return out
+
+
+def pe_group_curve(n: int, s: int, lam: int, c_max: int) -> np.ndarray:
+    """pe for c = 0..c_max, one group kernel product per c over all n + 1
+    entries. kernel[m, t] is the probability of m - s + t -> m in one
+    group, from the per-draw chain run from a point mass at every z."""
+    width = s + 1
+    chain = np.zeros((width, n + 1))  # chain[j, z]: j new shares from z
+    chain[0] = 1.0
+    unseen = (n - np.arange(n + 1, dtype=np.float64)) - np.arange(width)[:, None]
+    for i in range(s):
+        move = chain[: i + 1] * unseen[: i + 1]
+        move /= n - i
+        chain[: i + 1] -= move
+        chain[1 : i + 2] += move
+    kernel = np.zeros((n + 1, width))
+    for j in range(width):
+        kernel[j:, s - j] = chain[j, : n + 1 - j]
+    padded = np.zeros(n + 1 + s)
+    dist = padded[s:]
+    dist[0] = 1.0
+    windows = sliding_window_view(padded, width)  # windows[m, t] = dist[m - s + t]
+    out = np.zeros(c_max + 1)
+    for c in range(1, c_max + 1):
+        dist[:] = np.einsum("zt,zt->z", windows, kernel)
+        out[c] = dist[n - lam :].sum()
+    return out
 
 
 def p1_hypergeom(k: int, s: int, q: Optional[int] = None) -> float:

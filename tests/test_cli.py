@@ -1,9 +1,11 @@
 import csv
 import json
 import random
+from itertools import product
 
 import pytest
 
+from daproofs import prob
 from daproofs.block import build_block, genesis_header
 from daproofs.cli import main, write_block_dir
 from tests.conftest import funded_state, transfer_chain
@@ -66,6 +68,30 @@ def test_prob_px_and_pc_columns(tmp_path):
     assert float(row["pc"]) <= float(row["pc_from_j1"])
     assert 0.0 <= float(row["px"]) <= 1.0
     assert row["pe"] != ""
+
+
+def test_prob_pe_column_builds_one_curve_per_k_and_s(tmp_path, monkeypatch):
+    expected = {}
+    for k, s in product((2, 4), (1, 3)):
+        n = (2 * k) ** 2
+        lam = n - prob.recovery_threshold(k)
+        for c in range(1, 41):
+            expected[(k, s, c)] = f"{prob.pe(n, s, c, lam):.10f}"
+    built = []
+    curve = prob.pe_dp_curve
+    monkeypatch.setattr(prob, "pe_dp_curve", lambda *args: built.append(args) or curve(*args))
+    out = tmp_path / "pe.csv"
+    assert run_cli("prob", "--table", "pe", "--k", "2,4", "--s", "1,3", "--c", "1..40", "--out", out) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert {(int(r["k"]), int(r["s"]), int(r["c"])): r["pe"] for r in rows} == expected
+    assert len(rows) == len(expected)
+    assert len(built) == 4
+
+
+@pytest.mark.parametrize("target", ["1.5", "0", "1"])
+def test_prob_target_outside_unit_interval_is_usage_error(target, capsys):
+    assert run_cli("prob", "--table", "table1", "--k", "2", "--s", "3", "--target", target) == 2
+    assert "target" in capsys.readouterr().err
 
 
 def test_simulate_and_outputs(tmp_path):

@@ -1,6 +1,5 @@
 import math
 import random
-import sys
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -29,6 +28,8 @@ from tests.oracles import (
     mc_px,
     p1_hypergeom,
     p1_limit,
+    pe_group_curve,
+    pe_per_draw_curve,
     pe_series_fraction,
     px_complement,
     sample_distinct,
@@ -142,31 +143,13 @@ def test_pe_dp_matches_exact_mid_scale():
             assert abs(curve[c] - float(pe_exact_fraction(n, s, c, lam))) <= 1e-14, (n, s, c)
 
 
-def full_window_curve(n, s, lam, c_max):
-    """The chain updating every index from 0 on each step: the oracle for
-    pe_dp_curve's live window, which skips the edge entries below 2^-1022."""
-    goal = n - lam
-    unseen = np.arange(n, 0, -1, dtype=np.float64)
-    dist = np.zeros(n + 1)
-    dist[0] = 1.0
-    out = np.zeros(c_max + 1)
-    for c in range(1, c_max + 1):
-        for i in range(s):
-            top = min(n, (c - 1) * s + i + 1)
-            move = dist[:top] * unseen[:top] / (n - i)
-            dist[:top] -= move
-            dist[1 : top + 1] += move
-        out[c] = dist[goal:].sum()
-    return out
-
-
 def test_pe_dp_curve_lower_window_is_bit_exact():
     lam16 = 1024 - recovery_threshold(16)
     cases = [(64, 3, 20, 60)]
     cases += [(1024, s, lam16, c_max) for s, c_max in ((2, 700), (10, 140), (50, 30))]
     for n, s, lam, c_max in cases:
         curve = prob.pe_dp_curve(n, s, lam, c_max)
-        assert np.array_equal(curve, full_window_curve(n, s, lam, c_max)), (n, s)
+        assert np.array_equal(curve, pe_group_curve(n, s, lam, c_max)), (n, s)
 
 
 @settings(max_examples=150)
@@ -177,47 +160,70 @@ def test_pe_dp_curve_lower_window_is_bit_exact():
     c_max=st.integers(1, 400),
 )
 def test_pe_dp_curve_within_window_bound_of_full_chain(n, s_frac, lam_frac, c_max):
-    # at most 1 + c*s entries below 2^-1022 are dropped by step c
+    # at most 1 + c*s entries below 2^-1022 are dropped by group c
     s = 1 + round(s_frac * (min(n, 60) - 1))
     lam = round(lam_frac * (n - 1))
     c_max = min(c_max, 4 * n // s + 2)
     curve = prob.pe_dp_curve(n, s, lam, c_max)
-    full = full_window_curve(n, s, lam, c_max)
+    full = pe_group_curve(n, s, lam, c_max)
     bound = (1 + np.arange(c_max + 1) * s) * 2.0 ** -1022
     assert np.all(np.abs(curve - full) <= bound)
 
 
-def chain_work(n, s, lam, c_max):
-    """Element updates and widest step of pe_dp_curve: the sizes of the
-    per-step `move` arrays, read from the running frame by a line tracer."""
-    code = prob.pe_dp_curve.__code__
-    work = {"updates": 0, "widest": 0}
-    last = [None]
+@settings(max_examples=100)
+@given(
+    n=st.integers(1, 1500),
+    s_frac=st.floats(0.0, 1.0),
+    lam_frac=st.floats(0.0, 1.0),
+    c_max=st.integers(1, 400),
+)
+def test_pe_dp_curve_groups_match_per_draw_chain(n, s_frac, lam_frac, c_max):
+    # both chains round about once per draw, in different orders
+    s = 1 + round(s_frac * (min(n, 60) - 1))
+    lam = round(lam_frac * (n - 1))
+    c_max = min(c_max, 4 * n // s + 2)
+    curve = prob.pe_dp_curve(n, s, lam, c_max)
+    per_draw = pe_per_draw_curve(n, s, lam, c_max)
+    bound = (1 + np.arange(c_max + 1) * s) * 2.0 ** -53
+    assert np.all(np.abs(curve - per_draw) <= bound)
 
-    def on_line(frame, event, arg):
-        move = frame.f_locals.get("move")
-        if move is not None and move is not last[0]:
-            last[0] = move
-            work["updates"] += move.size
-            work["widest"] = max(work["widest"], move.size)
-        return on_line
 
-    previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: on_line if frame.f_code is code else None)
-    try:
-        prob.pe_dp_curve(n, s, lam, c_max)
-    finally:
-        sys.settrace(previous)
+def group_chain_work(monkeypatch, n, s, lam, c_max):
+    """Group products, their rows in all and at the widest, and the source
+    ranges whose kernel columns pe_dp_curve builds, seen by wrapping
+    np.einsum and prob._group_kernel."""
+    work = {"products": 0, "rows": 0, "widest_rows": 0, "built": []}
+    einsum, group_kernel = np.einsum, prob._group_kernel
+
+    def counted_einsum(*operands, **kwargs):
+        result = einsum(*operands, **kwargs)
+        work["products"] += 1
+        work["rows"] += result.size
+        work["widest_rows"] = max(work["widest_rows"], result.size)
+        return result
+
+    def counted_kernel(n_, s_, z0, rows):
+        work["built"].append((z0, z0 + rows))
+        return group_kernel(n_, s_, z0, rows)
+
+    monkeypatch.setattr(prob.np, "einsum", counted_einsum)
+    monkeypatch.setattr(prob, "_group_kernel", counted_kernel)
+    prob.pe_dp_curve(n, s, lam, c_max)
     return work
 
 
-def test_pe_dp_curve_work_at_k64_s50():
-    # Recorded with the live window; updating every index from the first
-    # nonzero one up to the shares drawn takes 104,428,341 updates, 8,167 wide.
+def test_pe_dp_curve_work_at_k64_s50(monkeypatch):
+    # One product per group, over the live window and the s entries above
+    # it. The per-draw chain took 22,550 steps and 50,506,663 updates.
     n = 128 ** 2
-    work = chain_work(n, 50, n - recovery_threshold(64), 451)
-    assert work["updates"] <= 50_506_663
-    assert work["widest"] <= 3_046
+    work = group_chain_work(monkeypatch, n, 50, n - recovery_threshold(64), 451)
+    assert work["products"] == 451
+    assert work["rows"] <= 1_031_926  # 52,628,226 multiply-adds
+    assert work["widest_rows"] - 50 <= 3_049
+    built = work["built"]
+    assert built[0][0] == 0
+    assert all(a[1] == b[0] for a, b in zip(built, built[1:]))  # each source once
+    assert built[-1][1] <= n + 1
 
 
 @settings(max_examples=200)
@@ -275,6 +281,43 @@ def test_min_clients_small_case_boundary():
     n, lam = 16, 16 - recovery_threshold(2)
     assert pe_reaches(n, 3, c, lam, target)
     assert c == 1 or not pe_reaches(n, 3, c - 1, lam, target)
+
+
+def test_min_clients_pins_the_boundary_in_one_series_pass(monkeypatch):
+    passes = []
+    series_terms = prob._series_terms
+
+    def counted(*args):
+        passes.append(args)
+        return series_terms(*args)
+
+    monkeypatch.setattr(prob, "_series_terms", counted)
+    assert [min_clients(16, s) for s in (2, 10, 50)] == [692, 138, 28]
+    assert len(passes) == 3
+
+
+@settings(max_examples=100)
+@given(
+    n=st.integers(2, 40),
+    s_frac=st.floats(0.0, 1.0),
+    lam_frac=st.floats(0.0, 1.0),
+    c=st.integers(2, 30),
+    target=st.fractions(0, 1),
+)
+def test_reaches_below_and_at_matches_pe_reaches(n, s_frac, lam_frac, c, target):
+    s = 1 + round(s_frac * (n - 1))
+    lam = round(lam_frac * (n - 1))
+    assert prob._reaches_below_and_at(n, s, c, lam, target) == (
+        pe_reaches(n, s, c - 1, lam, target),
+        pe_reaches(n, s, c, lam, target),
+    )
+
+
+@pytest.mark.parametrize("k", [2, 16, 64])
+@pytest.mark.parametrize("target", [0.0, 1.0, 1.5, -0.5])
+def test_min_clients_rejects_target_outside_open_unit_interval(k, target):
+    with pytest.raises(ValueError, match="target"):
+        min_clients(k, 3, target=target)
 
 
 def test_min_clients_k64_row_matches_paper():
