@@ -297,7 +297,8 @@ def _replay_block(
     prev_state: StateTree, txs: Sequence[Transaction], p: int, producer: bytes
 ) -> tuple[list[bytes], bytes]:
     """Apply txs to a copy of prev_state: the root after every p-th transfer,
-    and the final state root after the producer's fee payout."""
+    and the final state root after the producer's fee payout. Raises
+    ValueError on an illegal transfer or an overflowing payout."""
     state = prev_state.copy()
     traces: list[bytes] = []
     for index, tx in enumerate(txs):
@@ -305,7 +306,10 @@ def _replay_block(
             raise ValueError(f"transfer {index} is illegal against the running state")
         if (index + 1) % p == 0:
             traces.append(state.root())
-    return traces, apply_fee_payout(state, producer)
+    state_root = apply_fee_payout(state, producer)
+    if not isinstance(state_root, bytes):
+        raise ValueError("the fee payout overflows the producer's balance")
+    return traces, state_root
 
 
 def check_layout(k: int, share_size: int, p: int, tx_count: int) -> None:

@@ -352,7 +352,11 @@ def mc_min_clients(
 ) -> int:
     """Monte Carlo inversion, a cross-check of min_clients: the target
     quantile of the first draw count at which the trials' distinct-share
-    total reaches gamma."""
+    total reaches gamma, for 0 < target < 1 and trials >= 1."""
+    if not 0 < target < 1:
+        raise ValueError("target must be strictly between 0 and 1")
+    if trials < 1:
+        raise ValueError("need at least one trial")
     n = (2 * k) ** 2
     gamma = recovery_threshold(k)
     if not 1 <= s <= n:

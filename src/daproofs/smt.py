@@ -38,7 +38,14 @@ rehashed. Deleting a key's nearest neighbour extends its run with the
 nodes it now holds alone, which the deleted key's climb has just hashed. A
 key absent both now and at the last flush changes no node and is not
 climbed. d updates cost at most 257·d hashes whatever the population,
-fewer where paths share nodes.
+fewer where paths share nodes. A flush in which no key changes presence
+keeps every run's length, so it looks up no neighbour.
+
+Cost: each level of a climb is one SHA-256 call, on a copy of a hasher
+already fed 0x01, in one comprehension over the key's bits read once from
+format(path, "0256b"). In a run the sibling is EMPTY_SUBTREE[h] and the
+level costs nothing more; above a run, and throughout a witness subtree,
+the climb also reads each sibling from the node dict and stores each node.
 
 A witness subtree is the same StateTree holding only the nodes its proofs
 reveal. It cannot tell where an unproven key's path meets its own, so it
@@ -72,6 +79,7 @@ def hash_invocations() -> int:
 # merkle.node_hash's 0x01 || left || right, spelled out in the hot loops.
 _LEAF = b"\x00"
 _NODE = b"\x01"
+_sha = hashlib.sha256
 
 
 def _build_empty_chain() -> tuple[bytes, ...]:
@@ -84,6 +92,21 @@ def _build_empty_chain() -> tuple[bytes, ...]:
 # EMPTY_SUBTREE[h] is the digest of an all-default subtree of height h;
 # EMPTY_SUBTREE[DEPTH] is the root of an empty tree.
 EMPTY_SUBTREE = _build_empty_chain()
+# A hasher fed 0x01: a copy of it skips a new hasher's set-up, a large share
+# of a 65-byte hash's cost. update returns None, so "h.update(data) or
+# h.digest()" is the digest.
+_NODE_HASHER = _sha(_NODE)
+
+
+def _fold(node: bytes, siblings: Iterable[bytes], sides: str) -> list[bytes]:
+    """The digests above node on its path, bottom-up, one per sibling and
+    side: "1" where the path node is the right child (the path's bits from
+    height 0, format(path, "0256b")[::-1])."""
+    return [
+        node := (h := _NODE_HASHER.copy()).update(sib + node if side == "1" else node + sib)
+        or h.digest()
+        for sib, side in zip(siblings, sides)
+    ]
 
 
 def _check_key(key: bytes) -> None:
@@ -214,6 +237,10 @@ class StateTree:
                 for key, path in zip(keys, paths)
                 if key in values or (DEPTH, path) in nodes
             ], []
+        if all((key in values) == (path in runs) for key, path in zip(keys, paths)):
+            # no key changes presence, so every run keeps its length
+            kept = [(key, path) for key, path in zip(keys, paths) if path in runs]
+            return [(key, path, len(runs[path]) // DIGEST_SIZE) for key, path in kept], []
         # the height where each path met the tree before: no node below it was stored
         olds = [self._meeting(path)[0] for path in paths]
         changed = set()
@@ -249,7 +276,7 @@ class StateTree:
             return
         global _hash_invocations
         nodes, values, runs, empty = self._nodes, self._values, self._runs, EMPTY_SUBTREE
-        get, pop, sha = nodes.get, nodes.pop, hashlib.sha256
+        get, pop = nodes.get, nodes.pop
         climbs, settle = self._restructure(sorted(self._dirty, reverse=True))
         self._dirty.clear()
         hashes = 0
@@ -260,39 +287,29 @@ class StateTree:
                 node = DEFAULT_LEAF
                 pop((DEPTH, path), None)
             else:
-                node = sha(_LEAF + key + value).digest()
+                node = _sha(_LEAF + key + value).digest()
                 hashes += 1
-            level, prefix, start = DEPTH, path, 1
+            sides, start = format(path, "0256b")[::-1], 1
             if length:
                 # the run: every sibling is empty, so no node is read or
                 # stored below its top (or below the height where the flush
                 # rule hands the climb to a smaller key)
                 start = min(length, top)
-                run = [node]
-                for height in range(1, start):
-                    if prefix & 1:
-                        node = sha(_NODE + empty[height - 1] + node).digest()
-                    else:
-                        node = sha(_NODE + node + empty[height - 1]).digest()
-                    prefix >>= 1
-                    run.append(node)
-                runs[path] = b"".join(run)
-                level -= start - 1
-                nodes[level, prefix] = node
+                runs[path] = run = node + b"".join(_fold(node, empty, sides[: start - 1]))
+                node = run[-DIGEST_SIZE:]
+                nodes[DEPTH + 1 - start, path >> start - 1] = node
             elif value != DEFAULT_VALUE:
                 nodes[DEPTH, path] = node
-            for height in range(start, top):
-                sibling = get((level, prefix ^ 1), empty[height - 1])
-                if prefix & 1:
-                    node = sha(_NODE + sibling + node).digest()
-                else:
-                    node = sha(_NODE + node + sibling).digest()
-                prefix >>= 1
-                level -= 1
+            heights = range(start, top)
+            siblings = [
+                get((DEPTH + 1 - height, (path >> height - 1) ^ 1), empty[height - 1])
+                for height in heights
+            ]
+            for height, node in zip(heights, _fold(node, siblings, sides[start - 1 :])):
                 if node == empty[height]:
-                    pop((level, prefix), None)
+                    pop((DEPTH - height, path >> height), None)
                 else:
-                    nodes[level, prefix] = node
+                    nodes[DEPTH - height, path >> height] = node
             hashes += top - 1
         _hash_invocations += hashes
         for path, length, old in settle:
@@ -345,23 +362,14 @@ def _path_digests(key: bytes, value: bytes, proof: SparseProof) -> Optional[list
     if any(len(sib) != DIGEST_SIZE for sib in proof.siblings):
         return None
     global _hash_invocations
-    sha = hashlib.sha256
-    path = int.from_bytes(key, "big")
     if value == DEFAULT_VALUE:
         node = DEFAULT_LEAF
         _hash_invocations += DEPTH
     else:
-        node = sha(_LEAF + key + value).digest()
+        node = _sha(_LEAF + key + value).digest()
         _hash_invocations += DEPTH + 1
-    digests = [node]
-    for sibling in proof.siblings:
-        if path & 1:
-            node = sha(_NODE + sibling + node).digest()
-        else:
-            node = sha(_NODE + node + sibling).digest()
-        path >>= 1
-        digests.append(node)
-    return digests
+    sides = format(int.from_bytes(key, "big"), "0256b")[::-1]
+    return [node, *_fold(node, proof.siblings, sides)]
 
 
 def verify(key: bytes, value: bytes, proof: SparseProof, root_digest: bytes) -> bool:

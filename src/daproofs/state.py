@@ -6,7 +6,10 @@ legal when its nonce equals the sender's stored nonce and the sender can
 cover amount plus fee; applying it debits the sender, bumps the sender
 nonce, credits the recipient, and accrues the fee into the reserved
 accumulator key. Illegal transfers yield ERR, which absorbs: once a
-replay hits ERR it stays ERR.
+replay hits ERR it stays ERR. Balances, the fee total and nonces are
+unsigned 64-bit: a transfer that would carry one past U64_MAX is
+illegal, and a fee payout that would is ERR too, which makes its block
+invalid.
 
 Replay works either on a full tree (apply_transaction) or statelessly from a
 root plus a witness (root_transition). Both run one rule set that does
@@ -132,21 +135,20 @@ def _apply_rules(view: StateTree, tx: Transaction) -> bool:
     """Run the transfer on a full tree or a witness subtree without reading
     its root; False means illegal, and the view is then untouched."""
     sender = AccountValue.decode(view.get(tx.sender))
-    if tx.nonce != sender.nonce:
-        return False
     charge = tx.amount + tx.fee
-    if sender.balance < charge:
+    if tx.nonce != sender.nonce or sender.balance < charge:
         return False
-    view.update(
-        tx.sender, AccountValue(sender.balance - charge, sender.nonce + 1).encode()
-    )
-    recipient = AccountValue.decode(view.get(tx.recipient))
-    view.update(
-        tx.recipient,
-        AccountValue(recipient.balance + tx.amount, recipient.nonce).encode(),
-    )
-    fees = AccountValue.decode(view.get(FEES_KEY))
-    view.update(FEES_KEY, AccountValue(fees.balance + tx.fee, 0).encode())
+    # the sender, recipient and fee accumulator may share a key, so each
+    # credit reads what the step before it wrote
+    writes = {tx.sender: AccountValue(sender.balance - charge, sender.nonce + 1)}
+    recipient = writes.get(tx.recipient) or AccountValue.decode(view.get(tx.recipient))
+    writes[tx.recipient] = AccountValue(recipient.balance + tx.amount, recipient.nonce)
+    fees = writes.get(FEES_KEY) or AccountValue.decode(view.get(FEES_KEY))
+    writes[FEES_KEY] = AccountValue(fees.balance + tx.fee, 0)
+    if any(max(account.balance, account.nonce) > U64_MAX for account in writes.values()):
+        return False
+    for key, account in writes.items():
+        view.update(key, account.encode())
     return True
 
 
@@ -188,33 +190,38 @@ def root_transition(state_root: StateRoot, tx: Transaction, witness: StateWitnes
     return subtree.root() if _apply_rules(subtree, tx) else ERR
 
 
-def _apply_payout(view: StateTree, producer: bytes) -> None:
+def _apply_payout(view: StateTree, producer: bytes) -> bool:
     """Credit accrued fees to the producer and reset the accumulator, on a
-    full tree or a witness subtree; nothing changes when no fees accrued."""
+    full tree or a witness subtree; nothing changes when no fees accrued.
+    False means the producer's balance would pass U64_MAX, which makes the
+    block invalid, and the view is then untouched."""
     fees = AccountValue.decode(view.get(FEES_KEY))
     if fees.balance == 0:
-        return
+        return True
     account = AccountValue.decode(view.get(producer))
+    if account.balance + fees.balance > U64_MAX:
+        return False
     view.update(producer, AccountValue(account.balance + fees.balance, account.nonce).encode())
     view.update(FEES_KEY, b"")
+    return True
 
 
-def apply_fee_payout(tree: StateTree, producer: bytes) -> bytes:
-    """Credit accrued fees to the producer and reset the accumulator."""
+def apply_fee_payout(tree: StateTree, producer: bytes) -> StateRoot:
+    """Credit accrued fees to the producer and reset the accumulator; ERR
+    when the payout overflows."""
     if len(producer) != 32:
         raise ValueError("producer key must be 32 bytes")
-    _apply_payout(tree, producer)
-    return tree.root()
+    return tree.root() if _apply_payout(tree, producer) else ERR
 
 
 def payout_keys(producer: bytes) -> tuple[bytes, ...]:
     return tuple(sorted({producer, FEES_KEY}))
 
 
-def root_fee_payout(state_root: bytes, producer: bytes, witness: StateWitness) -> bytes:
-    """Stateless fee payout replay; raises WitnessError on unusable witnesses."""
+def root_fee_payout(state_root: bytes, producer: bytes, witness: StateWitness) -> StateRoot:
+    """Stateless fee payout replay; ERR when the payout overflows. Raises
+    WitnessError on unusable witnesses."""
     subtree = WitnessSubtree.from_entries(state_root, witness.entries)
     if set(payout_keys(producer)) - subtree.covered:
         raise WitnessError("witness does not cover payout keys")
-    _apply_payout(subtree, producer)
-    return subtree.root()
+    return subtree.root() if _apply_payout(subtree, producer) else ERR

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from daproofs import block, merkle, rs2d, smt
 from daproofs.block import (
+    DEFAULT_PRODUCER,
     BlockHeader,
     build_block,
     build_double_tree_block,
@@ -34,8 +35,8 @@ from daproofs.fraud import (
 )
 from daproofs.rs2d import COLUMN, ROW, DataCommitment, PartialMatrix, ShareProof
 from daproofs.smt import SparseProof, StateTree
-from daproofs.state import StateWitness
-from tests.conftest import funded_state, transfer_chain
+from daproofs.state import FEES_KEY, U64_MAX, AccountValue, StateWitness, Transaction
+from tests.conftest import account_key, funded_state, transfer_chain
 from tests.oracles import is_accepted
 
 K = 4
@@ -657,6 +658,37 @@ def test_dt_fuzz_against_honest_block():
         assert not verify_double_tree_fraud_proof(
             mutated, store, P, prev_state_root=tree.root()
         )
+
+
+@pytest.mark.parametrize("past", ["recipient", "fees", "payout"])
+def test_u64_overflow_is_proven_not_raised(past, monkeypatch):
+    """A transfer or payout that would carry a balance past U64_MAX: an
+    honest builder rejects the block, and when a producer frames it anyway
+    (here by skipping the replay), both fraud proofs verify and no step
+    raises on the witnesses that show the account at the ceiling."""
+    sender, recipient = account_key("sender"), account_key("recipient")
+    tree = StateTree()
+    tree.update(sender, AccountValue(100, 0).encode())
+    ceiling = {"recipient": recipient, "fees": FEES_KEY, "payout": DEFAULT_PRODUCER}[past]
+    tree.update(ceiling, AccountValue(U64_MAX, 0).encode())
+    txs = [Transaction(sender, recipient, 5, 1, 0)]
+    genesis = genesis_header(tree)
+    with pytest.raises(ValueError, match="payout" if past == "payout" else "illegal"):
+        build_block(genesis, tree, txs, k=K, share_size=SHARE_SIZE, p=P)
+
+    monkeypatch.setattr(block, "_replay_block", lambda *args: ([], b"\x11" * 32))
+    built = build_block(genesis, tree, txs, k=K, share_size=SHARE_SIZE, p=P)
+    store = HeaderStore()
+    store.add(genesis)
+    store.add(built.header)
+    proof = generate_transition_fraud_proof(built, tree)
+    assert (proof.payout_witness is not None) == (past == "payout")
+    assert verify_transition_fraud_proof(proof, store, P) is True
+
+    double_tree = build_double_tree_block(tree.root(), tree, txs, p=P)
+    store.add_double_tree(double_tree.header)
+    proof = generate_double_tree_fraud_proof(double_tree, tree)
+    assert verify_double_tree_fraud_proof(proof, store, P, prev_state_root=tree.root()) is True
 
 
 # --- recorded proof encodings ----------------------------------------------------

@@ -316,8 +316,15 @@ def test_reaches_below_and_at_matches_pe_reaches(n, s_frac, lam_frac, c, target)
 @pytest.mark.parametrize("k", [2, 16, 64])
 @pytest.mark.parametrize("target", [0.0, 1.0, 1.5, -0.5])
 def test_min_clients_rejects_target_outside_open_unit_interval(k, target):
-    with pytest.raises(ValueError, match="target"):
-        min_clients(k, 3, target=target)
+    for invert in (min_clients, mc_min_clients):
+        with pytest.raises(ValueError, match="target"):
+            invert(k, 3, target=target)
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_mc_min_clients_rejects_fewer_than_one_trial(trials):
+    with pytest.raises(ValueError, match="trial"):
+        mc_min_clients(4, 2, trials=trials)
 
 
 def test_min_clients_k64_row_matches_paper():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from daproofs import smt
+from daproofs.block import DEFAULT_PRODUCER, _replay_block
 from daproofs.merkle import Reader, node_hash
 from daproofs.smt import (
     DEPTH,
@@ -18,6 +19,7 @@ from daproofs.smt import (
     hash_invocations,
 )
 from daproofs.state import FEES_KEY
+from tests.conftest import funded_state, transfer_chain
 
 
 def rand_key(rng):
@@ -662,3 +664,61 @@ def test_replay_shaped_periods_match_eager_oracle(periods):
         for key in REPLAY_KEYS:
             assert lazy.prove(key).siblings == eager.prove(key).siblings
         _assert_same_nodes(lazy, eager)
+
+
+# --- the run climb at its edges -----------------------------------------------------
+
+
+@pytest.mark.parametrize("length", [1, 2, DEPTH, DEPTH + 1])
+def test_runs_match_eager_oracle_at_length_edges(length):
+    """Runs of one digest (two keys that part at the leaves), of two, of 256
+    (keys that part at the root) and of 257 (a lone key), written, rewritten
+    (no key changes presence) and deleted down to one key."""
+    lone, beside = _lone_pair(min(length, DEPTH))
+    keys = [lone] if length == DEPTH + 1 else [lone, beside]
+    tree, eager = StateTree(), EagerTree()
+    for step in (b"first", b"second", b""):
+        for key in keys:
+            for dest in (tree, eager):
+                dest.update(key, step or (b"kept" if key == lone else b""))
+        assert tree.root() == eager.root()
+        _assert_same_nodes(tree, eager)
+        if step:
+            assert _run_lengths(tree) == {int.from_bytes(key, "big"): length for key in keys}
+    assert _run_lengths(tree) == {int.from_bytes(lone, "big"): DEPTH + 1}
+
+
+def test_run_climb_handed_to_a_smaller_deleted_key():
+    """A rewritten key climbs only to where it meets a smaller key deleted
+    in the same flush (top < length); that key's climb hashes the rest, and
+    the run takes those nodes up to where it meets the next key."""
+    smaller, key = sorted(_lone_pair(12))
+    far = (int.from_bytes(key, "big") ^ 1 << 199).to_bytes(32, "big")
+    tree, eager = StateTree(), EagerTree()
+    for dest in (tree, eager):
+        for other in (smaller, key, far):
+            dest.update(other, b"v")
+    tree.root()
+    assert _run_lengths(tree)[int.from_bytes(key, "big")] == 12
+    for dest in (tree, eager):
+        dest.update(smaller, b"")
+        dest.update(key, b"rewritten")
+    _assert_flush_work(tree, {smaller, key, far})
+    assert tree.root() == eager.root()
+    assert _run_lengths(tree)[int.from_bytes(key, "big")] == 200
+    _assert_same_nodes(tree, eager)
+
+
+def test_replay_block_hash_count_and_root_are_pinned():
+    """One full-tree replay of a fixed 600-transfer, 64-account block. The
+    flush rule fixes which nodes are hashed, so these change only with that
+    rule or the block: 279,669 is what the per-level climb, which the run
+    comprehension replaced, counted on this block, with the same root."""
+    tree, keys = funded_state(64)
+    txs = transfer_chain(keys, 600, random.Random(600))
+    tree.root()
+    before = hash_invocations()
+    traces, root = _replay_block(tree, txs, 10, DEFAULT_PRODUCER)
+    assert hash_invocations() - before == 279_669
+    assert len(traces) == 60
+    assert root.hex() == "e41df8ac1b7404fa3c13af4abcc196bf379b3d9929add1d994e647556e79f481"

@@ -6,9 +6,11 @@ from daproofs.smt import StateTree, WitnessError
 from daproofs.state import (
     ERR,
     FEES_KEY,
+    U64_MAX,
     AccountValue,
     StateWitness,
     Transaction,
+    apply_fee_payout,
     apply_transaction,
     make_tx_witness,
     make_witness,
@@ -199,3 +201,47 @@ def test_account_value_encoding():
     assert AccountValue.decode(AccountValue(5, 9).encode()) == AccountValue(5, 9)
     with pytest.raises(ValueError):
         AccountValue.decode(b"\x00" * 7)
+
+
+@pytest.mark.parametrize("past", ["recipient", "fees", "nonce"])
+def test_transfer_past_u64_max_is_illegal_on_both_replays(past):
+    """A credit or nonce bump that would pass U64_MAX is illegal, on the full
+    tree and statelessly; one unit less reaches U64_MAX exactly."""
+    a, b = account_key("a"), account_key("b")
+    for over in (1, 0):
+        tree = StateTree()
+        nonce = U64_MAX - 1 + over if past == "nonce" else 7
+        tree.update(a, AccountValue(100, nonce).encode())
+        if past == "recipient":
+            tree.update(b, AccountValue(U64_MAX - 5 + over, 0).encode())
+        if past == "fees":
+            tree.update(FEES_KEY, AccountValue(U64_MAX - 2 + over, 0).encode())
+        tx = simple_tx(a, b, amount=5, fee=2, nonce=nonce)
+        root, witness = tree.root(), make_tx_witness(tree, tx)
+        stateless = root_transition(root, tx, witness)
+        full = apply_transaction(tree, tx)
+        if over:
+            assert stateless is ERR and full is ERR
+            assert tree.root() == root
+        else:
+            assert stateless == full == tree.root() != root
+            ceiling = {"recipient": b, "fees": FEES_KEY, "nonce": a}[past]
+            value = AccountValue.decode(tree.get(ceiling))
+            assert U64_MAX in (value.balance, value.nonce)
+
+
+def test_payout_past_u64_max_is_err_on_both_replays():
+    producer = account_key("producer")
+    for over in (1, 0):
+        tree = StateTree()
+        tree.update(producer, AccountValue(U64_MAX - 3 + over, 0).encode())
+        tree.update(FEES_KEY, AccountValue(3, 0).encode())
+        root = tree.root()
+        stateless = root_fee_payout(root, producer, make_witness(tree, payout_keys(producer)))
+        full = apply_fee_payout(tree, producer)
+        if over:
+            assert stateless is ERR and full is ERR
+            assert tree.root() == root
+        else:
+            assert stateless == full == tree.root() != root
+            assert balances(tree, producer, FEES_KEY) == [U64_MAX, 0]
