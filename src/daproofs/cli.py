@@ -112,24 +112,25 @@ def _parse_int_list(spec: str) -> list[int]:
 def cmd_prob(args: argparse.Namespace) -> int:
     import csv
 
+    ks, ss = _parse_int_list(args.k), _parse_int_list(args.s)
+    cs = _parse_int_list(args.c) if args.c else [0]  # 0: no client count
+    if min(ks) < 1 or min(ss) < 1 or (args.c and min(cs) < 1):
+        raise CliError("--k, --s and every --c entry must be at least 1")
     rows = []
     if args.table == "table1":
         header = ["k", "s", "min_clients"]
-        for k in _parse_int_list(args.k):
-            for s in _parse_int_list(args.s):
+        for k in ks:
+            for s in ss:
                 rows.append([k, s, prob.min_clients(k, s, target=args.target)])
     else:
         header = ["k", "s", "c", "c_hat", "d", "p1", "pc", "pc_from_j1", "pe", "px"]
-        ks = _parse_int_list(args.k)
-        ss = _parse_int_list(args.s)
-        cs = _parse_int_list(args.c) if args.c else [0]
         for k in ks:
             n = (2 * k) ** 2
             lam = n - prob.recovery_threshold(k)
             for s in ss:
                 p1_value = prob.p1(k, s)
                 pe_curve = None
-                if args.table in ("pe", "all") and any(cs):
+                if args.table in ("pe", "all") and args.c:
                     # entry [c] does not depend on c_max: one curve serves every c
                     pe_curve = prob.pe_dp_curve(n, s, lam, max(cs))
                 for c in cs:
@@ -142,9 +143,7 @@ def cmd_prob(args: argparse.Namespace) -> int:
                         row["c_hat"] = args.c_hat
                         row["pc"] = f"{prob.pc(k, s, c, args.c_hat):.10f}"
                         row["pc_from_j1"] = f"{prob.pc_as_printed(k, s, c, args.c_hat):.10f}"
-                    if pe_curve is not None and c:
-                        if c < 0:
-                            raise ValueError("c must be positive")
+                    if pe_curve is not None:
                         row["pe"] = f"{pe_curve[c]:.10f}"
                     if args.d is not None and c:
                         row["d"] = args.d

@@ -29,12 +29,14 @@ to the unrecoverability minimum (k+1)^2):
   m - s + t to m; the kernel's transitions from each z are the per-draw
   chain run from a point mass at z, computed once. The chain needs no
   weights or logarithms and agrees with the series to float64 rounding;
-  pe() evaluates it. Only a live window of the chain is updated: an edge
-  entry below the smallest normal float64, 2^-1022, is set to zero and
-  skipped. The window gains at most s entries per group, so at most
-  1 + c*s entries are ever dropped, and in exact arithmetic the curve
-  moves by at most (1 + c*s) * 2^-1022, far below the rounding the chain
-  already carries.
+  pe() evaluates it. A group's rows are summed in np.einsum's order, even
+  t then odd, as faster column products for s <= 2; the tail at or above
+  n - lam is not summed while it is exactly zero. Only a live window of
+  the chain is updated: an edge entry below the smallest normal float64,
+  2^-1022, is set to zero and skipped. The window gains at most s entries
+  per group, so at most 1 + c*s entries are ever dropped, and in exact
+  arithmetic the curve moves by at most (1 + c*s) * 2^-1022, far below
+  the rounding the chain already carries.
 - px: with d of c*s pooled, unlinkable sample requests denied, one
   client sees at least one of its s requests denied:
   sum_i C(s,i) C(s(c-1), d-i) / C(cs, d) = 1 - C(s(c-1), d)/C(cs, d).
@@ -224,6 +226,19 @@ def _group_kernel(n: int, s: int, z0: int, rows: int) -> np.ndarray:
     return chain
 
 
+def _group_step(windows: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """np.einsum("zt,zt->z", windows, kernel), bit for bit: einsum adds
+    the even-t products in order, then the odd ones; up to width 3 that is
+    t = 0, then width - 1 down to 1, faster as column products."""
+    width = windows.shape[1]
+    if width > 3:
+        return np.einsum("zt,zt->z", windows, kernel)
+    total = windows[:, 0] * kernel[:, 0]
+    for t in range(width - 1, 0, -1):
+        total += windows[:, t] * kernel[:, t]
+    return total
+
+
 def pe_dp_curve(
     n: int, s: int, lam: int, c_max: int, stop_at: Optional[float] = None
 ) -> np.ndarray:
@@ -245,7 +260,9 @@ def pe_dp_curve(
     The kernel is held only for the rows m in mbase..built + s - 1, which
     slide up with the window. Rows below `built` are complete; each source
     z's transitions are computed once, by _group_kernel, when the window
-    first needs row z.
+    first needs row z. Each product is _group_step: column products for
+    s <= 2, np.einsum above, rounded alike. While high <= goal = n - lam,
+    dist[goal:] is exactly zero, so pe(c) stays 0.0 without a sum.
     """
     _check_pe_params(n, s, c_max, lam)
     goal = n - lam
@@ -279,9 +296,7 @@ def pe_dp_curve(
                 strides=(s * step, width * step),
             )[...] = _group_kernel(n, s, built, end - built)
             built = end
-        dist[low:top] = np.einsum(
-            "zt,zt->z", windows[low:top], kernel[low - mbase : top - mbase]
-        )
+        dist[low:top] = _group_step(windows[low:top], kernel[low - mbase : top - mbase])
         high = top
         while dist[low] < _LIVE_FLOOR:
             dist[low] = 0.0
@@ -289,7 +304,8 @@ def pe_dp_curve(
         while dist[high - 1] < _LIVE_FLOOR:
             high -= 1
             dist[high] = 0.0
-        out[c] = dist[goal:].sum()
+        if high > goal:  # else dist[goal:] is exactly zero
+            out[c] = dist[goal:].sum()
         if stop_at is not None and out[c] >= stop_at:
             out[c:] = out[c]
             break

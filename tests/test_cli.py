@@ -94,6 +94,25 @@ def test_prob_target_outside_unit_interval_is_usage_error(target, capsys):
     assert "target" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("table", ["p1", "pe", "table1"])
+@pytest.mark.parametrize(
+    "bad", [("--k", "0"), ("--k", "4,-1"), ("--s", "0"), ("--c", "-3"), ("--c", "5,0")]
+)
+def test_prob_rejects_counts_below_one_before_any_work(table, bad, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a table was computed")
+
+    for name in ("p1", "pe_dp_curve", "min_clients"):
+        monkeypatch.setattr(prob, name, no_work)
+    args = {"--k": "4", "--s": "2", "--c": "1..3"}
+    args[bad[0]] = bad[1]
+    argv = [f"{flag}={value}" for flag, value in args.items()]
+    assert run_cli("prob", "--table", table, *argv) == 2
+    captured = capsys.readouterr()
+    assert "at least 1" in captured.err
+    assert captured.out == ""
+
+
 def test_simulate_and_outputs(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text(

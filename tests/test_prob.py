@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from daproofs import prob
 from daproofs.prob import (
@@ -191,12 +193,12 @@ def test_pe_dp_curve_groups_match_per_draw_chain(n, s_frac, lam_frac, c_max):
 def group_chain_work(monkeypatch, n, s, lam, c_max):
     """Group products, their rows in all and at the widest, and the source
     ranges whose kernel columns pe_dp_curve builds, seen by wrapping
-    np.einsum and prob._group_kernel."""
+    prob._group_step (both of its paths) and prob._group_kernel."""
     work = {"products": 0, "rows": 0, "widest_rows": 0, "built": []}
-    einsum, group_kernel = np.einsum, prob._group_kernel
+    group_step, group_kernel = prob._group_step, prob._group_kernel
 
-    def counted_einsum(*operands, **kwargs):
-        result = einsum(*operands, **kwargs)
+    def counted_step(windows, kernel):
+        result = group_step(windows, kernel)
         work["products"] += 1
         work["rows"] += result.size
         work["widest_rows"] = max(work["widest_rows"], result.size)
@@ -206,7 +208,7 @@ def group_chain_work(monkeypatch, n, s, lam, c_max):
         work["built"].append((z0, z0 + rows))
         return group_kernel(n_, s_, z0, rows)
 
-    monkeypatch.setattr(prob.np, "einsum", counted_einsum)
+    monkeypatch.setattr(prob, "_group_step", counted_step)
     monkeypatch.setattr(prob, "_group_kernel", counted_kernel)
     prob.pe_dp_curve(n, s, lam, c_max)
     return work
@@ -224,6 +226,48 @@ def test_pe_dp_curve_work_at_k64_s50(monkeypatch):
     assert built[0][0] == 0
     assert all(a[1] == b[0] for a, b in zip(built, built[1:]))  # each source once
     assert built[-1][1] <= n + 1
+
+
+def test_pe_dp_curve_work_at_k64_s2(monkeypatch):
+    # the column path: one product per group, as wide as with einsum
+    n = 128 ** 2
+    work = group_chain_work(monkeypatch, n, 2, n - recovery_threshold(64), 11_289)
+    assert work["products"] == 11_289
+    assert work["rows"] <= 25_365_606
+    assert work["widest_rows"] == 3_051
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_group_step_columns_round_as_einsum(s):
+    # The column path copies einsum's association; a numpy whose einsum
+    # sums in another order must fail here, not shift the curves.
+    rng = np.random.default_rng(s)
+    width = s + 1
+    for rows in (1, 2, 7, 8, 999, 1000, 3051):
+        for low in (0, 1, 5):
+            size = low + rows + s
+            padded = rng.random(size) * 10.0 ** rng.integers(-300, 1, size)
+            windows = sliding_window_view(padded, width)[low : low + rows]
+            kernel = rng.random((low + rows + 3, width))[low : low + rows]
+            expected = np.einsum("zt,zt->z", windows, kernel)
+            assert np.array_equal(prob._group_step(windows, kernel), expected), (
+                f"numpy {np.__version__}: column step differs from einsum",
+                s, rows, low,
+            )
+
+
+@pytest.mark.parametrize(
+    "k, c_max, digest",
+    [
+        (16, 692, "48fa122a0640f04830a1ca065e29e83e63f926089e703db16675a794fd8bd5df"),
+        (64, 11_289, "763302ea5782dff42df3fd24b494a5ed6680998c0ef3d2bcc5d4ded15b7b1ce2"),
+    ],
+)
+def test_pe_dp_curve_s2_table_scale_is_pinned(k, c_max, digest):
+    # SHA-256 of the curve as the einsum step computed it, to the last bit
+    n = (2 * k) ** 2
+    curve = prob.pe_dp_curve(n, 2, n - recovery_threshold(k), c_max)
+    assert hashlib.sha256(curve.tobytes()).hexdigest() == digest
 
 
 @settings(max_examples=200)
