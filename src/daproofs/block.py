@@ -262,9 +262,8 @@ class BlockHeader:
 MODE_HONEST = "honest"
 MODE_INVALID_TRANSITION = "invalid-transition"
 MODE_INVALID_CODE = "invalid-code"
-MODE_WITHHOLD = "withhold"
 
-_MODES = (MODE_HONEST, MODE_INVALID_TRANSITION, MODE_INVALID_CODE, MODE_WITHHOLD)
+_MODES = (MODE_HONEST, MODE_INVALID_TRANSITION, MODE_INVALID_CODE)
 
 
 @dataclass
@@ -339,8 +338,7 @@ def build_block(
 
     invalid-transition corrupts the first boundary trace (or the header
     state root when corrupt="header" or no trace exists); invalid-code
-    replaces one parity cell before committing. withhold builds honestly;
-    which cells go unserved is the serving side's business.
+    replaces one parity cell before committing.
     """
     if mode not in _MODES:
         raise ValueError(f"unknown block mode {mode!r}")

@@ -12,11 +12,12 @@ holds header.bin and prev_header.bin (wire headers), matrix.bin (all 2k x
 meta.json (k, share size, p) and prev_state.json (the previous block's
 accounts).
 
-Every command that writes artifacts also writes a manifest.json recording
-the subcommand, inputs, and seed, so outputs are reproducible from the
+`encode` and `simulate` also write a manifest.json recording the
+subcommand, inputs, and seed, so their outputs are reproducible from the
 manifest alone. The seed falls back to the DA_SEED environment variable.
 Exit codes: 0 success (and "proof verifies"), 1 verification returned
-false, 2 usage or input errors.
+false or the block checked clean, 2 usage or input errors, block data
+that does not parse among them.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import fraud, prob, rs2d, sim
-from .block import BlockHeader, BuiltBlock
+from .block import BlockHeader, BuiltBlock, ParseError
 from .fraud import HeaderStore
 from .merkle import Reader
 from .smt import StateTree
@@ -129,10 +130,8 @@ def cmd_prob(args: argparse.Namespace) -> int:
             lam = n - prob.recovery_threshold(k)
             for s in ss:
                 p1_value = prob.p1(k, s)
-                pe_curve = None
-                if args.table in ("pe", "all") and args.c:
-                    # entry [c] does not depend on c_max: one curve serves every c
-                    pe_curve = prob.pe_dp_curve(n, s, lam, max(cs))
+                # entry [c] does not depend on c_max: one curve serves every c
+                pe_curve = prob.pe_dp_curve(n, s, lam, max(cs)) if args.c else None
                 for c in cs:
                     row: dict[str, object] = {
                         "k": k, "s": s, "c": c, "c_hat": "", "d": "",
@@ -247,16 +246,8 @@ def cmd_fraud(args: argparse.Namespace) -> int:
         built, prev_header, prev_state = _load_block_dir(Path(args.block))
         if built.header.data_root != built.commitment.data_root:
             raise CliError("stored matrix does not match the header data root")
-        proof = None
-        if args.kind in ("transition", "auto"):
-            proof = fraud.generate_transition_fraud_proof(built, prev_state)
-        if proof is None and args.kind in ("codec", "auto"):
-            partial = rs2d.PartialMatrix.from_matrix(built.matrix, with_proofs=True)
-            result = rs2d.recover_matrix(partial, built.commitment)
-            if isinstance(result, rs2d.CodecFault):
-                proof = fraud.generate_codec_fraud_proof(
-                    result, built.header.block_hash(), built.commitment
-                )
+        partial = rs2d.PartialMatrix.from_matrix(built.matrix, with_proofs=True)
+        proof = fraud.check_block(partial, built, prev_state)
         if proof is None:
             print("block replays cleanly; no fraud proof to generate")
             return EXIT_VERIFY_FALSE
@@ -294,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     enc.set_defaults(func=cmd_encode)
 
     pr = sub.add_parser("prob", help="emit probability tables as CSV")
-    pr.add_argument("--table", choices=["p1", "pc", "pe", "px", "all", "table1"], default="all")
+    pr.add_argument("--table", choices=["all", "table1"], default="all")
     pr.add_argument("--k", default="16")
     pr.add_argument("--s", default="1..15")
     pr.add_argument("--c", default="")
@@ -313,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     fr = sub.add_parser("fraud", help="generate or verify fraud proofs")
     fr.add_argument("action", choices=["gen", "verify"])
     fr.add_argument("--block", help="block directory (gen)")
-    fr.add_argument("--kind", choices=["transition", "codec", "auto"], default="auto")
     fr.add_argument("--proof", help="proof file (verify)")
     fr.add_argument("--headers", help="concatenated header records (verify)")
     fr.add_argument("--p", type=int, default=10, help="period criterion")
@@ -333,7 +323,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             parser.error("fraud verify needs --proof and --headers")
     try:
         return args.func(args)
-    except (CliError, FileNotFoundError, ValueError, json.JSONDecodeError) as exc:
+    except (CliError, FileNotFoundError, ValueError, json.JSONDecodeError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -18,6 +18,12 @@ the fee payout. An empty block is one such slice, the fee payout alone
 from the previous state root. Both layouts (in-band traces and the
 double tree) replay a slice through the same fold.
 
+check_block is the one order in which an honest full node checks a block
+it holds enough shares of. It recovers the matrix, checking every row and
+column against its committed root, and a mismatch yields a codec proof.
+Only then does it replay the recovered data, and the first faulty period
+yields a transition proof.
+
 The wire decoders read through merkle.Reader and raise only ValueError
 on a malformed record. The verifiers never raise on attacker-supplied
 input: any structural defect, failed membership proof, or unusable
@@ -29,7 +35,7 @@ permanently rejects the header in the client's header store.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 from . import merkle, rs2d
@@ -382,6 +388,26 @@ def verify_codec_fraud_proof(proof: CodecFraudProof, store: HeaderStore) -> bool
         return False
     digests = [memo.leaf(share) for share in recovered]
     return merkle.MerkleTree.from_digests(digests, memo).root != proof.axis_root
+
+
+# --- The honest full node's check ---------------------------------------------
+
+
+def check_block(
+    partial: rs2d.PartialMatrix, built: BuiltBlock, prev_state: StateTree
+) -> Union[TransitionFraudProof, CodecFraudProof, None]:
+    """A proof of the block's first fault, codec before transition, or None.
+
+    Recovers the matrix from the shares in partial against built's
+    commitment, filling partial in place, and raises rs2d.Unrecoverable
+    when too few shares are present. The transition replay runs on the
+    recovered data, so it raises PeriodError on data that violates the
+    period criterion.
+    """
+    result = rs2d.recover_matrix(partial, built.commitment)
+    if isinstance(result, CodecFault):
+        return generate_codec_fraud_proof(result, built.header.block_hash(), built.commitment)
+    return generate_transition_fraud_proof(replace(built, matrix=result), prev_state)
 
 
 # --- Double-tree transition fraud proofs --------------------------------------

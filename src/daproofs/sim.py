@@ -44,7 +44,7 @@ from __future__ import annotations
 import csv
 import heapq
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -55,7 +55,6 @@ from .block import (
     MODE_HONEST,
     MODE_INVALID_CODE,
     MODE_INVALID_TRANSITION,
-    MODE_WITHHOLD,
     build_block,
     check_layout,
     genesis_header,
@@ -226,9 +225,6 @@ class Scenario:
     withheld: frozenset[tuple[int, int]]
 
 
-_SCENARIO_CACHE: dict[tuple, Scenario] = {}
-
-
 def _parse_withhold_pattern(pattern: str, k: int) -> tuple[str, int]:
     """("all", 0), ("submatrix", 0) or ("random", N) with 0 <= N <= (2k)^2."""
     name, colon, count = pattern.partition(":")
@@ -255,25 +251,7 @@ def _withheld_cells(config: SimConfig, width: int) -> frozenset[tuple[int, int]]
     return frozenset(cells)
 
 
-def scenario_key(config: SimConfig) -> tuple:
-    return (
-        config.k,
-        config.share_size,
-        config.p,
-        config.tx_count,
-        config.adversary,
-        config.withhold_pattern,
-        config.block_seed,
-    )
-
-
 def prepare_scenario(config: SimConfig) -> Scenario:
-    key = scenario_key(config)
-    cached = _SCENARIO_CACHE.get(key)
-    if cached is not None:
-        return cached
-    _SCENARIO_CACHE.clear()  # keep only the latest: a scenario holds a whole block
-
     rng = random.Random(f"block:{config.block_seed}")
     accounts = _genesis_accounts(rng)
     genesis_state = StateTree()
@@ -289,7 +267,7 @@ def prepare_scenario(config: SimConfig) -> Scenario:
     )
     mode = {
         "honest": MODE_HONEST,
-        "withhold": MODE_WITHHOLD,
+        "withhold": MODE_HONEST,
         "selective": MODE_HONEST,
         "invalid-transition": MODE_INVALID_TRANSITION,
         "invalid-code": MODE_INVALID_CODE,
@@ -306,15 +284,13 @@ def prepare_scenario(config: SimConfig) -> Scenario:
     width = built.matrix.width
     cells = [(r, c) for r in range(width) for c in range(width)]  # row-major: one tree per row
     cell_proofs = {cell: rs2d.prove_share(built.matrix, *cell, ROW) for cell in cells}
-    scenario = Scenario(
+    return Scenario(
         genesis_state=genesis_state,
         genesis=genesis,
         built=built,
         cell_proofs=cell_proofs,
         withheld=_withheld_cells(config, width),
     )
-    _SCENARIO_CACHE[key] = scenario
-    return scenario
 
 
 def draw_coordinates(rng: random.Random, width: int, s: int) -> list[tuple[int, int]]:
@@ -439,8 +415,7 @@ class _FullNode:
         self.store.add(sim.scenario.genesis)
         self.partial = PartialMatrix(sim.config.k, sim.config.share_size)
         self.recovered_tick: Optional[int] = None
-        self.fault_reported = False
-        self.transition_checked = False
+        self.checked = False  # a check concluded: a proof, or a clean replay
 
     def receive_header(self, header: BlockHeader) -> None:
         self.store.add(header)
@@ -484,7 +459,7 @@ class _FullNode:
         self.sim.send(client.receive_share, request_id, cell, share, proof)
 
     def _try_recover(self) -> None:
-        if self.fault_reported:
+        if self.checked:
             return
         sim = self.sim
         width = self.partial.width
@@ -494,29 +469,20 @@ class _FullNode:
             sim.engine.log(f"fullnode:{self.node_id}", "full-data", f"tick={sim.engine.now}")
         if present < recovery_threshold(sim.config.k) and present < width * width:
             return
-        commitment = sim.scenario.built.commitment
         try:
-            result = rs2d.recover_matrix(self.partial.copy(), commitment)
+            proof = fraud.check_block(
+                self.partial.copy(), sim.scenario.built, sim.scenario.genesis_state
+            )
         except rs2d.Unrecoverable:
             return
-        if isinstance(result, rs2d.CodecFault):
-            self.fault_reported = True
-            proof = fraud.generate_codec_fraud_proof(result, sim.block_hash, commitment)
-            sim.engine.log(f"fullnode:{self.node_id}", "codec-fraud", f"axis={result.axis} j={result.j}")
+        self.checked = True
+        if isinstance(proof, CodecFraudProof):
+            sim.engine.log(f"fullnode:{self.node_id}", "codec-fraud", f"axis={proof.axis} j={proof.j}")
             self._broadcast_fraud(proof)
             return
         if self.recovered_tick is None:
             self.recovered_tick = sim.engine.now
             sim.engine.log(f"fullnode:{self.node_id}", "recovered", f"tick={sim.engine.now}")
-        self._check_transitions(result)
-
-    def _check_transitions(self, matrix: rs2d.ExtendedMatrix) -> None:
-        if self.transition_checked:
-            return
-        self.transition_checked = True
-        sim = self.sim
-        rebuilt = replace(sim.scenario.built, matrix=matrix)
-        proof = fraud.generate_transition_fraud_proof(rebuilt, sim.scenario.genesis_state)
         if proof is not None:
             sim.engine.log(f"fullnode:{self.node_id}", "transition-fraud", f"y={proof.start_index}")
             self._broadcast_fraud(proof)

@@ -9,7 +9,8 @@ accumulator key. Illegal transfers yield ERR, which absorbs: once a
 replay hits ERR it stays ERR. Balances, the fee total and nonces are
 unsigned 64-bit: a transfer that would carry one past U64_MAX is
 illegal, and a fee payout that would is ERR too, which makes its block
-invalid.
+invalid. A stateless step whose witness proves a value that does not
+decode as an account is ERR as well: no honest state commits one.
 
 Replay works either on a full tree (apply_transaction) or statelessly from a
 root plus a witness (root_transition). Both run one rule set that does
@@ -175,7 +176,8 @@ def make_tx_witness(tree: StateTree, tx: Transaction) -> StateWitness:
 def root_transition(state_root: StateRoot, tx: Transaction, witness: StateWitness) -> StateRoot:
     """Stateless replay of one transfer from a root and a witness.
 
-    Returns the post-root, or ERR when the transfer is illegal. Raises
+    Returns the post-root, or ERR when the transfer is illegal or a
+    witnessed value does not decode as an account. Raises
     WitnessError when the witness is unusable (bad proofs, inconsistent
     entries, or missing touched keys); callers verifying fraud proofs
     treat that as a malformed proof, not as evidence of fraud.
@@ -187,7 +189,11 @@ def root_transition(state_root: StateRoot, tx: Transaction, witness: StateWitnes
     missing = set(tx.touched_keys()) - subtree.covered
     if missing:
         raise WitnessError("witness does not cover all touched keys")
-    return subtree.root() if _apply_rules(subtree, tx) else ERR
+    try:
+        legal = _apply_rules(subtree, tx)
+    except ValueError:  # a proven value that is no account: no honest state holds one
+        return ERR
+    return subtree.root() if legal else ERR
 
 
 def _apply_payout(view: StateTree, producer: bytes) -> bool:
@@ -219,9 +225,14 @@ def payout_keys(producer: bytes) -> tuple[bytes, ...]:
 
 
 def root_fee_payout(state_root: bytes, producer: bytes, witness: StateWitness) -> StateRoot:
-    """Stateless fee payout replay; ERR when the payout overflows. Raises
-    WitnessError on unusable witnesses."""
+    """Stateless fee payout replay; ERR when the payout overflows or a
+    witnessed value does not decode as an account. Raises WitnessError on
+    unusable witnesses."""
     subtree = WitnessSubtree.from_entries(state_root, witness.entries)
     if set(payout_keys(producer)) - subtree.covered:
         raise WitnessError("witness does not cover payout keys")
-    return subtree.root() if _apply_payout(subtree, producer) else ERR
+    try:
+        legal = _apply_payout(subtree, producer)
+    except ValueError:  # as in root_transition
+        return ERR
+    return subtree.root() if legal else ERR

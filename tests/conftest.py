@@ -4,7 +4,8 @@ from collections import Counter
 import pytest
 from hypothesis import Phase, settings
 
-from daproofs import merkle
+from daproofs import merkle, rs2d
+from daproofs.block import DEFAULT_PRODUCER, BlockHeader, BuiltBlock, serialize_shares
 from daproofs.merkle import hash_bytes
 from daproofs.smt import StateTree
 from daproofs.state import AccountValue, Transaction
@@ -51,6 +52,22 @@ def transfer_chain(keys, count, rng: random.Random, max_amount: int = 40) -> lis
         )
         nonces[sender] += 1
     return txs
+
+
+def framed_block(prev, messages, k, share_size, p) -> BuiltBlock:
+    """A block whose data is exactly these transfers and traces, committed
+    as build_block commits, for layouts and traces build_block refuses."""
+    shares = serialize_shares(messages, share_size)
+    shares += [bytes(share_size)] * (k * k - len(shares))
+    matrix = rs2d.extend_shares(shares, k, share_size)
+    header = BlockHeader(
+        prev_hash=prev.block_hash(),
+        data_root=matrix.commitment.data_root,
+        data_length=matrix.commitment.data_length,
+        state_root=b"\x00" * 32,
+        additional_data=DEFAULT_PRODUCER,
+    )
+    return BuiltBlock(header, matrix, p)
 
 
 @pytest.fixture(scope="session")

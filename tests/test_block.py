@@ -226,17 +226,6 @@ def test_invalid_code_block_yields_fault(base_state):
     assert isinstance(result, rs2d.CodecFault)
 
 
-def test_withhold_mode_builds_honestly(base_state):
-    tree, keys = base_state
-    rng = random.Random(10)
-    txs = transfer_chain(keys, 8, rng)
-    honest = build_block(genesis_header(tree), tree, txs, k=4, share_size=128)
-    withheld = build_block(
-        genesis_header(tree), tree, txs, k=4, share_size=128, mode="withhold"
-    )
-    assert honest.header == withheld.header
-
-
 def test_illegal_transfer_rejected_by_builder(base_state):
     tree, keys = base_state
     from daproofs.state import Transaction

@@ -1,6 +1,7 @@
 import csv
 import json
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from daproofs import prob
 from daproofs.block import build_block, genesis_header
 from daproofs.cli import main, write_block_dir
-from tests.conftest import funded_state, transfer_chain
+from tests.conftest import framed_block, funded_state, transfer_chain
 
 
 def run_cli(*args):
@@ -39,11 +40,12 @@ def test_encode_too_large_is_usage_error(tmp_path, capsys):
 
 def test_prob_p1_csv(tmp_path):
     out = tmp_path / "p1.csv"
-    assert run_cli("prob", "--table", "p1", "--k", "32", "--s", "3,15", "--out", out) == 0
+    assert run_cli("prob", "--table", "all", "--k", "32", "--s", "3,15", "--out", out) == 0
     rows = list(csv.DictReader(out.read_text().splitlines()))
     by_s = {int(row["s"]): float(row["p1"]) for row in rows}
     assert 0.55 <= by_s[3] <= 0.65
     assert by_s[15] > 0.99
+    assert {row["pe"] for row in rows} == {""}  # no --c, no pe column
 
 
 def test_prob_table1_cell(tmp_path):
@@ -81,7 +83,7 @@ def test_prob_pe_column_builds_one_curve_per_k_and_s(tmp_path, monkeypatch):
     curve = prob.pe_dp_curve
     monkeypatch.setattr(prob, "pe_dp_curve", lambda *args: built.append(args) or curve(*args))
     out = tmp_path / "pe.csv"
-    assert run_cli("prob", "--table", "pe", "--k", "2,4", "--s", "1,3", "--c", "1..40", "--out", out) == 0
+    assert run_cli("prob", "--table", "all", "--k", "2,4", "--s", "1,3", "--c", "1..40", "--out", out) == 0
     rows = list(csv.DictReader(out.read_text().splitlines()))
     assert {(int(r["k"]), int(r["s"]), int(r["c"])): r["pe"] for r in rows} == expected
     assert len(rows) == len(expected)
@@ -94,7 +96,9 @@ def test_prob_target_outside_unit_interval_is_usage_error(target, capsys):
     assert "target" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("table", ["p1", "pe", "table1"])
+@pytest.mark.parametrize(
+    "table", [("all",), ("all", "--c-hat=3", "--d=2"), ("table1",)], ids=["all", "all-pc-px", "table1"]
+)
 @pytest.mark.parametrize(
     "bad", [("--k", "0"), ("--k", "4,-1"), ("--s", "0"), ("--c", "-3"), ("--c", "5,0")]
 )
@@ -102,12 +106,12 @@ def test_prob_rejects_counts_below_one_before_any_work(table, bad, monkeypatch, 
     def no_work(*args, **kwargs):
         raise AssertionError("a table was computed")
 
-    for name in ("p1", "pe_dp_curve", "min_clients"):
+    for name in ("p1", "pc", "pc_as_printed", "pe_dp_curve", "px", "min_clients"):
         monkeypatch.setattr(prob, name, no_work)
     args = {"--k": "4", "--s": "2", "--c": "1..3"}
     args[bad[0]] = bad[1]
     argv = [f"{flag}={value}" for flag, value in args.items()]
-    assert run_cli("prob", "--table", table, *argv) == 2
+    assert run_cli("prob", "--table", *table, *argv) == 2
     captured = capsys.readouterr()
     assert "at least 1" in captured.err
     assert captured.out == ""
@@ -174,7 +178,26 @@ def test_fraud_gen_codec_path(tmp_path):
     block_dir = tmp_path / "block"
     write_block_dir(built, genesis, tree, block_dir)
     proof_path = tmp_path / "codec.bin"
-    assert run_cli("fraud", "gen", "--kind", "codec", "--block", block_dir, "--out", proof_path) == 0
+    assert run_cli("fraud", "gen", "--block", block_dir, "--out", proof_path) == 0
+    headers = tmp_path / "headers.bin"
+    headers.write_bytes(built.header.to_bytes())
+    assert run_cli("fraud", "verify", "--proof", proof_path, "--headers", headers) == 0
+
+
+def test_fraud_gen_proves_a_codec_fault_before_a_transition_fault(tmp_path, capsys):
+    tree, keys = funded_state()
+    genesis = genesis_header(tree)
+    txs = transfer_chain(keys, 25, random.Random(8))
+    built = build_block(genesis, tree, txs, k=4, share_size=256, p=10, mode="invalid-transition")
+    cells = built.matrix.cells
+    cells[0][-1] = cells[0][-1][:-1] + bytes([cells[0][-1][-1] ^ 1])  # a parity cell too
+    built.matrix.invalidate_roots()
+    built.header = replace(built.header, data_root=built.commitment.data_root)
+    block_dir = tmp_path / "block"
+    write_block_dir(built, genesis, tree, block_dir)
+    proof_path = tmp_path / "proof.bin"
+    assert run_cli("fraud", "gen", "--block", block_dir, "--out", proof_path) == 0
+    assert "wrote codec fraud proof" in capsys.readouterr().out
     headers = tmp_path / "headers.bin"
     headers.write_bytes(built.header.to_bytes())
     assert run_cli("fraud", "verify", "--proof", proof_path, "--headers", headers) == 0
@@ -188,6 +211,17 @@ def test_fraud_gen_on_honest_block(tmp_path):
     block_dir = tmp_path / "block"
     write_block_dir(built, genesis, tree, block_dir)
     assert run_cli("fraud", "gen", "--block", block_dir, "--out", tmp_path / "p.bin") == 1
+
+
+def test_fraud_gen_on_unparseable_block_exits_2(tmp_path, capsys):
+    # 30 transfers and no trace: the first period runs past p = 10
+    tree, keys = funded_state()
+    genesis = genesis_header(tree)
+    built = framed_block(genesis, transfer_chain(keys, 30, random.Random(6)), 4, 256, 10)
+    block_dir = tmp_path / "block"
+    write_block_dir(built, genesis, tree, block_dir)
+    assert run_cli("fraud", "gen", "--block", block_dir, "--out", tmp_path / "p.bin") == 2
+    assert "period criterion violated" in capsys.readouterr().err
 
 
 def test_usage_errors(tmp_path):

@@ -14,12 +14,16 @@ from daproofs.block import (
     build_double_tree_block,
     genesis_header,
     min_period,
+    parse_shares_with_spans,
+    shares_needed,
 )
+from daproofs.cli import main
 from daproofs.fraud import (
     CodecFraudProof,
     HeaderStore,
     TransitionFraudProof,
     apply_fraud_proof,
+    check_block,
     decode_codec_fraud_proof,
     decode_fraud_proof,
     decode_transition_fraud_proof,
@@ -35,8 +39,17 @@ from daproofs.fraud import (
 )
 from daproofs.rs2d import COLUMN, ROW, DataCommitment, PartialMatrix, ShareProof
 from daproofs.smt import SparseProof, StateTree
-from daproofs.state import FEES_KEY, U64_MAX, AccountValue, StateWitness, Transaction
-from tests.conftest import account_key, funded_state, transfer_chain
+from daproofs.state import (
+    FEES_KEY,
+    U64_MAX,
+    AccountValue,
+    StateWitness,
+    Transaction,
+    make_tx_witness,
+    make_witness,
+    payout_keys,
+)
+from tests.conftest import account_key, framed_block, funded_state, transfer_chain
 from tests.oracles import is_accepted
 
 K = 4
@@ -689,6 +702,91 @@ def test_u64_overflow_is_proven_not_raised(past, monkeypatch):
     store.add_double_tree(double_tree.header)
     proof = generate_double_tree_fraud_proof(double_tree, tree)
     assert verify_double_tree_fraud_proof(proof, store, P, prev_state_root=tree.root()) is True
+
+
+@pytest.mark.parametrize("step", ["transfer", "payout"])
+def test_undecodable_witnessed_value_is_proven_not_raised(step, tmp_path):
+    """A trace may commit a key to bytes that are no account: here the
+    recipient of the transfer after it, or the fee accumulator the payout
+    reads. Its block-final slice replays to ERR, so the proof verifies, and
+    neither the verifier nor `daproofs fraud verify` raises on the witness
+    that shows the value."""
+    tree, keys = funded_state()
+    genesis = genesis_header(tree)
+    odd = {"transfer": account_key("odd"), "payout": FEES_KEY}[step]
+    traced = tree.copy()
+    traced.update(odd, b"\x01\x02\x03\x04\x05")
+    tail = [Transaction(keys[0], odd, 1, 0, 0)] if step == "transfer" else []
+    messages = [*transfer_chain(keys, P, random.Random(7)), traced.root(), *tail]
+    built = framed_block(genesis, messages, K, SHARE_SIZE, P)
+
+    trace = parse_shares_with_spans(built.shares)[P]
+    assert trace.message == traced.root()
+    y = trace.start // (SHARE_SIZE - 2)
+    shares = built.shares[y:]
+    proof = TransitionFraudProof(
+        block_hash=built.header.block_hash(),
+        start_index=y,
+        shares=tuple(shares),
+        origins=(ROW,) * len(shares),
+        share_proofs=tuple(
+            rs2d.prove_share(built.matrix, *divmod(y + a, K), ROW)[1] for a in range(len(shares))
+        ),
+        witnesses=tuple(make_tx_witness(traced, tx) for tx in tail),
+        payout_witness=make_witness(traced, payout_keys(DEFAULT_PRODUCER)) if not tail else None,
+    )
+    store = HeaderStore()
+    store.add(genesis)
+    store.add(built.header)
+    assert verify_transition_fraud_proof(proof, store, P) is True
+
+    proof_path, headers = tmp_path / "proof.bin", tmp_path / "headers.bin"
+    proof_path.write_bytes(encode_fraud_proof(proof))
+    headers.write_bytes(genesis.to_bytes() + built.header.to_bytes())
+    assert main(["fraud", "verify", "--proof", str(proof_path), "--headers", str(headers)]) == 0
+
+
+CHECKED_MODES = {
+    ("honest", "trace"): type(None),
+    ("invalid-code", "trace"): CodecFraudProof,
+    ("invalid-transition", "trace"): TransitionFraudProof,
+    ("invalid-transition", "header"): TransitionFraudProof,
+}
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_check_block_proves_exactly_the_faulty_blocks(data):
+    """The honest full node's guarantee at its one function: from any share
+    set that stays recoverable, fewer than (k+1)^2 cells withheld, an honest
+    block checks clean, and a faulty one yields a proof of its fault's kind
+    that survives the wire and rejects the header."""
+    k = data.draw(st.sampled_from([1, 2, 4]), label="k")
+    mode, corrupt = data.draw(st.sampled_from(sorted(CHECKED_MODES)), label="mode")
+    most = max(n for n in range(4 * k * k) if shares_needed(n, P, SHARE_SIZE) <= k * k)
+    tx_count = data.draw(st.integers(0, most), label="tx_count")
+    tree, keys = funded_state()
+    txs = transfer_chain(keys, tx_count, random.Random(data.draw(st.integers(0, 2**16))))
+    genesis = genesis_header(tree)
+    built = build_block(
+        genesis, tree, txs, k=k, share_size=SHARE_SIZE, p=P, mode=mode, corrupt=corrupt
+    )
+    cells = [(r, c) for r in range(2 * k) for c in range(2 * k)]
+    withheld = data.draw(
+        st.lists(st.sampled_from(cells), max_size=(k + 1) ** 2 - 1, unique=True), label="withheld"
+    )
+    partial = PartialMatrix.from_matrix(built.matrix, withhold=withheld, with_proofs=True)
+
+    proof = check_block(partial, built, tree)
+    assert isinstance(proof, CHECKED_MODES[mode, corrupt])
+    if proof is not None:
+        decoded = decode_fraud_proof(encode_fraud_proof(proof))
+        assert decoded == proof
+        store = HeaderStore()
+        store.add(genesis)
+        store.add(built.header)
+        assert apply_fraud_proof(decoded, store, P)
+        assert store.is_rejected(built.header.block_hash())
 
 
 # --- recorded proof encodings ----------------------------------------------------

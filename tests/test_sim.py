@@ -10,7 +10,6 @@ from daproofs.sim import (
     VERDICT_ACCEPT,
     VERDICT_FRAUD,
     VERDICT_UNAVAILABLE,
-    prepare_scenario,
     run_sampling,
 )
 from tests.oracles import predicted_deceived_prefix, recovery_experiment
@@ -78,6 +77,20 @@ def test_fraud_proof_verified_once_per_header_store(monkeypatch):
     # two full nodes and eight clients, each verifying the proof once
     assert len(calls) == 10
     assert len({id(store) for store in calls}) == 10
+
+
+def test_full_node_stops_recovering_once_its_check_concludes(monkeypatch):
+    """In a selective round whose samples reach the recovery threshold, the
+    one full node recovers once and checks clean; the 23 later batches of
+    cells that reach it start no recovery."""
+    calls = []
+    recover = sim.rs2d.recover_matrix
+    monkeypatch.setattr(sim.rs2d, "recover_matrix", lambda *args: calls.append(args) or recover(*args))
+    config = SimConfig(
+        k=4, s=6, light_clients=30, full_nodes=1, adversary="selective", selective_limit=64, seed=1
+    )
+    assert run_sampling(config).recovered_by_full_node
+    assert len(calls) == 1
 
 
 def test_fraud_proof_propagation_delay_bound():
@@ -296,12 +309,6 @@ def test_csv_outputs(tmp_path):
     assert events_path.read_text().startswith("tick,actor,kind,detail")
     lines = verdicts_path.read_text().strip().splitlines()
     assert len(lines) == 1 + len(result.per_client)
-
-
-def test_scenario_cache_reuse():
-    config_a = SimConfig(**BASE, adversary="honest", seed=100)
-    config_b = SimConfig(**BASE, adversary="honest", seed=200)
-    assert prepare_scenario(config_a) is prepare_scenario(config_b)
 
 
 # SHA-256 of `_canonical_run` per (adversary setting, seed), recorded before the
