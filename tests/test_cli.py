@@ -96,8 +96,12 @@ def test_prob_target_outside_unit_interval_is_usage_error(target, capsys):
     assert "target" in capsys.readouterr().err
 
 
+# p1: the default table, whose p1 column is always filled; pe: `--table all`
+# named outright, which fills pe as --c is given; pc-px adds the pc and px columns.
 @pytest.mark.parametrize(
-    "table", [("all",), ("all", "--c-hat=3", "--d=2"), ("table1",)], ids=["all", "all-pc-px", "table1"]
+    "table",
+    [(), ("--table", "all"), ("--table", "all", "--c-hat=3", "--d=2"), ("--table", "table1")],
+    ids=["p1", "pe", "pc-px", "table1"],
 )
 @pytest.mark.parametrize(
     "bad", [("--k", "0"), ("--k", "4,-1"), ("--s", "0"), ("--c", "-3"), ("--c", "5,0")]
@@ -111,7 +115,7 @@ def test_prob_rejects_counts_below_one_before_any_work(table, bad, monkeypatch, 
     args = {"--k": "4", "--s": "2", "--c": "1..3"}
     args[bad[0]] = bad[1]
     argv = [f"{flag}={value}" for flag, value in args.items()]
-    assert run_cli("prob", "--table", *table, *argv) == 2
+    assert run_cli("prob", *table, *argv) == 2
     captured = capsys.readouterr()
     assert "at least 1" in captured.err
     assert captured.out == ""
