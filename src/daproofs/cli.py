@@ -10,11 +10,13 @@ A block directory, which `fraud gen` reads and write_block_dir lays out,
 holds header.bin and prev_header.bin (wire headers), matrix.bin (all 2k x
 2k cells, row-major; the original shares are its top-left quadrant),
 meta.json (k, share size, p) and prev_state.json (the previous block's
-accounts).
+accounts). `fraud gen` refuses a directory whose header does not point at
+prev_header.bin, or whose prev_state.json does not have that header's
+state root.
 
 `encode` and `simulate` also write a manifest.json recording the
 subcommand, inputs, and seed, so their outputs are reproducible from the
-manifest alone. The seed falls back to the DA_SEED environment variable.
+manifest alone; `simulate --seed` overrides the config file's seed.
 Exit codes: 0 success (and "proof verifies"), 1 verification returned
 false or the block checked clean, 2 usage or input errors, block data
 that does not parse among them.
@@ -24,13 +26,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Optional
 
 from . import fraud, prob, rs2d, sim
-from .block import BlockHeader, BuiltBlock, ParseError
+from .block import DEFAULT_PERIOD, BlockHeader, BuiltBlock, ParseError
 from .fraud import HeaderStore
 from .merkle import Reader
 from .smt import StateTree
@@ -43,13 +44,6 @@ EXIT_USAGE = 2
 
 class CliError(Exception):
     pass
-
-
-def _seed_override(args: argparse.Namespace) -> Optional[int]:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("DA_SEED")
-    return int(env) if env else None
 
 
 def _write_manifest(out_dir: Path, subcommand: str, details: dict) -> None:
@@ -165,9 +159,8 @@ def cmd_prob(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = sim.SimConfig.from_file(args.config)
-    seed = _seed_override(args)
-    if seed is not None:
-        config.seed = seed
+    if args.seed is not None:
+        config.seed = args.seed
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     scenario = sim.prepare_scenario(config)
@@ -246,6 +239,10 @@ def cmd_fraud(args: argparse.Namespace) -> int:
         built, prev_header, prev_state = _load_block_dir(Path(args.block))
         if built.header.data_root != built.commitment.data_root:
             raise CliError("stored matrix does not match the header data root")
+        if built.header.prev_hash != prev_header.block_hash():
+            raise CliError("header prev_hash does not match prev_header.bin")
+        if prev_state.root() != prev_header.state_root:
+            raise CliError("prev_state.json does not match prev_header.bin's state root")
         partial = rs2d.PartialMatrix.from_matrix(built.matrix, with_proofs=True)
         proof = fraud.check_block(partial, built, prev_state)
         if proof is None:
@@ -306,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     fr.add_argument("--block", help="block directory (gen)")
     fr.add_argument("--proof", help="proof file (verify)")
     fr.add_argument("--headers", help="concatenated header records (verify)")
-    fr.add_argument("--p", type=int, default=10, help="period criterion")
+    fr.add_argument("--p", type=int, default=DEFAULT_PERIOD, help="period criterion")
     fr.add_argument("--out", help="output proof file (gen)")
     fr.set_defaults(func=cmd_fraud)
 

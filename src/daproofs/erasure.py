@@ -33,7 +33,9 @@ lanes, laid out as a (k, axes * lanes) array, with the bytes each would
 get alone. evaluate_axes is that entry point; rs_encode and rs_decode are
 its one-axis case. A call's working array is capped at CALL_SYMBOLS
 symbols, so a wide batch is cut into runs of consecutive axes, one call
-each, and memory stays that of one run whatever the batch's width.
+each, and memory stays that of one run whatever the batch's width. Each
+run comes back as shares, each axis's k evaluated shares in a list, so the
+symbol layout never leaves this module.
 
 GF(2^16) keeps codewords of length 2k below the field size for k up to
 MAX_K = 16384. Arithmetic runs on log/antilog tables built once at import.
@@ -287,17 +289,18 @@ def erased(xs: Sequence[int], k: int) -> list[int]:
 
 def evaluate_axes(
     xs: Sequence[int], axes: Iterable[Sequence[bytes]], k: int
-) -> Iterator[np.ndarray]:
+) -> Iterator[list[list[bytes]]]:
     """For axes that share the given positions xs (k of them, increasing,
     in [0, 2k)), each given as its k shares at xs, all of one length: the
     polynomial of degree below k through each axis's shares, at every
     position erased(xs, k).
 
-    Yields, for each run of consecutive axes, a (k, axes, lanes) uint16
-    array from one evaluator call on the run laid out as (k, axes * lanes).
-    A run is as many axes as keep that call's working array, k rows on
-    the half-to-half path and N on the general one, within CALL_SYMBOLS
-    symbols, and at least one axis. axes is read one run at a time.
+    Yields, for each run of consecutive axes, one list per axis of its k
+    evaluated shares, in the order of erased(xs, k), from one evaluator
+    call on the run laid out as (k, axes * lanes). A run is as many axes as
+    keep that call's working array, k rows on the half-to-half path and N
+    on the general one, within CALL_SYMBOLS symbols, and at least one axis.
+    axes is read one run at a time, when the run is pulled.
     """
     xs = tuple(xs)
     if not 1 <= k <= MAX_K:
@@ -322,8 +325,8 @@ def evaluate_axes(
 
 def _evaluate_run(
     xs: tuple[int, ...], axes: Sequence[Sequence[bytes]], k: int, half: bool
-) -> np.ndarray:
-    """One evaluator call on a run of axes: (k, axes, lanes) values at erased(xs, k)."""
+) -> list[list[bytes]]:
+    """One evaluator call on a run of axes: each axis's k shares at erased(xs, k)."""
     if any(len(shares) != k for shares in axes):
         raise ValueError("each axis needs one share per given position")
     symbols = _shares_to_symbols([shares[i] for i in range(k) for shares in axes])
@@ -332,14 +335,15 @@ def _evaluate_run(
         values = _fft(_inverse_fft(symbols, xs[0]), k - xs[0])
     else:
         values = _evaluate_erasures(symbols, xs, k)
-    return values.reshape(k, len(axes), -1)
+    shares = symbols_to_shares(values.reshape(k, len(axes), -1).transpose(1, 0, 2))
+    return [shares[a : a + k] for a in range(0, len(shares), k)]
 
 
 def _codeword(given: Sequence[tuple[int, bytes]], k: int) -> list[bytes]:
     """The 2k shares through k given (position, share) pairs, those unchanged."""
     xs = [pos for pos, _ in given]
-    (values,) = evaluate_axes(xs, [[sh for _, sh in given]], k)
-    codeword = dict(zip(erased(xs, k), symbols_to_shares(values)))
+    ((shares,),) = evaluate_axes(xs, [[sh for _, sh in given]], k)
+    codeword = dict(zip(erased(xs, k), shares))
     codeword.update((pos, bytes(share)) for pos, share in given)
     return [codeword[pos] for pos in range(2 * k)]
 

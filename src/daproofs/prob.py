@@ -410,9 +410,4 @@ def _check_px_params(s: int, c: int, d: int) -> None:
 def px(s: int, c: int, d: int) -> float:
     """Probability a client sees >= 1 of its s requests among d denied ones."""
     _check_px_params(s, c, d)
-    total = math.comb(c * s, d)
-    others = s * (c - 1)
-    acc = Fraction(0)
-    for i in range(1, min(s, d) + 1):
-        acc += Fraction(math.comb(s, i) * math.comb(others, d - i), total)
-    return float(acc)
+    return float(1 - Fraction(math.comb(s * (c - 1), d), math.comb(c * s, d)))

@@ -31,11 +31,13 @@ columns, until nothing changes; then the complete-matrix check). The axes
 of one pass are disjoint, so no decode in a pass reads another's fills.
 Within a pass the axes are grouped by their chosen input positions, and
 each group is decoded in evaluate_axes calls of at most CALL_SYMBOLS
-symbols, pulled only when the first axis of a call is checked. The
-results are checked and applied in j order, so the cells filled, the grid
-digests, filled_by and the first fault are those of decoding axis by
-axis; a fault stops the pass before any later call is made. A withheld
-k x k quadrant, for one, leaves its k rows one group.
+symbols, pulled only when the first axis of a call is checked. A call's
+symbol arrays never leave erasure: it hands back shares, and a decoded
+share equal to its cell is the cell itself. The results are checked and
+applied in j order, so the cells filled, the grid digests, filled_by and
+the first fault are those of decoding axis by axis; a fault stops the
+pass before any later call is made. A withheld k x k quadrant, for one,
+leaves its k rows one group.
 
 The 3k rule: 3k axes fix the rest. When every row and every column < k
 decodes to exactly its cells, each column >= k is, by the row code's
@@ -49,10 +51,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from math import isqrt
 from typing import Iterator, Optional, Sequence
-
-import numpy as np
 
 from . import merkle
 from .erasure import (  # rs_encode re-exported: callers and tools reach the codec here
@@ -60,7 +61,6 @@ from .erasure import (  # rs_encode re-exported: callers and tools reach the cod
     erased,
     evaluate_axes,
     rs_encode,  # noqa: F401
-    symbols_to_shares,
 )
 from .merkle import MerkleProof
 
@@ -204,22 +204,12 @@ def extend_shares(shares: Sequence[bytes], k: int, share_size: int) -> ExtendedM
             raise ValueError("share has wrong size")
     padded = list(shares) + [b"\x00" * share_size] * (k * k - len(shares))
     top = [padded[r * k : (r + 1) * k] for r in range(k)]
-    given = range(k)
-    start = 0
-    for values in evaluate_axes(given, top, k):
-        for parity in _split(symbols_to_shares(values.transpose(1, 0, 2)), k):
-            top[start] = top[start] + parity
-            start += 1
-    bottom: list[list[bytes]] = [[] for _ in range(k)]
+    for row, parity in zip(top, chain.from_iterable(evaluate_axes(range(k), top, k))):
+        row += parity
     columns = ([row[c] for row in top] for c in range(2 * k))
-    for values in evaluate_axes(given, columns, k):
-        for row, parity in zip(bottom, _split(symbols_to_shares(values), values.shape[1])):
-            row += parity
+    parities = chain.from_iterable(evaluate_axes(range(k), columns, k))
+    bottom = [list(row) for row in zip(*parities)]
     return ExtendedMatrix(k, share_size, top + bottom)
-
-
-def _split(items: list[bytes], size: int) -> list[list[bytes]]:
-    return [items[i : i + size] for i in range(0, len(items), size)]
 
 
 def extend(raw: bytes, k: int, share_size: int) -> ExtendedMatrix:
@@ -438,39 +428,23 @@ def _decoded(
     one's decoded content and the present positions where that content
     differs from the cell.
 
-    The cells of a run of axes are read when evaluate_axes reaches it, and
-    its call is compared with them in numpy: only holes and differing cells
-    get bytes of their own, and every other share is its cell. A call's
-    arrays are dropped before its axes are yielded.
+    A run of axes is decoded when its first axis is pulled, and a call's
+    symbol arrays never leave erasure. Each decoded share is compared with
+    its cell: a share equal to the cell is the cell itself, and only holes
+    and differing cells take the decoded bytes.
     """
-    k = partial.k
-    targets = erased(xs, k)
+    targets = erased(xs, partial.k)
     inputs = ([cells[pos] for pos in xs] for cells in (_line(partial.cells, axis, j) for j in js))
-    start = 0
-    for values in evaluate_axes(xs, inputs, k):
-        batch = [_line(partial.cells, axis, j) for j in js[start : start + values.shape[1]]]
-        start += len(batch)
-        width = 2 * values.shape[2]
-        blank = bytes(width)
-        present = np.frombuffer(
-            b"".join([cells[t] or blank for t in targets for cells in batch]), dtype=">u2"
-        )
-        same = (values == present.reshape(values.shape)).all(axis=2).T.tolist()
-        raw = b""
-        results = []
-        for a, cells in enumerate(batch):
-            decoded: list = list(cells)  # holes get bytes below
-            differs = []
-            for i in [i for i, t in enumerate(targets) if not same[a][i] or cells[t] is None]:
-                raw = raw or values.astype(">u2").tobytes()
-                offset = (i * len(batch) + a) * width
-                t = targets[i]
-                if cells[t] is not None:
+    for j, shares in zip(js, chain.from_iterable(evaluate_axes(xs, inputs, partial.k))):
+        decoded = list(_line(partial.cells, axis, j))
+        differs = []
+        for t, share in zip(targets, shares):
+            cell = decoded[t]
+            if cell != share:
+                if cell is not None:
                     differs.append(t)
-                decoded[t] = raw[offset : offset + width]
-            results.append((decoded, frozenset(differs)))
-        del values, present, same, raw, batch
-        yield from results
+                decoded[t] = share
+        yield decoded, frozenset(differs)
 
 
 def _axis_digests(

@@ -22,8 +22,9 @@ that have no place at run time.
 - sample_distinct, recovery_experiment: uniform draws without replacement,
   and the seeded frequency of c clients jointly drawing enough distinct
   shares to recover, a Monte Carlo check of pe.
-- p1_limit, px_complement: the large-k limit of p1, and px as one
-  complement, the closed forms that check prob.p1 and prob.px.
+- p1_limit: the large-k limit of p1, the closed form that checks prob.p1.
+- px_sum: px as the Vandermonde sum over how many of the client's s
+  requests are denied, the oracle of prob.px's one complement.
 - transition, valid, collect_fees, total_supply: the paper's pure state
   definitions (a new tree per transfer, ERR absorbing), the oracle of the
   in-place replay.
@@ -379,10 +380,16 @@ def p1_limit(s: int) -> float:
     return 1.0 - 0.75 ** s
 
 
-def px_complement(s: int, c: int, d: int) -> float:
-    """Same probability as 1 - C(s(c-1), d)/C(cs, d)."""
+def px_sum(s: int, c: int, d: int) -> float:
+    """px summed over i >= 1 of the client's requests among the d denied:
+    C(s, i) C(s(c-1), d-i) / C(cs, d)."""
     _check_px_params(s, c, d)
-    return float(1 - Fraction(math.comb(s * (c - 1), d), math.comb(c * s, d)))
+    total = math.comb(c * s, d)
+    others = s * (c - 1)
+    acc = Fraction(0)
+    for i in range(1, min(s, d) + 1):
+        acc += Fraction(math.comb(s, i) * math.comb(others, d - i), total)
+    return float(acc)
 
 
 def transition(state: Union[StateTree, _ErrType], tx: Transaction) -> Union[StateTree, _ErrType]:

@@ -37,7 +37,7 @@ from daproofs.rs2d import ROW, PartialMatrix
 from daproofs.smt import SparseProof
 from daproofs.state import StateWitness
 from tests.conftest import funded_state, transfer_chain
-from tests.oracles import mc_p1, predicted_deceived_prefix, px_complement
+from tests.oracles import mc_p1, predicted_deceived_prefix, px_sum
 
 
 def report(number: int, label: str, detail: str = "") -> None:
@@ -168,7 +168,7 @@ def test_criterion_5_denial_probability(enhanced_runs):
         s = rng.randrange(1, 12)
         c = rng.randrange(2, 40)
         d = rng.randrange(0, s * c + 1)
-        gap = abs(prob.px(s, c, d) - px_complement(s, c, d))
+        gap = abs(prob.px(s, c, d) - px_sum(s, c, d))
         worst = max(worst, gap)
         assert gap < 1e-12
 

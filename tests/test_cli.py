@@ -217,6 +217,32 @@ def test_fraud_gen_on_honest_block(tmp_path):
     assert run_cli("fraud", "gen", "--block", block_dir, "--out", tmp_path / "p.bin") == 1
 
 
+@pytest.mark.parametrize("mismatch", ["prev_state", "prev_hash"])
+def test_fraud_gen_refuses_a_block_dir_that_disagrees_with_prev_header(
+    tmp_path, capsys, mismatch
+):
+    """An honest block whose prev_state.json gains one unit of balance, or
+    whose prev_header.bin is another header, is refused before any proof."""
+    tree, keys = funded_state()
+    genesis = genesis_header(tree)
+    txs = transfer_chain(keys, 12, random.Random(5))
+    built = build_block(genesis, tree, txs, k=4, share_size=256, p=10)
+    block_dir = tmp_path / "block"
+    write_block_dir(built, genesis, tree, block_dir)
+    if mismatch == "prev_state":
+        path = block_dir / "prev_state.json"
+        accounts = json.loads(path.read_text())
+        accounts[next(iter(accounts))][0] += 1
+        path.write_text(json.dumps(accounts))
+    else:
+        other = replace(genesis, additional_data=b"\x01")
+        (block_dir / "prev_header.bin").write_bytes(other.to_bytes())
+    proof_path = tmp_path / "proof.bin"
+    assert run_cli("fraud", "gen", "--block", block_dir, "--out", proof_path) == 2
+    assert not proof_path.exists()
+    assert "prev_header.bin" in capsys.readouterr().err
+
+
 def test_fraud_gen_on_unparseable_block_exits_2(tmp_path, capsys):
     # 30 transfers and no trace: the first period runs past p = 10
     tree, keys = funded_state()

@@ -398,13 +398,11 @@ def test_batch_codec_matches_per_axis_decode_and_lagrange(data):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(erasure, "CALL_SYMBOLS", run * rows * lanes)
         calls = list(erasure.evaluate_axes(xs, [[sh for _, sh in axis[:k]] for axis in axes], k))
-    assert [values.shape for values in calls] == [
-        (k, min(run, count - start), lanes) for start in range(0, count, run)
+    assert [len(values) for values in calls] == [
+        min(run, count - start) for start in range(0, count, run)
     ]
     targets = erasure.erased(xs, k)
-    batch = [
-        erasure.symbols_to_shares(values[:, a]) for values in calls for a in range(values.shape[1])
-    ]
+    batch = [evaluated for values in calls for evaluated in values]
     for axis, evaluated in zip(axes, batch):
         decoded = rs_decode(axis, k)
         assert decoded == lagrange_codeword(axis, k)
@@ -421,3 +419,26 @@ def test_batch_codec_rejects_bad_positions_and_shares():
         with pytest.raises(ValueError):
             list(erasure.evaluate_axes([0, 1], bad, 2))
     assert list(erasure.evaluate_axes([0, 1], [], 2)) == []
+
+
+def test_batch_codec_reads_axes_one_run_at_a_time(monkeypatch):
+    """A run of two axes per call: the first yield has read exactly those
+    two axes, and holds each one's k evaluated shares at the input length."""
+    k, size = 4, 6
+    monkeypatch.setattr(erasure, "CALL_SYMBOLS", 2 * k * (size // 2))  # half to half: k rows
+    rng = random.Random(9)
+    data = [[rng.randbytes(size) for _ in range(k)] for _ in range(5)]
+    consumed = []
+
+    def axes():
+        for shares in data:
+            consumed.append(shares)
+            yield shares
+
+    runs = erasure.evaluate_axes(range(k), axes(), k)
+    first = next(runs)
+    assert len(consumed) == 2
+    assert [[len(share) for share in shares] for shares in first] == [[size] * k] * 2
+    assert first == [rs_encode(shares)[k:] for shares in data[:2]]
+    assert [len(run) for run in runs] == [2, 1]
+    assert len(consumed) == 5

@@ -33,7 +33,7 @@ from tests.oracles import (
     pe_group_curve,
     pe_per_draw_curve,
     pe_series_fraction,
-    px_complement,
+    px_sum,
     sample_distinct,
 )
 
@@ -384,8 +384,8 @@ def test_mc_min_clients_tracks_exact():
 def test_px_boundaries():
     assert px(3, 5, 15) == 1.0
     assert px(3, 5, 0) == 0.0
-    assert px_complement(3, 5, 15) == 1.0
-    assert px_complement(3, 5, 0) == 0.0
+    assert px_sum(3, 5, 15) == 1.0
+    assert px_sum(3, 5, 0) == 0.0
 
 
 def test_px_identity_sample():
@@ -394,7 +394,7 @@ def test_px_identity_sample():
         s = rng.randrange(1, 8)
         c = rng.randrange(2, 30)
         d = rng.randrange(0, s * c + 1)
-        assert abs(px(s, c, d) - px_complement(s, c, d)) < 1e-12
+        assert abs(px(s, c, d) - px_sum(s, c, d)) < 1e-12
 
 
 def test_px_monte_carlo_agreement():
