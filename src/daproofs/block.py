@@ -10,6 +10,9 @@ field is 2 bytes and 1-based (rather than a raw byte index) so that
 "no start here" is unambiguous even for a message starting at payload
 position 0, and so share sizes above 256 bytes still fit.
 
+No other module knows this layout: pack_shares is its one packer, and
+the parser spans each message by share indexes, not byte offsets.
+
 A trace is emitted after every p transfers, and p is at least
 min_period(share_size), so that every period's fraud proof can name its
 slice by a share. The block's final state root lives in the header only
@@ -29,6 +32,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from . import merkle, rs2d
+from .erasure import MAX_K
 from .merkle import DIGEST_SIZE, hash_bytes
 from .rs2d import DataCommitment, ExtendedMatrix
 from .smt import StateTree
@@ -80,12 +84,26 @@ def shares_needed(tx_count: int, p: int, share_size: int) -> int:
     return -(-stream // (share_size - 2))
 
 
+def pack_shares(stream: bytes, starts: Sequence[int], share_size: int) -> list[bytes]:
+    """Cut a payload stream into shares of share_size bytes, the last one
+    zero-padded. Each share opens with the 1-based offset of the first of
+    the ascending stream positions starts that falls inside it, or 0."""
+    _check_share_size(share_size)
+    payload_size = share_size - 2
+    offsets = [0] * -(-len(stream) // payload_size)
+    for start in reversed(starts):  # the first start in a share is written last
+        offsets[start // payload_size] = start % payload_size + 1
+    shares = []
+    for index, offset in enumerate(offsets):
+        chunk = bytes(stream[index * payload_size : (index + 1) * payload_size])
+        shares.append(offset.to_bytes(2, "big") + chunk.ljust(payload_size, b"\x00"))
+    return shares
+
+
 def serialize_shares(
     messages: Sequence[Union[Transaction, bytes]], share_size: int
 ) -> list[bytes]:
     """Pack transfers and traces into shares of share_size bytes each."""
-    _check_share_size(share_size)
-    payload_size = share_size - 2
     stream = bytearray()
     starts: list[int] = []
     for message in messages:
@@ -96,31 +114,18 @@ def serialize_shares(
             stream += bytes([MSG_TRACE, 0, DIGEST_SIZE]) + message
         else:
             raise ValueError("trace message must be 32 bytes")
-    if not stream:
-        return []
-    shares = []
-    start_iter = iter(starts)
-    next_start = next(start_iter, None)
-    for base in range(0, len(stream), payload_size):
-        chunk = bytes(stream[base : base + payload_size]).ljust(payload_size, b"\x00")
-        offset = 0
-        while next_start is not None and next_start < base:
-            next_start = next(start_iter, None)
-        if next_start is not None and next_start < base + payload_size:
-            offset = next_start - base + 1
-        shares.append(offset.to_bytes(2, "big") + chunk)
-    return shares
+    return pack_shares(stream, starts, share_size)
 
 
 @dataclass(frozen=True)
 class ParsedMessage:
     message: Union[Transaction, bytes]  # a transfer, or a trace's 32-byte root
-    start: int  # byte offset of the message header within the payload stream
-    end: int    # one past the last body byte
+    first_share: int  # index in the parsed run of the share holding its first byte
+    last_share: int   # and of the share holding its last byte
 
 
 def parse_shares_with_spans(shares: Sequence[bytes]) -> list[ParsedMessage]:
-    """Parse a contiguous share run into messages with byte spans.
+    """Parse a contiguous share run into messages with their share spans.
 
     The first message is located through the offset field of the first
     share in which any message starts; bytes before it (the tail of an
@@ -169,7 +174,9 @@ def parse_shares_with_spans(shares: Sequence[bytes]) -> list[ParsedMessage]:
                 raise ParseError(str(exc)) from exc
         elif length != DIGEST_SIZE:
             raise ParseError("trace message must be 32 bytes")
-        messages.append(ParsedMessage(message, pos, pos + 3 + length))
+        messages.append(
+            ParsedMessage(message, pos // payload_size, (pos + 2 + length) // payload_size)
+        )
         pos += 3 + length
     return messages
 
@@ -314,6 +321,8 @@ def _replay_block(
 def check_layout(k: int, share_size: int, p: int, tx_count: int) -> None:
     """Raise ValueError unless build_block can frame tx_count transfers at
     period p into at most k*k shares of share_size bytes."""
+    if not 1 <= k <= MAX_K:
+        raise ValueError(f"k must be in 1..{MAX_K}")
     _check_share_size(share_size)
     if share_size % 2:
         raise ValueError("share size must be even")
@@ -357,9 +366,7 @@ def build_block(
         if (index + 1) % p == 0:
             messages.append(traces[index // p])
 
-    shares = serialize_shares(messages, share_size)
-    shares += [b"\x00" * share_size] * (k * k - len(shares))
-    matrix = rs2d.extend_shares(shares, k, share_size)
+    matrix = rs2d.extend_shares(serialize_shares(messages, share_size), k, share_size)
 
     if mode == MODE_INVALID_CODE:
         # replace one parity cell before committing
@@ -401,18 +408,6 @@ def genesis_header(state: StateTree) -> BlockHeader:
 # keys periods by arithmetic on transfer indexes instead of in-band
 # boundaries. It does not use shares and takes no part in availability
 # sampling; it exists to exercise the alternative fraud-proof verifier.
-
-
-def period(tx_index: int, p: int) -> int:
-    """Trace index holding the pre-state for the transfer at tx_index.
-
-    -1 means the pre-state is the previous block's state root.
-    """
-    if tx_index < 0:
-        raise ValueError("transfer index must be non-negative")
-    if p < 1:
-        raise ValueError("period length must be positive")
-    return tx_index // p - 1
 
 
 @dataclass(frozen=True)

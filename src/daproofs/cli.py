@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands:
-  encode    erasure-extend a file into a committed share matrix
+  encode    pack a file into shares (block.pack_shares) and erasure-extend them
   prob      emit probability tables as CSV
   simulate  run the sampling simulator from a key=value config file
   fraud     generate or verify fraud proofs against block files
@@ -10,9 +10,10 @@ A block directory, which `fraud gen` reads and write_block_dir lays out,
 holds header.bin and prev_header.bin (wire headers), matrix.bin (all 2k x
 2k cells, row-major; the original shares are its top-left quadrant),
 meta.json (k, share size, p) and prev_state.json (the previous block's
-accounts). `fraud gen` refuses a directory whose header does not point at
-prev_header.bin, or whose prev_state.json does not have that header's
-state root.
+accounts, each [balance, nonce]). `fraud gen` refuses a directory whose
+meta.json, matrix.bin size or accounts are out of range, whose header
+does not point at prev_header.bin, or whose prev_state.json does not
+have that header's state root.
 
 `encode` and `simulate` also write a manifest.json recording the
 subcommand, inputs, and seed, so their outputs are reproducible from the
@@ -30,12 +31,13 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from . import fraud, prob, rs2d, sim
+from . import block, fraud, prob, rs2d, sim
 from .block import DEFAULT_PERIOD, BlockHeader, BuiltBlock, ParseError
+from .erasure import MAX_K
 from .fraud import HeaderStore
 from .merkle import Reader
 from .smt import StateTree
-from .state import AccountValue
+from .state import U64_MAX, AccountValue
 
 EXIT_OK = 0
 EXIT_VERIFY_FALSE = 1
@@ -58,7 +60,8 @@ def cmd_encode(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     raw = Path(args.input).read_bytes()
-    matrix = rs2d.extend(raw, args.k, args.share_size)
+    shares = block.pack_shares(raw, (), args.share_size)
+    matrix = rs2d.extend_shares(shares, args.k, args.share_size)
     commitment = rs2d.commit(matrix)
     width = matrix.width
     cells = b"".join(matrix.cells[r][c] for r in range(width) for c in range(width))
@@ -212,13 +215,31 @@ def write_block_dir(built, prev_header: BlockHeader, prev_state: StateTree, out_
     (out_dir / "prev_state.json").write_text(json.dumps(accounts, indent=0))
 
 
+def _checked_int(value: object, what: str, lo: int, hi: Optional[int] = None) -> int:
+    """value, if it is an integer in lo..hi (unbounded above when hi is None)."""
+    if type(value) is not int or value < lo or (hi is not None and value > hi):
+        bound = f"at least {lo}" if hi is None else f"in {lo}..{hi}"
+        raise CliError(f"{what} must be an integer {bound}")
+    return value
+
+
 def _load_block_dir(block_dir: Path):
     meta = json.loads((block_dir / "meta.json").read_text())
-    k, share_size, p = meta["k"], meta["share_size"], meta["p"]
+    if not isinstance(meta, dict):
+        raise CliError("meta.json must be an object")
+    k = _checked_int(meta.get("k"), "meta.json k", 1, MAX_K)
+    share_size = _checked_int(
+        meta.get("share_size"), "meta.json share_size", block.MIN_SHARE_SIZE, block.MAX_SHARE_SIZE
+    )
+    if share_size % 2:
+        raise CliError("meta.json share_size must be even")
+    p = _checked_int(meta.get("p"), "meta.json p", 1)
     header = BlockHeader.from_bytes((block_dir / "header.bin").read_bytes())
     prev_header = BlockHeader.from_bytes((block_dir / "prev_header.bin").read_bytes())
     matrix_blob = (block_dir / "matrix.bin").read_bytes()
     width = 2 * k
+    if len(matrix_blob) != width * width * share_size:
+        raise CliError(f"matrix.bin must hold {width * width * share_size} bytes")
     cells = [
         [
             matrix_blob[(r * width + c) * share_size : (r * width + c + 1) * share_size]
@@ -229,7 +250,12 @@ def _load_block_dir(block_dir: Path):
     matrix = rs2d.ExtendedMatrix(k, share_size, cells)
     prev_state = StateTree()
     accounts = json.loads((block_dir / "prev_state.json").read_text())
-    for key_hex, (balance, nonce) in accounts.items():
+    if not isinstance(accounts, dict):
+        raise CliError("prev_state.json must be an object")
+    for key_hex, account in accounts.items():
+        if not isinstance(account, list) or len(account) != 2:
+            raise CliError(f"account {key_hex} must be [balance, nonce]")
+        balance, nonce = (_checked_int(v, f"account {key_hex} entry", 0, U64_MAX) for v in account)
         prev_state.update(bytes.fromhex(key_hex), AccountValue(balance, nonce).encode())
     return BuiltBlock(header, matrix, p), prev_header, prev_state
 

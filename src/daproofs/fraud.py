@@ -48,7 +48,6 @@ from .block import (
     ParseError,
     original_share_count,
     parse_shares_with_spans,
-    period,
     read_period,
 )
 from .erasure import Unrecoverable, rs_decode
@@ -275,12 +274,11 @@ def generate_transition_fraud_proof(
         at_block_start = False
 
     witnesses, payout_witness = replay
-    payload_size = built.matrix.share_size - 2
-    y = 0 if at_block_start else slice_.messages[0].start // payload_size
+    y = 0 if at_block_start else slice_.messages[0].first_share
     if slice_.post_root is None:
         end_share = len(shares) - 1
     else:
-        end_share = (slice_.messages[-1].end - 1) // payload_size
+        end_share = slice_.messages[-1].last_share
     share_run = shares[y : end_share + 1]
     share_proofs = [
         rs2d.prove_share(built.matrix, *divmod(y + offset, built.matrix.k), ROW)[1]
@@ -467,10 +465,9 @@ def verify_double_tree_fraud_proof(
             return False
 
     # Period membership and completeness: the run starts where period x
-    # starts and ends at the period (or block) boundary.
-    if any(period(y + a, p) != x for a in range(count)):
-        return False
-    if y != (x + 1) * p:
+    # starts, holds at most p transfers, and ends at the period (or block)
+    # boundary.
+    if y != (x + 1) * p or count > p:
         return False
     if proof.post_trace is not None:
         if y + count != (x + 2) * p:

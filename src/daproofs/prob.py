@@ -176,16 +176,10 @@ def _series_terms(n: int, s: int, lam: int):
         i += 1
 
 
-def pe_exact_fraction(n: int, s: int, c: int, lam: int) -> Fraction:
-    """Exact series evaluation over the common denominator C(n, s)^c."""
-    _check_pe_params(n, s, c, lam)
-    total = sum(coef * pow(w_num, c) for coef, w_num in _series_terms(n, s, lam))
-    return 1 + Fraction(total, pow(math.comb(n, s), c))
-
-
 def pe_reaches(n: int, s: int, c: int, lam: int, target: Fraction) -> bool:
     """Exact test pe >= target, avoiding any float rounding."""
-    return pe_exact_fraction(n, s, c, lam) >= target
+    _check_pe_params(n, s, c, lam)
+    return _reaches_below_and_at(n, s, c, lam, Fraction(target))[1]
 
 
 def _reaches_below_and_at(

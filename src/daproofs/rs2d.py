@@ -7,7 +7,8 @@ downward. By linearity the bottom-right quadrant this gives is the
 rightward extension of the new bottom rows. Each of the 2k rows and 2k
 columns gets its own Merkle root. The data root is the root of the
 root-level tree over the row roots then the column roots; top_index gives
-an axis root's leaf in it.
+an axis root's leaf in it. Shares are opaque bytes here: block alone
+frames data into them.
 
 Indexing convention: everything is 0-based. The "virtual" data tree has
 data_length = 2 * (2k)^2 leaf slots; slot r*w + c addresses the cell at
@@ -57,6 +58,7 @@ from typing import Iterator, Optional, Sequence
 
 from . import merkle
 from .erasure import (  # rs_encode re-exported: callers and tools reach the codec here
+    MAX_K,
     Unrecoverable,
     erased,
     evaluate_axes,
@@ -193,8 +195,8 @@ def matrix_width_for(data_length: int) -> int:
 
 def extend_shares(shares: Sequence[bytes], k: int, share_size: int) -> ExtendedMatrix:
     """Extend up to k*k shares (zero-padded to a full grid) three ways."""
-    if k < 1:
-        raise ValueError("k must be positive")
+    if not 1 <= k <= MAX_K:
+        raise ValueError(f"k must be in 1..{MAX_K}")
     if share_size < 2 or share_size % 2:
         raise ValueError("share size must be even and at least 2")
     if len(shares) > k * k:
@@ -210,25 +212,6 @@ def extend_shares(shares: Sequence[bytes], k: int, share_size: int) -> ExtendedM
     parities = chain.from_iterable(evaluate_axes(range(k), columns, k))
     bottom = [list(row) for row in zip(*parities)]
     return ExtendedMatrix(k, share_size, top + bottom)
-
-
-def extend(raw: bytes, k: int, share_size: int) -> ExtendedMatrix:
-    """Frame an opaque byte string into shares and extend it.
-
-    Each share is a 2-byte start-offset field (zero: no message starts
-    here, the framing used for opaque payloads) followed by payload bytes;
-    the last share is zero-padded. Capacity is k*k*(share_size-2) bytes.
-    """
-    if share_size < 34:
-        raise ValueError("share size must be at least 34")
-    payload = share_size - 2
-    if len(raw) > k * k * payload:
-        raise ValueError("data too large for chosen k")
-    shares = []
-    for start in range(0, len(raw), payload):
-        chunk = raw[start : start + payload]
-        shares.append(b"\x00\x00" + chunk.ljust(payload, b"\x00"))
-    return extend_shares(shares, k, share_size)
 
 
 def commit(matrix: ExtendedMatrix) -> DataCommitment:

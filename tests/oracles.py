@@ -11,7 +11,7 @@ that have no place at run time.
   merkle.verify_merkle_proofs and rs2d.verify_share_merkle_proofs.
 - pe_series_fraction: the inclusion-exclusion series with a fresh
   math.comb per binomial in every term, the oracle for the incremental
-  binomials of prob.pe_exact_fraction.
+  binomials of prob._series_terms and the exact tests built on them.
 - pe_per_draw_curve: the distinct-count chain one draw at a time over
   every index, the oracle for the group kernel of prob.pe_dp_curve.
 - pe_group_curve: the group chain over every index with the kernel of
@@ -149,7 +149,7 @@ def share_proof_verifies(
 
 
 def pe_series_fraction(n: int, s: int, c: int, lam: int) -> Fraction:
-    """pe_exact_fraction's series, every binomial from math.comb."""
+    """pe as an exact fraction: the series, every binomial from math.comb."""
     _check_pe_params(n, s, c, lam)
     denom_base = math.comb(n, s)
     total = 0

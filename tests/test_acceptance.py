@@ -220,12 +220,10 @@ def honest_content_transition_proof(built, tree):
     witnesses = []
     for pm in parsed:
         if isinstance(pm.message, bytes):
-            end_byte = pm.end - 1
+            end_share = pm.last_share
             break
         witnesses.append(make_tx_witness(working, pm.message))
         apply_transaction(working, pm.message)
-    payload = FUZZ_SHARE - 2
-    end_share = end_byte // payload
     share_run = built.shares[: end_share + 1]
     proofs = []
     for index in range(len(share_run)):

@@ -14,11 +14,11 @@ from daproofs.block import (
     genesis_header,
     min_period,
     parse_shares_with_spans,
-    period,
     read_period,
     serialize_shares,
     shares_needed,
 )
+from daproofs.erasure import MAX_K
 from daproofs.state import ERR, Transaction, apply_transaction
 from tests.conftest import account_key, transfer_chain
 from tests.oracles import collect_fees
@@ -61,6 +61,8 @@ def test_spanning_message_offset_zero():
     assert len(shares) == 2
     assert int.from_bytes(shares[0][:2], "big") == 1
     assert int.from_bytes(shares[1][:2], "big") == 0
+    spans = parse_shares_with_spans(shares)
+    assert [(pm.first_share, pm.last_share) for pm in spans] == [(0, 0), (0, 1)]
 
 
 def test_round_trip_random_message_lists():
@@ -87,8 +89,7 @@ def test_mid_block_slice_skips_partial_leading_message():
     # drop the first share: the message spilling into share 1 is skipped,
     # parsing resumes at the first message that starts in share 1
     tail = parse_shares(shares[1:])
-    payload = 62
-    expected = [pm.message for pm in spans if pm.start >= payload]
+    expected = [pm.message for pm in spans if pm.first_share >= 1]
     assert tail == expected
     assert tail  # the slice is non-trivial
 
@@ -275,6 +276,14 @@ def test_shares_needed_matches_serialization():
                     messages.append(trace)
 
 
+def test_layout_rejects_k_above_max_k(base_state):
+    tree, _ = base_state
+    with pytest.raises(ValueError, match="k must be in"):
+        check_layout(MAX_K + 1, 256, 10, 0)
+    with pytest.raises(ValueError, match="k must be in"):
+        build_block(genesis_header(tree), tree, [], k=MAX_K + 1, share_size=256)
+
+
 def test_oversize_block_rejected_before_replay(base_state, monkeypatch):
     tree, keys = base_state
     txs = transfer_chain(keys, 12, random.Random(13))
@@ -286,14 +295,6 @@ def test_oversize_block_rejected_before_replay(base_state, monkeypatch):
     monkeypatch.setattr(block, "_replay_block", no_replay)
     with pytest.raises(ValueError, match="too large"):
         build_block(genesis_header(tree), tree, txs, k=4, share_size=34, p=1)
-
-
-@pytest.mark.parametrize(
-    "tx_index,p,expected",
-    [(0, 10, -1), (9, 10, -1), (10, 10, 0), (25, 10, 1), (199, 10, 18)],
-)
-def test_period_mapping(tx_index, p, expected):
-    assert period(tx_index, p) == expected
 
 
 def test_double_tree_block_traces_interior(base_state):

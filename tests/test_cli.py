@@ -9,6 +9,7 @@ import pytest
 from daproofs import prob
 from daproofs.block import build_block, genesis_header
 from daproofs.cli import main, write_block_dir
+from daproofs.erasure import MAX_K
 from tests.conftest import framed_block, funded_state, transfer_chain
 
 
@@ -241,6 +242,54 @@ def test_fraud_gen_refuses_a_block_dir_that_disagrees_with_prev_header(
     assert run_cli("fraud", "gen", "--block", block_dir, "--out", proof_path) == 2
     assert not proof_path.exists()
     assert "prev_header.bin" in capsys.readouterr().err
+
+
+def _edit_json(path, edit):
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+
+
+def _set_first_account(accounts, value):
+    accounts[next(iter(accounts))] = value
+
+
+MALFORMED_BLOCK_DIRS = {
+    "k-not-int": ("meta.json", lambda meta: meta.update(k="4"), "meta.json k"),
+    "k-above-max": ("meta.json", lambda meta: meta.update(k=MAX_K + 1), "meta.json k"),
+    "share-size-small": ("meta.json", lambda meta: meta.update(share_size=32), "share_size"),
+    "share-size-odd": ("meta.json", lambda meta: meta.update(share_size=255), "even"),
+    "p-missing": ("meta.json", lambda meta: meta.pop("p"), "meta.json p"),
+    "p-zero": ("meta.json", lambda meta: meta.update(p=0), "meta.json p"),
+    "matrix-short": ("matrix.bin", None, "matrix.bin must hold"),
+    "balance-2^64": (
+        "prev_state.json", lambda accounts: _set_first_account(accounts, [2**64, 0]), "account"
+    ),
+    "account-not-pair": (
+        "prev_state.json", lambda accounts: _set_first_account(accounts, 5), "[balance, nonce]"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_BLOCK_DIRS))
+def test_fraud_gen_refuses_a_malformed_block_dir(tmp_path, capsys, case):
+    """Each out-of-range field of an honest block's directory is a usage
+    error with a message, raised before anything is built or written."""
+    name, edit, message = MALFORMED_BLOCK_DIRS[case]
+    tree, keys = funded_state()
+    genesis = genesis_header(tree)
+    built = build_block(genesis, tree, transfer_chain(keys, 12, random.Random(5)), 4, 256)
+    block_dir = tmp_path / "block"
+    write_block_dir(built, genesis, tree, block_dir)
+    path = block_dir / name
+    if edit is None:
+        path.write_bytes(path.read_bytes()[:-1])
+    else:
+        _edit_json(path, edit)
+    proof_path = tmp_path / "proof.bin"
+    assert run_cli("fraud", "gen", "--block", block_dir, "--out", proof_path) == 2
+    assert message in capsys.readouterr().err
+    assert not proof_path.exists()
 
 
 def test_fraud_gen_on_unparseable_block_exits_2(tmp_path, capsys):

@@ -646,6 +646,20 @@ def test_dt_wrong_period_mapping_fails(dt_invalid):
     assert not verify_double_tree_fraud_proof(shifted, store, P, prev_state_root=tree.root())
 
 
+def test_dt_rejects_a_final_run_longer_than_p():
+    """A block-final run of 15 transfers is one period at p=20 and spans
+    two at p=10, so the same proof verifies only at p=20."""
+    tree, keys = funded_state()
+    txs = transfer_chain(keys, 15, random.Random(2))
+    built = build_double_tree_block(tree.root(), tree, txs, p=20, mode="invalid-transition")
+    store = HeaderStore()
+    store.add_double_tree(built.header)
+    proof = generate_double_tree_fraud_proof(built, tree)
+    assert proof.pre_trace is None and len(proof.txs) == 15
+    assert verify_double_tree_fraud_proof(proof, store, 20, prev_state_root=tree.root())
+    assert not verify_double_tree_fraud_proof(proof, store, 10, prev_state_root=tree.root())
+
+
 def test_dt_partial_period_fails(dt_invalid):
     """Completeness: dropping transfers from the period must not verify."""
     built, tree, store = dt_invalid
@@ -722,7 +736,7 @@ def test_undecodable_witnessed_value_is_proven_not_raised(step, tmp_path):
 
     trace = parse_shares_with_spans(built.shares)[P]
     assert trace.message == traced.root()
-    y = trace.start // (SHARE_SIZE - 2)
+    y = trace.first_share
     shares = built.shares[y:]
     proof = TransitionFraudProof(
         block_hash=built.header.block_hash(),

@@ -18,7 +18,6 @@ from daproofs.prob import (
     pc,
     pc_as_printed,
     pe,
-    pe_exact_fraction,
     pe_reaches,
     px,
     recovery_threshold,
@@ -49,6 +48,12 @@ def pe_enumeration(n, s, c, lam):
         if len(seen) >= n - lam:
             hits += 1
     return Fraction(hits, len(draws) ** c)
+
+
+def series_terms_fraction(n, s, c, lam):
+    """pe from prob's incremental series terms, as an exact fraction."""
+    terms = prob._series_terms(n, s, lam)
+    return 1 + Fraction(sum(coef * w**c for coef, w in terms), math.comb(n, s) ** c)
 
 
 def within_3_sigma(estimate, truth, trials):
@@ -124,12 +129,13 @@ def test_pc_monte_carlo_crossover():
 
 
 def test_pe_trivial_single_draw():
-    assert pe_exact_fraction(2, 1, 1, 1) == 1
+    assert series_terms_fraction(2, 1, 1, 1) == 1
+    assert pe_reaches(2, 1, 1, 1, Fraction(1))
 
 
 def test_pe_matches_enumeration():
     for (n, s, c, lam) in [(4, 2, 2, 0), (4, 2, 2, 1), (5, 2, 3, 1), (6, 3, 2, 2), (4, 1, 3, 1)]:
-        exact = pe_exact_fraction(n, s, c, lam)
+        exact = pe_series_fraction(n, s, c, lam)
         assert exact == pe_enumeration(n, s, c, lam)
         assert abs(pe(n, s, c, lam) - float(exact)) < 1e-12
 
@@ -142,7 +148,7 @@ def test_pe_dp_matches_exact_mid_scale():
     for n, s, lam, cs in cases:
         curve = prob.pe_dp_curve(n, s, lam, max(cs))
         for c in cs:
-            assert abs(curve[c] - float(pe_exact_fraction(n, s, c, lam))) <= 1e-14, (n, s, c)
+            assert abs(curve[c] - float(pe_series_fraction(n, s, c, lam))) <= 1e-14, (n, s, c)
 
 
 def test_pe_dp_curve_lower_window_is_bit_exact():
@@ -277,17 +283,17 @@ def test_pe_dp_curve_s2_table_scale_is_pinned(k, c_max, digest):
     lam_frac=st.floats(0.0, 1.0),
     c=st.integers(1, 30),
 )
-def test_pe_exact_fraction_matches_per_term_series(n, s_frac, lam_frac, c):
+def test_series_terms_match_per_term_series(n, s_frac, lam_frac, c):
     s = 1 + round(s_frac * (n - 1))
     lam = round(lam_frac * (n - 1))
-    assert pe_exact_fraction(n, s, c, lam) == pe_series_fraction(n, s, c, lam)
+    assert series_terms_fraction(n, s, c, lam) == pe_series_fraction(n, s, c, lam)
 
 
-def test_pe_exact_fraction_matches_per_term_series_at_k16_table():
+def test_series_terms_match_per_term_series_at_k16_table():
     lam = 1024 - recovery_threshold(16)
     for s, c in ((2, 692), (10, 138), (50, 28)):
         for at in (c - 1, c):
-            assert pe_exact_fraction(1024, s, at, lam) == pe_series_fraction(1024, s, at, lam)
+            assert series_terms_fraction(1024, s, at, lam) == pe_series_fraction(1024, s, at, lam)
 
 
 def test_pe_monotone_in_c_and_s():
@@ -300,18 +306,18 @@ def test_pe_monotone_in_c_and_s():
 
 def test_pe_monte_carlo_agreement():
     n, s, c, lam = 100, 4, 30, 30
-    truth = float(pe_exact_fraction(n, s, c, lam))
+    truth = float(pe_series_fraction(n, s, c, lam))
     estimate = mc_pe(n, s, c, lam, trials=100_000, seed=3)
     assert within_3_sigma(estimate, truth, 100_000)
 
 
 def test_pe_validation():
     with pytest.raises(ValueError):
-        pe_exact_fraction(4, 5, 1, 0)
+        pe_reaches(4, 5, 1, 0, Fraction(1, 2))
     with pytest.raises(ValueError):
-        pe_exact_fraction(4, 2, 0, 0)
+        pe_reaches(4, 2, 0, 0, Fraction(1, 2))
     with pytest.raises(ValueError):
-        pe_exact_fraction(4, 2, 1, 4)
+        pe_reaches(4, 2, 1, 4, Fraction(1, 2))
     with pytest.raises(ValueError):
         pe(16, 2, 0, 8)
     with pytest.raises(ValueError):
@@ -351,9 +357,12 @@ def test_min_clients_pins_the_boundary_in_one_series_pass(monkeypatch):
 def test_reaches_below_and_at_matches_pe_reaches(n, s_frac, lam_frac, c, target):
     s = 1 + round(s_frac * (n - 1))
     lam = round(lam_frac * (n - 1))
-    assert prob._reaches_below_and_at(n, s, c, lam, target) == (
-        pe_reaches(n, s, c - 1, lam, target),
-        pe_reaches(n, s, c, lam, target),
+    truth = tuple(pe_series_fraction(n, s, at, lam) >= target for at in (c - 1, c))
+    assert prob._reaches_below_and_at(n, s, c, lam, target) == truth
+    assert (pe_reaches(n, s, c - 1, lam, target), pe_reaches(n, s, c, lam, target)) == truth
+    # a float target is compared exactly, as its binary value
+    assert pe_reaches(n, s, c, lam, float(target)) == (
+        pe_series_fraction(n, s, c, lam) >= float(target)
     )
 
 

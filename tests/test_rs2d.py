@@ -1,11 +1,16 @@
+import os
 import random
+import resource
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from daproofs import erasure, merkle, rs2d
+from daproofs import block, erasure, merkle, rs2d
 from daproofs.erasure import Unrecoverable, rs_encode
 from daproofs.merkle import MerkleProof
 from daproofs.rs2d import (
@@ -16,7 +21,6 @@ from daproofs.rs2d import (
     PartialMatrix,
     ShareProof,
     commit,
-    extend,
     extend_shares,
     prove_share,
     recover_matrix,
@@ -29,6 +33,10 @@ from tests.oracles import lagrange_codeword, recover_every_axis, share_proof_ver
 
 def random_shares(rng, count, size=8):
     return [bytes(rng.randrange(256) for _ in range(size)) for _ in range(count)]
+
+
+def extend(raw, k, share_size):
+    return extend_shares(block.pack_shares(raw, (), share_size), k, share_size)
 
 
 def build(k=2, size=8, seed=0):
@@ -497,6 +505,28 @@ def test_corrupted_parity_yields_fault():
     assert len(result.shares) >= matrix.k
     taken = [pos for _, pos, _ in result.shares]
     assert len(set(taken)) == len(taken)
+
+
+def test_extend_shares_rejects_k_above_max_k_before_padding():
+    """Under a 1 GB address-space cap, since padding (MAX_K + 1)^2 shares
+    would take about 4 GB: only a check made first raises ValueError."""
+    code = (
+        "from daproofs import erasure, rs2d\n"
+        "try:\n"
+        "    rs2d.extend_shares([], erasure.MAX_K + 1, 2)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    cap = (1 << 30, 1 << 30)
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, cap),
+        env={**os.environ, "PYTHONPATH": str(Path(rs2d.__file__).parents[1])},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.stdout == f"k must be in 1..{erasure.MAX_K}\n", run.stderr
 
 
 def test_extend_capacity_and_errors():

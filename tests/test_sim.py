@@ -12,7 +12,7 @@ from daproofs.sim import (
     VERDICT_UNAVAILABLE,
     run_sampling,
 )
-from tests.oracles import predicted_deceived_prefix, recovery_experiment
+from tests.oracles import pe_series_fraction, predicted_deceived_prefix, recovery_experiment
 
 BASE = dict(k=4, share_size=128, s=3, light_clients=8, full_nodes=2, tx_count=12)
 
@@ -220,7 +220,7 @@ def test_recovery_experiment_tracks_pe():
     k, s, c = 4, 2, 60
     n = (2 * k) ** 2
     lam = n - prob.recovery_threshold(k)
-    truth = float(prob.pe_exact_fraction(n, s, c, lam))
+    truth = float(pe_series_fraction(n, s, c, lam))
     runs = 3000
     freq = recovery_experiment(k, s, c, seeds=range(runs))
     sigma = math.sqrt(truth * (1 - truth) / runs)
@@ -284,6 +284,9 @@ def test_default_config_builds_and_runs():
         dict(share_size=33),
         dict(share_size=35),
         dict(share_size=34, p=1),
+        # above erasure.MAX_K, refused by the layout check before anything
+        # is sized by k
+        dict(k=16385),
     ],
 )
 def test_bad_config_rejected_at_construction(bad):
