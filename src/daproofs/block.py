@@ -28,7 +28,7 @@ producer (the header's additional data) all derive from those.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 from . import merkle, rs2d
@@ -370,9 +370,8 @@ def build_block(
 
     if mode == MODE_INVALID_CODE:
         # replace one parity cell before committing
-        row, col = 0, matrix.width - 1
-        matrix.cells[row][col] = _tamper(matrix.cells[row][col])
-        matrix.invalidate_roots()
+        row = matrix.cells[0]
+        matrix = replace(matrix, cells=(row[:-1] + (_tamper(row[-1]),),) + matrix.cells[1:])
 
     commitment = rs2d.commit(matrix)
     header = BlockHeader(
@@ -383,12 +382,6 @@ def build_block(
         additional_data=producer,
     )
     return BuiltBlock(header, matrix, p)
-
-
-def original_share_count(data_length: int) -> int:
-    """Number of pre-extension shares committed by a header: (w/2)^2."""
-    width = rs2d.matrix_width_for(data_length)
-    return (width // 2) ** 2
 
 
 def genesis_header(state: StateTree) -> BlockHeader:

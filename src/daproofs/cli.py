@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands:
-  encode    pack a file into shares (block.pack_shares) and erasure-extend them
-  prob      emit probability tables as CSV
-  simulate  run the sampling simulator from a key=value config file
-  fraud     generate or verify fraud proofs against block files
+  encode         pack a file into shares (block.pack_shares) and erasure-extend them
+  prob           emit probability tables as CSV
+  simulate       run the sampling simulator from a key=value config file
+  fraud gen      --block DIR --out FILE: prove the first fault of a block directory
+  fraud verify   --proof FILE --headers FILE [--p N]: verify a proof against
+                 concatenated header records, at period length N
 
 A block directory, which `fraud gen` reads and write_block_dir lays out,
 holds header.bin and prev_header.bin (wire headers), matrix.bin (all 2k x
@@ -57,11 +59,11 @@ def _write_manifest(out_dir: Path, subcommand: str, details: dict) -> None:
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     raw = Path(args.input).read_bytes()
     shares = block.pack_shares(raw, (), args.share_size)
     matrix = rs2d.extend_shares(shares, args.k, args.share_size)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     commitment = rs2d.commit(matrix)
     width = matrix.width
     cells = b"".join(matrix.cells[r][c] for r in range(width) for c in range(width))
@@ -260,26 +262,26 @@ def _load_block_dir(block_dir: Path):
     return BuiltBlock(header, matrix, p), prev_header, prev_state
 
 
-def cmd_fraud(args: argparse.Namespace) -> int:
-    if args.action == "gen":
-        built, prev_header, prev_state = _load_block_dir(Path(args.block))
-        if built.header.data_root != built.commitment.data_root:
-            raise CliError("stored matrix does not match the header data root")
-        if built.header.prev_hash != prev_header.block_hash():
-            raise CliError("header prev_hash does not match prev_header.bin")
-        if prev_state.root() != prev_header.state_root:
-            raise CliError("prev_state.json does not match prev_header.bin's state root")
-        partial = rs2d.PartialMatrix.from_matrix(built.matrix, with_proofs=True)
-        proof = fraud.check_block(partial, built, prev_state)
-        if proof is None:
-            print("block replays cleanly; no fraud proof to generate")
-            return EXIT_VERIFY_FALSE
-        Path(args.out).write_bytes(fraud.encode_fraud_proof(proof))
-        kind = "transition" if isinstance(proof, fraud.TransitionFraudProof) else "codec"
-        print(f"wrote {kind} fraud proof: {args.out}")
-        return EXIT_OK
+def cmd_fraud_gen(args: argparse.Namespace) -> int:
+    built, prev_header, prev_state = _load_block_dir(Path(args.block))
+    if built.header.data_root != built.commitment.data_root:
+        raise CliError("stored matrix does not match the header data root")
+    if built.header.prev_hash != prev_header.block_hash():
+        raise CliError("header prev_hash does not match prev_header.bin")
+    if prev_state.root() != prev_header.state_root:
+        raise CliError("prev_state.json does not match prev_header.bin's state root")
+    partial = rs2d.PartialMatrix.from_matrix(built.matrix, with_proofs=True)
+    proof = fraud.check_block(partial, built, prev_state)
+    if proof is None:
+        print("block replays cleanly; no fraud proof to generate")
+        return EXIT_VERIFY_FALSE
+    Path(args.out).write_bytes(fraud.encode_fraud_proof(proof))
+    kind = "transition" if isinstance(proof, fraud.TransitionFraudProof) else "codec"
+    print(f"wrote {kind} fraud proof: {args.out}")
+    return EXIT_OK
 
-    # verify
+
+def cmd_fraud_verify(args: argparse.Namespace) -> int:
     store = HeaderStore()
     headers = Reader(Path(args.headers).read_bytes())
     while not headers.at_end():
@@ -325,25 +327,22 @@ def build_parser() -> argparse.ArgumentParser:
     si.set_defaults(func=cmd_simulate)
 
     fr = sub.add_parser("fraud", help="generate or verify fraud proofs")
-    fr.add_argument("action", choices=["gen", "verify"])
-    fr.add_argument("--block", help="block directory (gen)")
-    fr.add_argument("--proof", help="proof file (verify)")
-    fr.add_argument("--headers", help="concatenated header records (verify)")
-    fr.add_argument("--p", type=int, default=DEFAULT_PERIOD, help="period criterion")
-    fr.add_argument("--out", help="output proof file (gen)")
-    fr.set_defaults(func=cmd_fraud)
+    actions = fr.add_subparsers(dest="action", required=True)
+    gen = actions.add_parser("gen", help="prove the first fault of a block directory")
+    gen.add_argument("--block", required=True, help="block directory")
+    gen.add_argument("--out", required=True, help="output proof file")
+    gen.set_defaults(func=cmd_fraud_gen)
+    ver = actions.add_parser("verify", help="verify a proof against known headers")
+    ver.add_argument("--proof", required=True, help="proof file")
+    ver.add_argument("--headers", required=True, help="concatenated header records")
+    ver.add_argument("--p", type=int, default=DEFAULT_PERIOD, help="period criterion")
+    ver.set_defaults(func=cmd_fraud_verify)
 
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "fraud":
-        if args.action == "gen" and (not args.block or not args.out):
-            parser.error("fraud gen needs --block and --out")
-        if args.action == "verify" and (not args.proof or not args.headers):
-            parser.error("fraud verify needs --proof and --headers")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (CliError, FileNotFoundError, ValueError, json.JSONDecodeError, ParseError) as exc:

@@ -46,7 +46,6 @@ from .block import (
     DoubleTreeBlock,
     DoubleTreeHeader,
     ParseError,
-    original_share_count,
     parse_shares_with_spans,
     read_period,
 )
@@ -207,24 +206,24 @@ def verify_transition_fraud_proof(
     except ValueError:
         return False
     k = width // 2
-    orig_count = original_share_count(header.data_length)
 
     count = len(proof.shares)
     if count == 0 or len(proof.origins) != count or len(proof.share_proofs) != count:
         return False
     y = proof.start_index
-    if y < 0 or y + count > orig_count:
+    if y < 0 or y + count > k * k:
         return False
 
     items = []
-    for a, (share, origin, share_proof) in enumerate(
-        zip(proof.shares, proof.origins, proof.share_proofs)
-    ):
-        if origin not in (ROW, COLUMN):
-            return False
-        row, col = divmod(y + a, k)
-        virtual = share_index(ROW, row, col, origin, width, header.data_length)
-        items.append((share, share_proof, virtual))
+    try:
+        for a, (share, origin, share_proof) in enumerate(
+            zip(proof.shares, proof.origins, proof.share_proofs)
+        ):
+            row, col = divmod(y + a, k)
+            virtual = share_index(ROW, row, col, origin, width, header.data_length)
+            items.append((share, share_proof, virtual))
+    except ValueError:
+        return False
     if not rs2d.verify_share_merkle_proofs(items, header.data_root, header.data_length):
         return False
 
@@ -233,7 +232,7 @@ def verify_transition_fraud_proof(
     except ParseError:
         return False
 
-    if slice_.post_root is None and y + count != orig_count:
+    if slice_.post_root is None and y + count != k * k:
         return False
     if len(proof.witnesses) != len(slice_.txs):
         return False
@@ -366,8 +365,6 @@ def verify_codec_fraud_proof(proof: CodecFraudProof, store: HeaderStore) -> bool
 
     items = []
     for (share, pos, ax), share_proof in zip(proof.shares, proof.share_proofs):
-        if ax not in (ROW, COLUMN) or not 0 <= pos < width:
-            return False
         try:
             virtual = share_index(
                 proof.axis, proof.j, pos, ax, width, header.data_length

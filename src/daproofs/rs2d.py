@@ -25,7 +25,9 @@ an axis decodes the very bytes the digest was computed from, and hashes a
 decoded share that differs from the present cell afresh, without storing
 it. Grids are not kept: prove_share rebuilds one axis tree at a time.
 Share proofs are checked in batches (verify_share_merkle_proofs) with
-exactly the per-proof accept set.
+exactly the per-proof accept set. An ExtendedMatrix cannot be changed, so
+its cached commitment and axis tree always match its cells: a changed
+grid is a new matrix.
 
 Pattern groups: recover_matrix decodes in passes (all rows, then all
 columns, until nothing changes; then the complete-matrix check). The axes
@@ -57,7 +59,9 @@ from math import isqrt
 from typing import Iterator, Optional, Sequence
 
 from . import merkle
-from .erasure import (  # rs_encode re-exported: callers and tools reach the codec here
+# rs_encode stays only because perfbench/test_perfbench.py reads
+# rs2d.rs_encode; it goes with ROADMAP item 1(b)
+from .erasure import (
     MAX_K,
     Unrecoverable,
     erased,
@@ -70,34 +74,31 @@ ROW = 0
 COLUMN = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExtendedMatrix:
-    """Fully populated 2k x 2k share grid."""
+    """Fully populated 2k x 2k share grid; cells is a tuple of row tuples."""
 
     k: int
     share_size: int
-    cells: list[list[bytes]]
+    cells: tuple[tuple[bytes, ...], ...]
 
     # the last axis tree proved from, as (axis, j, tree): callers prove axis
-    # by axis; a cache, so left out of equality
+    # by axis; a cache, so left out of equality and of replace()
     _axis_tree: Optional[tuple[int, int, merkle.MerkleTree]] = field(
-        default=None, repr=False, compare=False
+        default=None, init=False, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "cells", tuple(tuple(row) for row in self.cells))
 
     @property
     def width(self) -> int:
         return 2 * self.k
 
-    def row(self, r: int) -> list[bytes]:
-        return list(self.cells[r])
-
-    def column(self, c: int) -> list[bytes]:
-        return [self.cells[r][c] for r in range(self.width)]
-
     @cached_property
     def commitment(self) -> "DataCommitment":
-        """Every row and column root, cached until invalidate_roots(); each
-        cell is leaf-hashed once, into a grid both of its axes read."""
+        """Every row and column root; each cell is leaf-hashed once, into a
+        grid both of its axes read."""
         grid = [[merkle.leaf_hash(cell) for cell in row] for row in self.cells]
         return DataCommitment(
             tuple(_digest_root(row) for row in grid),
@@ -106,13 +107,9 @@ class ExtendedMatrix:
 
     def axis_tree(self, axis: int, j: int) -> merkle.MerkleTree:
         if self._axis_tree is None or self._axis_tree[:2] != (axis, j):
-            cells = self.row(j) if axis == ROW else self.column(j)
-            self._axis_tree = (axis, j, merkle.MerkleTree(cells))
+            tree = merkle.MerkleTree(_line(self.cells, axis, j))
+            object.__setattr__(self, "_axis_tree", (axis, j, tree))
         return self._axis_tree[2]
-
-    def invalidate_roots(self) -> None:
-        self.__dict__.pop("commitment", None)
-        self._axis_tree = None
 
 
 @dataclass(frozen=True)
@@ -384,8 +381,8 @@ class CodecFault:
     proofs: tuple[Optional[ShareProof], ...]
 
 
-def _line(rows: list[list], axis: int, j: int) -> list:
-    """Row j of a w x w grid (the grid's own list) or a copy of column j."""
+def _line(rows: Sequence[Sequence], axis: int, j: int) -> Sequence:
+    """Row j of a w x w grid (the grid's own row) or a copy of column j."""
     return rows[j] if axis == ROW else [row[j] for row in rows]
 
 
@@ -603,6 +600,4 @@ def recover_matrix(
         if fault is not None:
             return fault
 
-    return ExtendedMatrix(
-        k, partial.share_size, [list(row) for row in partial.cells]  # type: ignore[arg-type]
-    )
+    return ExtendedMatrix(k, partial.share_size, partial.cells)  # type: ignore[arg-type]

@@ -66,7 +66,8 @@ from .rs2d import ROW, DataCommitment, PartialMatrix, ShareProof
 from .smt import StateTree
 from .state import AccountValue, Transaction
 
-ADVERSARY_MODES = ("honest", "withhold", "selective", "invalid-transition", "invalid-code")
+# the two faulty producers build with the block mode of the same name
+ADVERSARY_MODES = (MODE_HONEST, "withhold", "selective", MODE_INVALID_TRANSITION, MODE_INVALID_CODE)
 NETWORK_MODELS = ("standard", "enhanced")
 
 VERDICT_ACCEPT = "accept"
@@ -265,13 +266,7 @@ def prepare_scenario(config: SimConfig) -> Scenario:
         {key_: balance for key_, balance in accounts},
         config.tx_count,
     )
-    mode = {
-        "honest": MODE_HONEST,
-        "withhold": MODE_HONEST,
-        "selective": MODE_HONEST,
-        "invalid-transition": MODE_INVALID_TRANSITION,
-        "invalid-code": MODE_INVALID_CODE,
-    }[config.adversary]
+    faulty = config.adversary in (MODE_INVALID_TRANSITION, MODE_INVALID_CODE)
     built = build_block(
         genesis,
         genesis_state,
@@ -279,7 +274,7 @@ def prepare_scenario(config: SimConfig) -> Scenario:
         k=config.k,
         share_size=config.share_size,
         p=config.p,
-        mode=mode,
+        mode=config.adversary if faulty else MODE_HONEST,
     )
     width = built.matrix.width
     cells = [(r, c) for r in range(width) for c in range(width)]  # row-major: one tree per row

@@ -25,7 +25,7 @@ illegal transaction is exactly what a fraud proof demonstrates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .merkle import hash_bytes
 from .smt import SparseProof, StateTree, WitnessError, WitnessSubtree
@@ -185,12 +185,20 @@ def root_transition(state_root: StateRoot, tx: Transaction, witness: StateWitnes
     if state_root is ERR:
         return ERR
     assert isinstance(state_root, bytes)
+    return _witnessed_step(state_root, witness, tx.touched_keys(), _apply_rules, tx)
+
+
+def _witnessed_step(
+    state_root: bytes, witness: StateWitness, keys: tuple[bytes, ...], rule: Callable, arg: object
+) -> StateRoot:
+    """Run rule(view, arg) on the witness subtree of state_root: its root,
+    or ERR when the rule fails or a witnessed value does not decode as an
+    account. Raises WitnessError unless the witness covers keys."""
     subtree = WitnessSubtree.from_entries(state_root, witness.entries)
-    missing = set(tx.touched_keys()) - subtree.covered
-    if missing:
-        raise WitnessError("witness does not cover all touched keys")
+    if set(keys) - subtree.covered:
+        raise WitnessError("witness does not cover the step's keys")
     try:
-        legal = _apply_rules(subtree, tx)
+        legal = rule(subtree, arg)
     except ValueError:  # a proven value that is no account: no honest state holds one
         return ERR
     return subtree.root() if legal else ERR
@@ -228,11 +236,4 @@ def root_fee_payout(state_root: bytes, producer: bytes, witness: StateWitness) -
     """Stateless fee payout replay; ERR when the payout overflows or a
     witnessed value does not decode as an account. Raises WitnessError on
     unusable witnesses."""
-    subtree = WitnessSubtree.from_entries(state_root, witness.entries)
-    if set(payout_keys(producer)) - subtree.covered:
-        raise WitnessError("witness does not cover payout keys")
-    try:
-        legal = _apply_payout(subtree, producer)
-    except ValueError:  # as in root_transition
-        return ERR
-    return subtree.root() if legal else ERR
+    return _witnessed_step(state_root, witness, payout_keys(producer), _apply_payout, producer)

@@ -37,6 +37,15 @@ def test_encode_too_large_is_usage_error(tmp_path, capsys):
     source = tmp_path / "big.bin"
     source.write_bytes(b"\x01" * 10_000)
     assert run_cli("encode", "--input", source, "--k", 2, "--share-size", 34, "--out", tmp_path / "o") == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_encode_usage_error_creates_no_out_dir(tmp_path, capsys):
+    source = tmp_path / "in.bin"
+    source.write_bytes(b"\x01" * 100)
+    assert run_cli("encode", "--input", source, "--k", 1, "--share-size", 32, "--out", tmp_path / "d") == 2
+    assert "share size must be in" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 def test_prob_p1_csv(tmp_path):
@@ -194,9 +203,9 @@ def test_fraud_gen_proves_a_codec_fault_before_a_transition_fault(tmp_path, caps
     genesis = genesis_header(tree)
     txs = transfer_chain(keys, 25, random.Random(8))
     built = build_block(genesis, tree, txs, k=4, share_size=256, p=10, mode="invalid-transition")
-    cells = built.matrix.cells
+    cells = [list(row) for row in built.matrix.cells]
     cells[0][-1] = cells[0][-1][:-1] + bytes([cells[0][-1][-1] ^ 1])  # a parity cell too
-    built.matrix.invalidate_roots()
+    built.matrix = replace(built.matrix, cells=cells)
     built.header = replace(built.header, data_root=built.commitment.data_root)
     block_dir = tmp_path / "block"
     write_block_dir(built, genesis, tree, block_dir)
@@ -307,4 +316,37 @@ def test_usage_errors(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         run_cli("fraud", "gen")
     assert excinfo.value.code == 2
+
+
+GEN = ("gen", "--block", "block", "--out", "proof.bin")
+VERIFY = ("verify", "--proof", "proof.bin", "--headers", "headers.bin")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        GEN + ("--p", "5"),
+        GEN + ("--proof", "other.bin"),
+        GEN + ("--headers", "headers.bin"),
+        VERIFY + ("--block", "block"),
+        VERIFY + ("--out", "out.bin"),
+        GEN[:3],
+        GEN[:1] + GEN[3:],
+        VERIFY[:3],
+        VERIFY[:1] + VERIFY[3:],
+        (),
+    ],
+    ids=[
+        "gen-p", "gen-proof", "gen-headers", "verify-block", "verify-out",
+        "gen-no-out", "gen-no-block", "verify-no-headers", "verify-no-proof", "no-action",
+    ],
+)
+def test_fraud_actions_take_only_their_own_options(tmp_path, monkeypatch, capsys, args):
+    """Each fraud action accepts its own options only, and needs all but
+    --p; argparse refuses anything else before a file is read."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli("fraud", *args)
+    assert excinfo.value.code == 2
+    assert list(tmp_path.iterdir()) == []
     assert run_cli("simulate", "--config", tmp_path / "missing.cfg", "--out", tmp_path / "o") == 2

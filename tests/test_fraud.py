@@ -321,9 +321,10 @@ def test_recovery_digest_grid_keeps_every_verdict_sound(data):
     matrix = rs2d.extend_shares([rng.randbytes(8) for _ in range(k * k)], k, 8)
     tampered = order[-1:] * data.draw(st.integers(0, 1))
     tampered += data.draw(st.lists(cells, max_size=1))
+    grid = [list(row) for row in matrix.cells]
     for x, y in tampered:
-        matrix.cells[x][y] = bytes(b ^ 0x5A for b in matrix.cells[x][y])
-    matrix.invalidate_roots()
+        grid[x][y] = bytes(b ^ 0x5A for b in grid[x][y])
+    matrix = dataclasses.replace(matrix, cells=grid)
     commitment = rs2d.commit(matrix)
     withheld = order[: data.draw(st.integers(0, w - 1))] + data.draw(st.lists(cells, max_size=k))
     partial = PartialMatrix.from_matrix(matrix, withhold=withheld, with_proofs=True)
@@ -404,7 +405,7 @@ def test_cross_axis_inconsistency_provable(honest):
     convicted by mixing proof origins."""
     built, _, _ = honest
     width = built.matrix.width
-    rows = [built.matrix.row(r) for r in range(width)]
+    rows = built.matrix.cells
     tampered_cell = rows[0][1][:-1] + bytes([rows[0][1][-1] ^ 1])
 
     # row trees see the tampered cell, column trees see the original

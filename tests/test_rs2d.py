@@ -3,6 +3,7 @@ import random
 import resource
 import subprocess
 import sys
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -37,6 +38,13 @@ def random_shares(rng, count, size=8):
 
 def extend(raw, k, share_size):
     return extend_shares(block.pack_shares(raw, (), share_size), k, share_size)
+
+
+def with_cell(matrix, x, y, share):
+    """A new matrix: matrix's grid with cell (x, y) replaced by share."""
+    cells = [list(row) for row in matrix.cells]
+    cells[x][y] = share
+    return replace(matrix, cells=cells)
 
 
 def build(k=2, size=8, seed=0):
@@ -103,7 +111,7 @@ def test_extend_shares_matches_per_axis_oracle(k, size, data):
     cells += [[column[r] for column in columns] for r in range(k, 2 * k)]
     for r in range(k, 2 * k):
         cells[r] = lagrange_codeword(list(enumerate(cells[r])), k)
-    assert matrix.cells == cells
+    assert matrix == ExtendedMatrix(k, size, cells)
 
 
 def test_data_length_formula():
@@ -121,11 +129,8 @@ def test_commit_recomputable_from_roots():
 
 def test_cell_perturbation_changes_roots():
     matrix, commitment = build()
-    matrix.cells[1][2] = matrix.cells[1][2][:-1] + bytes(
-        [matrix.cells[1][2][-1] ^ 1]
-    )
-    matrix.invalidate_roots()
-    perturbed = commit(matrix)
+    cell = matrix.cells[1][2]
+    perturbed = commit(with_cell(matrix, 1, 2, cell[:-1] + bytes([cell[-1] ^ 1])))
     assert perturbed.row_roots[1] != commitment.row_roots[1]
     assert perturbed.column_roots[2] != commitment.column_roots[2]
     assert perturbed.data_root != commitment.data_root
@@ -211,22 +216,18 @@ def test_cached_trees_match_fresh_matrix_in_any_order():
     # cached trees do not take part in equality
     assert matrix == ExtendedMatrix(matrix.k, matrix.share_size, [list(row) for row in matrix.cells])
 
-    # warm both caches: the last axis tree is row 2, whose cell (2, 5) changes;
-    # the first proof after the change, (2, 0), has that cell under a sibling
-    old_root = commit(matrix).data_root
+    # the cached trees cannot go stale: a cell cannot be assigned, and a
+    # changed grid is a new matrix, to which no cached tree carries over
+    flipped = bytes(b ^ 0xFF for b in matrix.cells[2][5])
+    with pytest.raises(TypeError):
+        matrix.cells[2][5] = flipped
     prove_share(matrix, 2, 0, ROW)
-    matrix.cells[2][5] = bytes(b ^ 0xFF for b in matrix.cells[2][5])
-    matrix.invalidate_roots()
-    commitment = commit(matrix)
-    assert commitment.data_root != old_root
-    for x, y in [(2, 0), (2, 5), (0, 5)] + cells:
+    changed = with_cell(matrix, 2, 5, flipped)
+    assert commit(changed).data_root != commit(matrix).data_root
+    for x, y in [(2, 0), (2, 5), (0, 5)]:
         for origin in (ROW, COLUMN):
-            share, proof = prove_share(matrix, x, y, origin)
-            assert proof.to_bytes() == _fresh_proof(matrix, x, y, origin)
-            j, pos = (x, y) if origin == ROW else (y, x)
-            virtual = share_index(origin, j, pos, origin, width, commitment.data_length)
-            assert verify_share_merkle_proof(
-                share, proof, commitment.data_root, commitment.data_length, virtual
+            assert prove_share(changed, x, y, origin)[1].to_bytes() == _fresh_proof(
+                changed, x, y, origin
             )
 
 
@@ -362,8 +363,7 @@ def test_fault_stops_the_pass_before_later_calls(monkeypatch):
     k = 4
     matrix, _ = build(k=k, seed=7)
     cell = matrix.cells[2][2 * k - 1]
-    matrix.cells[2][2 * k - 1] = bytes([cell[0] ^ 1]) + cell[1:]
-    matrix.invalidate_roots()
+    matrix = with_cell(matrix, 2, 2 * k - 1, bytes([cell[0] ^ 1]) + cell[1:])
     commitment = commit(matrix)  # row 2 is not a codeword under its root
     monkeypatch.setattr(erasure, "CALL_SYMBOLS", 1)  # one axis per call
     decoded_axes = counted_batches(monkeypatch)
@@ -421,8 +421,7 @@ def test_recovery_matches_every_axis_oracle(data):
     if planted == "parity_row_disagrees_with_columns" and x < k:
         x += k
     c = data.draw(st.integers(k, w - 1), label="c")
-    tampered = ExtendedMatrix(k, 4, [list(row) for row in matrix.cells])
-    tampered.cells[x][y] = bytes([matrix.cells[x][y][0] ^ 1]) + matrix.cells[x][y][1:]
+    tampered = with_cell(matrix, x, y, bytes([matrix.cells[x][y][0] ^ 1]) + matrix.cells[x][y][1:])
     honest = commit(matrix)
     if planted == "parity_cell_before_commit":
         shown, commitment = tampered, commit(tampered)
@@ -431,9 +430,10 @@ def test_recovery_matches_every_axis_oracle(data):
     elif planted == "parity_row_disagrees_with_columns":
         # every row a codeword under its root, and the column roots those of
         # the honest columns: columns < k pass their roots but not exactly
-        tampered.cells[x] = rs_encode(random_shares(rng, k, 4))
-        shown = tampered
-        commitment = DataCommitment(commit(tampered).row_roots, honest.column_roots)
+        grid = [list(row) for row in matrix.cells]
+        grid[x] = rs_encode(random_shares(rng, k, 4))
+        shown = ExtendedMatrix(k, 4, grid)
+        commitment = DataCommitment(commit(shown).row_roots, honest.column_roots)
     else:
         roots = honest.column_roots
         shown = matrix
@@ -495,8 +495,8 @@ def test_submatrix_erasure_unrecoverable():
 
 def test_corrupted_parity_yields_fault():
     matrix, _ = build(seed=7)
-    matrix.cells[0][3] = matrix.cells[0][3][:-1] + bytes([matrix.cells[0][3][-1] ^ 1])
-    matrix.invalidate_roots()
+    cell = matrix.cells[0][3]
+    matrix = with_cell(matrix, 0, 3, cell[:-1] + bytes([cell[-1] ^ 1]))
     commitment = commit(matrix)  # commitment embeds the inconsistency
     partial = PartialMatrix.from_matrix(matrix, with_proofs=True)
     result = recover_matrix(partial, commitment)

@@ -100,21 +100,42 @@ def test_witness_err_cases_match_full_tree():
     assert transition(tree, overdraw) is ERR
 
 
-def test_witness_missing_key_raises():
-    tree, keys = funded_state(2)
+def transfer_step(keys):
+    """A transfer's keys, those keys without the recipient, and its
+    witnessed step."""
     tx = simple_tx(keys[0], keys[1])
-    witness = make_witness(tree, [keys[0], FEES_KEY])  # recipient omitted
+    return tx.touched_keys(), [keys[0], FEES_KEY], lambda root, w: root_transition(root, tx, w)
+
+
+def payout_step(keys):
+    """A payout's keys, those keys without the producer, and its witnessed
+    step."""
+    producer = keys[1]
+    return payout_keys(producer), [FEES_KEY], lambda root, w: root_fee_payout(root, producer, w)
+
+
+WITNESSED_STEPS = pytest.mark.parametrize(
+    "step", [transfer_step, payout_step], ids=["transition", "payout"]
+)
+
+
+@WITNESSED_STEPS
+def test_witness_missing_key_raises(step):
+    tree, keys = funded_state(2)
+    _, partial_keys, run = step(keys)
+    witness = make_witness(tree, partial_keys)
     with pytest.raises(WitnessError):
-        root_transition(tree.root(), tx, witness)
+        run(tree.root(), witness)
 
 
-def test_witness_wrong_root_raises():
+@WITNESSED_STEPS
+def test_witness_wrong_root_raises(step):
     tree, keys = funded_state(2)
-    tx = simple_tx(keys[0], keys[1])
-    witness = make_tx_witness(tree, tx)
+    step_keys, _, run = step(keys)
+    witness = make_witness(tree, step_keys)
     other = StateTree()
     with pytest.raises(WitnessError):
-        root_transition(other.root(), tx, witness)
+        run(other.root(), witness)
 
 
 def test_witness_overcomplete_accepted():
