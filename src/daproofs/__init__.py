@@ -8,14 +8,13 @@ Subpackages by concern:
 - fraud: transition and codec fraud proofs, generation and verification
 - prob: sampling probabilities with exact and Monte Carlo evaluation
 - sim: deterministic network simulation of the sampling protocol
-- cli: command-line front end (`daproofs`)
+- cli: command-line front end (`daproofs`); import it as daproofs.cli
 """
 
-from . import block, cli, erasure, fraud, merkle, prob, rs2d, sim, smt, state
+from . import block, erasure, fraud, merkle, prob, rs2d, sim, smt, state
 
 __all__ = [
     "block",
-    "cli",
     "erasure",
     "fraud",
     "merkle",

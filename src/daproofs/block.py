@@ -46,7 +46,7 @@ MAX_SHARE_SIZE = 65535
 
 DEFAULT_PERIOD = 10
 
-# Default producer identity credited with fees by built blocks.
+# Credited with fees by every block build_block and build_double_tree_block make.
 DEFAULT_PRODUCER = hash_bytes(b"producer:0")
 
 
@@ -56,6 +56,10 @@ class ParseError(Exception):
 
 class PeriodError(ParseError):
     """Message list violates the period criterion."""
+
+
+class PeriodOverflow(PeriodError):
+    """More than p transfers follow a period's start without a trace."""
 
 
 def _check_share_size(share_size: int, error: type[Exception] = ValueError) -> None:
@@ -204,8 +208,8 @@ def read_period(
     pre-root. Transfers then run up to the next trace, the post-root;
     messages after it belong to the following period. A slice that reaches
     the end of the run without one is the block-final slice. More than p
-    transfers, or a mid-block run without a trace, violate the period
-    criterion and raise PeriodError.
+    transfers raise PeriodOverflow, and a mid-block run without a trace
+    raises PeriodError: both violate the period criterion.
     """
     if p < 1:
         raise ValueError("period length must be positive")
@@ -223,7 +227,7 @@ def read_period(
             return PeriodSlice(pre_root, tuple(txs), message, tuple(run[start : end + 1]))
         txs.append(message)
         if len(txs) > p:
-            raise PeriodError("period criterion violated: too many transfers")
+            raise PeriodOverflow("period criterion violated: too many transfers")
     return PeriodSlice(pre_root, tuple(txs), None, tuple(run[start:]))
 
 
@@ -339,7 +343,6 @@ def build_block(
     k: int,
     share_size: int,
     p: int = DEFAULT_PERIOD,
-    producer: bytes = DEFAULT_PRODUCER,
     mode: str = MODE_HONEST,
     corrupt: str = "trace",
 ) -> BuiltBlock:
@@ -353,7 +356,7 @@ def build_block(
         raise ValueError(f"unknown block mode {mode!r}")
     check_layout(k, share_size, p, len(txs))
 
-    traces, state_root = _replay_block(prev_state, txs, p, producer)
+    traces, state_root = _replay_block(prev_state, txs, p, DEFAULT_PRODUCER)
     if mode == MODE_INVALID_TRANSITION:
         if corrupt == "trace" and traces:
             traces[0] = _tamper(traces[0])
@@ -379,7 +382,7 @@ def build_block(
         data_root=commitment.data_root,
         data_length=commitment.data_length,
         state_root=state_root,
-        additional_data=producer,
+        additional_data=DEFAULT_PRODUCER,
     )
     return BuiltBlock(header, matrix, p)
 
@@ -446,7 +449,6 @@ def build_double_tree_block(
     prev_state: StateTree,
     txs: Sequence[Transaction],
     p: int = DEFAULT_PERIOD,
-    producer: bytes = DEFAULT_PRODUCER,
     mode: str = MODE_HONEST,
 ) -> DoubleTreeBlock:
     """Double-tree block; traces are strictly interior (one per full period
@@ -455,7 +457,7 @@ def build_double_tree_block(
         raise ValueError(f"unsupported double-tree mode {mode!r}")
     if p < 1:
         raise ValueError("period length must be positive")
-    traces, state_root = _replay_block(prev_state, txs, p, producer)
+    traces, state_root = _replay_block(prev_state, txs, p, DEFAULT_PRODUCER)
     # only boundaries followed by more transfers: multiples of p below n
     traces = traces[: max(len(txs) - 1, 0) // p]
     if mode == MODE_INVALID_TRANSITION:
@@ -473,6 +475,6 @@ def build_double_tree_block(
         trace_root=trace_root,
         trace_length=len(traces),
         state_root=state_root,
-        additional_data=producer,
+        additional_data=DEFAULT_PRODUCER,
     )
     return DoubleTreeBlock(header, list(txs), traces, p)

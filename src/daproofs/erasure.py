@@ -350,11 +350,8 @@ def _codeword(given: Sequence[tuple[int, bytes]], k: int) -> list[bytes]:
 
 def rs_encode(data: Sequence[bytes]) -> list[bytes]:
     """Extend k equal-length shares to a systematic codeword of 2k shares:
-    evaluate_axes for one axis, given at 0..k-1."""
-    k = len(data)
-    if not 1 <= k <= MAX_K:
-        raise ValueError(f"k must be in 1..{MAX_K}")
-    return _codeword(list(enumerate(data)), k)
+    evaluate_axes for one axis, given at 0..k-1, which checks k."""
+    return _codeword(list(enumerate(data)), len(data))
 
 
 def rs_decode(present: Sequence[tuple[int, bytes]], k: int) -> list[bytes]:

@@ -16,7 +16,10 @@ trace is the block-final slice: it has no post-state trace, possibly no
 transfers, and its replay is checked against the header state root after
 the fee payout. An empty block is one such slice, the fee payout alone
 from the previous state root. Both layouts (in-band traces and the
-double tree) replay a slice through the same fold.
+double tree) replay a slice through the same fold. More than p transfers
+after block start or a trace violate the period criterion. The run of
+shares from that start through the (p+1)-th transfer, with no witnesses,
+is then the transition proof: no such run of an honest block overflows.
 
 check_block is the one order in which an honest full node checks a block
 it holds enough shares of. It recovers the matrix, checking every row and
@@ -46,6 +49,7 @@ from .block import (
     DoubleTreeBlock,
     DoubleTreeHeader,
     ParseError,
+    PeriodOverflow,
     parse_shares_with_spans,
     read_period,
 )
@@ -88,9 +92,9 @@ class HeaderStore:
     def get(self, block_hash: bytes) -> Optional[BlockHeader]:
         return self.headers.get(block_hash)
 
-    def prev_state_root(self, header: Union[BlockHeader, DoubleTreeHeader]) -> Optional[bytes]:
-        """State root of the parent block, in either layout, if known."""
-        prev = self.headers.get(header.prev_hash) or self.dt_headers.get(header.prev_hash)
+    def prev_state_root(self, header: BlockHeader) -> Optional[bytes]:
+        """State root of the parent block of an in-band header, if known."""
+        prev = self.headers.get(header.prev_hash)
         return prev.state_root if prev else None
 
     def reject(self, block_hash: bytes) -> None:
@@ -229,6 +233,9 @@ def verify_transition_fraud_proof(
 
     try:
         slice_ = read_period(parse_shares_with_spans(proof.shares), y == 0, p)
+    except PeriodOverflow:
+        # no run of an honest block overflows, so the run alone is the proof
+        return not proof.witnesses and proof.payout_witness is None
     except ParseError:
         return False
 
@@ -252,8 +259,9 @@ def generate_transition_fraud_proof(
 
     Returns None when every period replays to its boundary trace and the
     header state root matches the final payout. The prover needs the full
-    block data and the previous block's state. Data that violates the
-    period criterion raises PeriodError.
+    block data and the previous block's state. A period with more than p
+    transfers is proven by its run of shares through the (p+1)-th
+    transfer, with no witnesses.
     """
     shares = built.shares
     parsed = parse_shares_with_spans(shares)
@@ -261,23 +269,25 @@ def generate_transition_fraud_proof(
     start = 0  # index of the period's pre-root trace, or 0 at block start
     at_block_start = True
     while True:
-        slice_ = read_period(parsed[start:], at_block_start, built.p)
+        y = 0 if at_block_start else parsed[start].first_share
+        try:
+            slice_ = read_period(parsed[start:], at_block_start, built.p)
+        except PeriodOverflow:
+            end_share = parsed[start + built.p + (not at_block_start)].last_share
+            witnesses, payout_witness = [], None
+            break
         replay = _replay_period(
             tree, slice_.txs, slice_.post_root, built.producer, built.header.state_root
         )
         if replay is not None:
+            witnesses, payout_witness = replay
+            end_share = slice_.messages[-1].last_share if slice_.post_root else len(shares) - 1
             break
         if slice_.post_root is None:
             return None
         start += len(slice_.messages) - 1  # the post-root opens the next period
         at_block_start = False
 
-    witnesses, payout_witness = replay
-    y = 0 if at_block_start else slice_.messages[0].first_share
-    if slice_.post_root is None:
-        end_share = len(shares) - 1
-    else:
-        end_share = slice_.messages[-1].last_share
     share_run = shares[y : end_share + 1]
     share_proofs = [
         rs2d.prove_share(built.matrix, *divmod(y + offset, built.matrix.k), ROW)[1]
@@ -357,10 +367,8 @@ def verify_codec_fraud_proof(proof: CodecFraudProof, store: HeaderStore) -> bool
     ):
         return False
 
-    if len(proof.shares) < k or len(proof.share_proofs) != len(proof.shares):
-        return False
-    positions = [pos for _, pos, _ in proof.shares]
-    if len(set(positions)) != len(positions):
+    # too few shares, or two at one position, make rs_decode raise below
+    if len(proof.share_proofs) != len(proof.shares):
         return False
 
     items = []
@@ -396,8 +404,8 @@ def check_block(
     Recovers the matrix from the shares in partial against built's
     commitment, filling partial in place, and raises rs2d.Unrecoverable
     when too few shares are present. The transition replay runs on the
-    recovered data, so it raises PeriodError on data that violates the
-    period criterion.
+    recovered data, and a period-criterion violation yields a transition
+    proof too.
     """
     result = rs2d.recover_matrix(partial, built.commitment)
     if isinstance(result, CodecFault):
@@ -433,7 +441,8 @@ def verify_double_tree_fraud_proof(
     The period a transfer belongs to is pure index arithmetic here, so in
     addition to the membership checks the proof must cover its period
     completely: from the period's first transfer to its last (or to the
-    block's last transfer when no post-trace is given).
+    block's last transfer when no post-trace is given). The first period's
+    pre-root is prev_state_root; without it that period's proof is False.
     """
     header = store.dt_headers.get(proof.block_hash)
     if header is None:
@@ -473,18 +482,11 @@ def verify_double_tree_fraud_proof(
         if y + count != header.tx_length:
             return False
 
-    for a, (tx, tx_proof) in enumerate(zip(proof.txs, proof.tx_proofs)):
-        if not merkle.verify_merkle_proof(
-            tx.to_bytes(), tx_proof, header.tx_root, header.tx_length, y + a
-        ):
-            return False
+    items = list(zip([tx.to_bytes() for tx in proof.txs], proof.tx_proofs, range(y, y + count)))
+    if not merkle.verify_merkle_proofs(items, header.tx_root, header.tx_length):
+        return False
 
-    if proof.pre_trace is not None:
-        pre_root: Optional[bytes] = proof.pre_trace[0]
-    elif prev_state_root is not None:
-        pre_root = prev_state_root
-    else:
-        pre_root = store.prev_state_root(header)
+    pre_root = proof.pre_trace[0] if proof.pre_trace is not None else prev_state_root
     post_root = proof.post_trace[0] if proof.post_trace is not None else None
     return _replay_disagrees(
         pre_root, proof.txs, proof.witnesses, post_root, proof.payout_witness, header
@@ -532,8 +534,6 @@ def generate_double_tree_fraud_proof(
                 witnesses=tuple(witnesses),
                 payout_witness=payout_witness,
             )
-        if declared_post is None:
-            break
     return None
 
 
@@ -541,17 +541,16 @@ def generate_double_tree_fraud_proof(
 
 
 def apply_fraud_proof(
-    proof: Union[TransitionFraudProof, CodecFraudProof, DoubleTreeFraudProof],
+    proof: Union[TransitionFraudProof, CodecFraudProof],
     store: HeaderStore,
     p: int = DEFAULT_PERIOD,
 ) -> bool:
-    """Verify a proof of either kind; permanently reject the header on True."""
+    """Verify a wire proof of either in-band kind, transition or codec;
+    permanently reject the header on True."""
     if isinstance(proof, TransitionFraudProof):
         ok = verify_transition_fraud_proof(proof, store, p)
-    elif isinstance(proof, CodecFraudProof):
-        ok = verify_codec_fraud_proof(proof, store)
     else:
-        ok = verify_double_tree_fraud_proof(proof, store, p)
+        ok = verify_codec_fraud_proof(proof, store)
     if ok:
         store.reject(proof.block_hash)
     return ok

@@ -213,9 +213,6 @@ def extend_shares(shares: Sequence[bytes], k: int, share_size: int) -> ExtendedM
 
 def commit(matrix: ExtendedMatrix) -> DataCommitment:
     """Commit to every row and column root; leaf order is rows then columns."""
-    for row in matrix.cells:
-        if any(cell is None for cell in row):
-            raise ValueError("matrix has missing cells")
     return matrix.commitment
 
 
@@ -245,8 +242,6 @@ def prove_share(matrix: ExtendedMatrix, x: int, y: int, origin: int) -> tuple[by
     if not 0 <= x < w or not 0 <= y < w:
         raise IndexError("cell out of range")
     share = matrix.cells[x][y]
-    if share is None:
-        raise ValueError("cell is absent")
     if origin not in (ROW, COLUMN):
         raise ValueError("origin must be 0 (row) or 1 (column)")
     j, pos = (x, y) if origin == ROW else (y, x)
@@ -287,8 +282,6 @@ def verify_share_merkle_proofs(
     tops = []
     axes: dict[bytes, list[tuple[bytes, MerkleProof, int]]] = {}
     for share, proof, index in items:
-        if not 0 <= index < data_length:
-            return False
         top, pos = divmod(index, w)
         tops.append((proof.axis_root, proof.root_proof, top))
         axes.setdefault(proof.axis_root, []).append((share, proof.axis_proof, pos))

@@ -18,7 +18,10 @@ client receives two hops after the start). Topology:
 full nodes form a complete graph and all talk to the producer; each
 client talks to one full node. Sample requests go client -> full node,
 are answered locally when the full node has the cell, and are forwarded
-to the producer otherwise. All randomness comes from generators seeded
+to the producer otherwise. In practice none is answered locally: a
+client's requests reach its full node at tick 3*delay, the tick its
+download arrives, and were scheduled first, so every request is
+forwarded. All randomness comes from generators seeded
 from the config, so a config determines the entire event trace.
 
 Adversary policies:
@@ -101,8 +104,6 @@ class SimConfig:
             raise ValueError(f"unknown adversary {self.adversary!r}")
         if self.network_model not in NETWORK_MODELS:
             raise ValueError(f"unknown network model {self.network_model!r}")
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
         if not 1 <= self.s <= (2 * self.k) ** 2:
             raise ValueError("s must be between 1 and the number of cells (2k)^2")
         if self.full_nodes < 1:
@@ -180,10 +181,10 @@ class SimVerdict:
 # --- scenario construction -----------------------------------------------------
 
 
-def _genesis_accounts(rng: random.Random, count: int = 8) -> list[tuple[bytes, int]]:
+def _genesis_accounts(rng: random.Random) -> list[tuple[bytes, int]]:
     return [
         (hash_bytes(f"account:{i}".encode()), 10_000 + rng.randrange(1000))
-        for i in range(count)
+        for i in range(8)
     ]
 
 
@@ -308,7 +309,7 @@ class _Engine:
         heapq.heappush(self._queue, (self.now + delay, self._seq, handler, args))
         self._seq += 1
 
-    def log(self, actor: str, kind: str, detail: str = "") -> None:
+    def log(self, actor: str, kind: str, detail: str) -> None:
         self.events.append((self.now, actor, kind, detail))
 
     def run(self) -> int:
@@ -434,6 +435,7 @@ class _FullNode:
         self._try_recover()
 
     def relay_request(self, client: "_Client", request_id: int, cell: tuple[int, int]) -> None:
+        # never answered locally today: see "In practice" in the module docstring
         r, c = cell
         self.sim.engine.log(
             f"fullnode:{self.node_id}", "request", f"client={client.client_id} cell=({r},{c})"

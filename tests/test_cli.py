@@ -1,8 +1,12 @@
 import csv
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -301,15 +305,32 @@ def test_fraud_gen_refuses_a_malformed_block_dir(tmp_path, capsys, case):
     assert not proof_path.exists()
 
 
-def test_fraud_gen_on_unparseable_block_exits_2(tmp_path, capsys):
+def test_fraud_gen_proves_a_period_violation(tmp_path, capsys):
     # 30 transfers and no trace: the first period runs past p = 10
     tree, keys = funded_state()
     genesis = genesis_header(tree)
     built = framed_block(genesis, transfer_chain(keys, 30, random.Random(6)), 4, 256, 10)
-    block_dir = tmp_path / "block"
+    block_dir, proof_path, headers = tmp_path / "block", tmp_path / "p.bin", tmp_path / "h.bin"
     write_block_dir(built, genesis, tree, block_dir)
-    assert run_cli("fraud", "gen", "--block", block_dir, "--out", tmp_path / "p.bin") == 2
-    assert "period criterion violated" in capsys.readouterr().err
+    assert run_cli("fraud", "gen", "--block", block_dir, "--out", proof_path) == 0
+    assert "wrote transition fraud proof" in capsys.readouterr().out
+    headers.write_bytes(genesis.to_bytes() + built.header.to_bytes())
+    assert run_cli("fraud", "verify", "--proof", proof_path, "--headers", headers) == 0
+    assert "block rejected" in capsys.readouterr().out
+
+
+def test_module_form_runs_without_warnings():
+    """`python -m daproofs.cli` under -W error: importing the package does
+    not import cli ahead of runpy, which would warn."""
+    command = "-W error -m daproofs.cli prob --table table1 --k 2 --s 1,2".split()
+    run = subprocess.run(
+        [sys.executable, *command],
+        env={**os.environ, "PYTHONPATH": str(Path(prob.__file__).parents[1])},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
 
 
 def test_usage_errors(tmp_path):

@@ -377,6 +377,20 @@ def test_codec_proof_mutations_fail(invalid_code, honest):
     )
 
 
+def test_codec_proof_with_an_exact_duplicate_input_fails(invalid_code):
+    """A second (share, pos, origin) entry and share proof that copy the
+    first bind to the data root; only the decoder then refuses the input."""
+    built, _, store = invalid_code
+    proof = codec_proof_for(built)
+    duplicate = dataclasses.replace(
+        proof,
+        shares=proof.shares[:1] * 2 + proof.shares[2:],
+        share_proofs=proof.share_proofs[:1] * 2 + proof.share_proofs[2:],
+    )
+    assert duplicate.shares[1] == duplicate.shares[0]
+    assert not verify_codec_fraud_proof(duplicate, store)
+
+
 def test_codec_proof_on_consistent_axis_is_false(honest):
     """Check 5: a recovered axis matching its root is not fraud."""
     built, _, store = honest
@@ -759,6 +773,88 @@ def test_undecodable_witnessed_value_is_proven_not_raised(step, tmp_path):
     proof_path.write_bytes(encode_fraud_proof(proof))
     headers.write_bytes(genesis.to_bytes() + built.header.to_bytes())
     assert main(["fraud", "verify", "--proof", str(proof_path), "--headers", str(headers)]) == 0
+
+
+def witness_free_run(built, y, end_share):
+    """A transition proof of shares y..end_share with no witnesses."""
+    shares = built.shares[y : end_share + 1]
+    return TransitionFraudProof(
+        block_hash=built.header.block_hash(),
+        start_index=y,
+        shares=tuple(shares),
+        origins=(ROW,) * len(shares),
+        share_proofs=tuple(
+            rs2d.prove_share(built.matrix, *divmod(y + a, built.matrix.k), ROW)[1]
+            for a in range(len(shares))
+        ),
+        witnesses=(),
+    )
+
+
+@pytest.mark.parametrize("where", ["block-start", "mid-block"])
+def test_period_overflow_is_proven_by_its_run(where):
+    """More than p transfers after block start (30, no trace) or after a
+    trace (10, a trace, then 15): check_block proves the run through the
+    (p+1)-th transfer with no witnesses, and the proof survives the wire,
+    rejects the header, and does not verify at 4p."""
+    tree, keys = funded_state()
+    genesis = genesis_header(tree)
+    txs = transfer_chain(keys, 30 if where == "block-start" else 25, random.Random(6))
+    messages = list(txs)
+    if where == "mid-block":
+        (trace,), _ = block._replay_block(tree, txs[:P], P, DEFAULT_PRODUCER)
+        messages.insert(P, trace)
+    built = framed_block(genesis, messages, K, SHARE_SIZE, P)
+    partial = PartialMatrix.from_matrix(built.matrix, with_proofs=True)
+    proof = check_block(partial, built, tree)
+
+    parsed = parse_shares_with_spans(built.shares)
+    start = 0 if where == "block-start" else P
+    overflow = P if where == "block-start" else 2 * P + 1  # the (p+1)-th transfer
+    assert isinstance(parsed[overflow].message, Transaction)
+    assert proof == witness_free_run(built, parsed[start].first_share, parsed[overflow].last_share)
+    assert proof.start_index == (0 if where == "block-start" else 3)
+
+    store = HeaderStore()
+    store.add(genesis)
+    store.add(built.header)
+    assert not verify_transition_fraud_proof(proof, store, 4 * P)
+    # a witness or a payout witness makes the run's proof no longer bare
+    empty = StateWitness(())
+    for extra in (dict(witnesses=(empty,)), dict(payout_witness=empty)):
+        assert not verify_transition_fraud_proof(dataclasses.replace(proof, **extra), store, P)
+    decoded = decode_fraud_proof(encode_fraud_proof(proof))
+    assert decoded == proof
+    assert apply_fraud_proof(decoded, store, P)
+    assert store.is_rejected(built.header.block_hash())
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_no_witness_free_run_of_an_honest_block_verifies(data):
+    """Soundness of the overflow proof: from block start, and from every
+    trace's share, the run through the next p + 1 messages (or to the last
+    message) of an honest block does not verify without witnesses."""
+    k = data.draw(st.sampled_from([1, 2, 4]), label="k")
+    p = data.draw(st.integers(min_period(SHARE_SIZE), 12), label="p")
+    most = max(n for n in range(4 * k * k) if shares_needed(n, p, SHARE_SIZE) <= k * k)
+    tx_count = data.draw(st.integers(0, most), label="tx_count")
+    tree, keys = funded_state()
+    txs = transfer_chain(keys, tx_count, random.Random(data.draw(st.integers(0, 2**16))))
+    genesis = genesis_header(tree)
+    built = build_block(genesis, tree, txs, k=k, share_size=SHARE_SIZE, p=p)
+    store = HeaderStore()
+    store.add(genesis)
+    store.add(built.header)
+
+    parsed = parse_shares_with_spans(built.shares)
+    runs = [(0, p)] + [
+        (pm.first_share, t + p + 1) for t, pm in enumerate(parsed) if isinstance(pm.message, bytes)
+    ]
+    for y, last in runs:
+        end_share = parsed[min(last, len(parsed) - 1)].last_share if parsed else 0
+        proof = witness_free_run(built, y, end_share)
+        assert not verify_transition_fraud_proof(proof, store, p), (y, end_share)
 
 
 CHECKED_MODES = {
