@@ -13,13 +13,12 @@ position 0, and so share sizes above 256 bytes still fit.
 No other module knows this layout: pack_shares is its one packer, and
 the parser spans each message by share indexes, not byte offsets.
 
-A trace is emitted after every p transfers, and p is at least
-min_period(share_size), so that every period's fraud proof can name its
-slice by a share. The block's final state root lives in the header only
-and includes the producer's fee payout, so the data stream ends either
-with a boundary trace or with a partial run of transfers. read_period is
-the one rule for where a period starts and ends; the fraud prover and
-verifier both slice through it.
+A trace is emitted after every p transfers, and check_layout holds p at
+or above min_period(share_size). The block's final state root lives in
+the header only and includes the producer's fee payout, so the data
+stream ends either with a boundary trace or with a partial run of
+transfers. read_period is the one rule for where a period starts and
+ends; the fraud prover and verifier both slice through it.
 
 A BuiltBlock is its header, its extended matrix and p: the original
 shares (the matrix's top-left k x k quadrant), the commitment and the
@@ -68,14 +67,12 @@ def _check_share_size(share_size: int, error: type[Exception] = ValueError) -> N
 
 
 def min_period(share_size: int) -> int:
-    """Smallest period length p at which every transition proof verifies.
+    """Smallest period length p that a built block may use: the p at which
+    91p bytes of transfers fill one share payload.
 
-    A proof names its slice by the share in which the slice's pre-root
-    trace starts, and the verifier enters that share at the first message
-    starting in it, reading share 0 as block start. On the wire a transfer
-    is 91 bytes and a trace 35, so the first trace starts at payload byte
-    91p and later ones 91p + 35 apart. Once 91p fills a share payload,
-    every trace starts past share 0 and in a share of its own.
+    No proof depends on this floor, since the transition verifier tries
+    every period a proof's first share opens; it is kept until the layout
+    rules decide whether to drop it.
     """
     return max(1, -(-(share_size - 2) // (3 + Transaction.WIRE_SIZE)))
 

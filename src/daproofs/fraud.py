@@ -9,17 +9,19 @@ proven shares, does not hash to its committed axis root.
 
 The slice rule is block.read_period, which the prover calls on the
 parsed data at block start and at every trace, and the verifier on the
-proof's shares. A period is an optional pre-state trace (absent only at
-block start, where the previous block's state root stands in), then at
-most p transfers, then a post-state trace. Whatever follows the last
-trace is the block-final slice: it has no post-state trace, possibly no
-transfers, and its replay is checked against the header state root after
-the fee payout. An empty block is one such slice, the fee payout alone
-from the previous state root. Both layouts (in-band traces and the
-double tree) replay a slice through the same fold. More than p transfers
-after block start or a trace violate the period criterion. The run of
-shares from that start through the (p+1)-th transfer, with no witnesses,
-is then the transition proof: no such run of an honest block overflows.
+proof's shares, at each period their first share opens: block start if
+the run starts there, and each trace that starts in that share. A period
+is an optional pre-state trace (absent only at block start, where the
+previous block's state root stands in), then at most p transfers, then a
+post-state trace. Whatever follows the last trace is the block-final
+slice: it has no post-state trace, possibly no transfers, and its replay
+is checked against the header state root after the fee payout. An empty
+block is one such slice, the fee payout alone from the previous state
+root. Both layouts (in-band traces and the double tree) replay a slice
+through the same fold. More than p transfers after block start or a
+trace violate the period criterion. The run of shares from that start
+through the (p+1)-th transfer, with no witnesses, is then the transition
+proof: no such run of an honest block overflows.
 
 check_block is the one order in which an honest full node checks a block
 it holds enough shares of. It recovers the matrix, checking every row and
@@ -232,24 +234,40 @@ def verify_transition_fraud_proof(
         return False
 
     try:
-        slice_ = read_period(parse_shares_with_spans(proof.shares), y == 0, p)
-    except PeriodOverflow:
-        # no run of an honest block overflows, so the run alone is the proof
-        return not proof.witnesses and proof.payout_witness is None
+        run = parse_shares_with_spans(proof.shares)
     except ParseError:
         return False
-
-    if slice_.post_root is None and y + count != k * k:
-        return False
-    if len(proof.witnesses) != len(slice_.txs):
-        return False
-
-    pre_root = slice_.pre_root
-    if pre_root is None:
-        pre_root = store.prev_state_root(header)
-    return _replay_disagrees(
-        pre_root, slice_.txs, proof.witnesses, slice_.post_root, proof.payout_witness, header
-    )
+    # the periods the run's first share opens, each checked alone: block
+    # start at share 0, then each trace that starts in that share, so the
+    # proof holds whichever of them its period follows
+    starts = [(0, True)] if y == 0 else []
+    starts += [
+        (i, False)
+        for i, pm in enumerate(run)
+        if pm.first_share == 0 and isinstance(pm.message, bytes)
+    ]
+    for i, at_block_start in starts:
+        try:
+            slice_ = read_period(run[i:], at_block_start, p)
+        except PeriodOverflow:
+            # no run of an honest block overflows, so the run alone is the proof
+            if not proof.witnesses and proof.payout_witness is None:
+                return True
+            continue
+        except ParseError:
+            continue
+        if slice_.post_root is None and y + count != k * k:
+            continue
+        if len(proof.witnesses) != len(slice_.txs):
+            continue
+        pre_root = slice_.pre_root
+        if pre_root is None:
+            pre_root = store.prev_state_root(header)
+        if _replay_disagrees(
+            pre_root, slice_.txs, proof.witnesses, slice_.post_root, proof.payout_witness, header
+        ):
+            return True
+    return False
 
 
 def generate_transition_fraud_proof(

@@ -35,8 +35,10 @@ from typing import Callable, Optional, Sequence, TypeVar
 
 DIGEST_SIZE = 32
 
-_LEAF_PREFIX = b"\x00"
-_NODE_PREFIX = b"\x01"
+# hashers already fed the leaf and node prefixes: leaf_hash and node_hash
+# copy one per hash
+_LEAF_HASHER = hashlib.sha256(b"\x00")
+_NODE_HASHER = hashlib.sha256(b"\x01")
 
 _T = TypeVar("_T")
 
@@ -47,11 +49,16 @@ def hash_bytes(data: bytes) -> bytes:
 
 
 def leaf_hash(data: bytes) -> bytes:
-    return hashlib.sha256(_LEAF_PREFIX + data).digest()
+    hasher = _LEAF_HASHER.copy()
+    hasher.update(data)
+    return hasher.digest()
 
 
 def node_hash(left: bytes, right: bytes) -> bytes:
-    return hashlib.sha256(_NODE_PREFIX + left + right).digest()
+    hasher = _NODE_HASHER.copy()
+    hasher.update(left)
+    hasher.update(right)
+    return hasher.digest()
 
 
 class Reader:

@@ -23,7 +23,9 @@ commitment and recover_matrix each hash every cell once into a local
 w x w grid that both axes read; recovery reuses a grid digest only where
 an axis decodes the very bytes the digest was computed from, and hashes a
 decoded share that differs from the present cell afresh, without storing
-it. Grids are not kept: prove_share rebuilds one axis tree at a time.
+it. Grids are not kept: prove_share rebuilds one axis tree at a time,
+and prove_row proves all of a row's cells from one tree and one
+root-tree proof.
 Share proofs are checked in batches (verify_share_merkle_proofs) with
 exactly the per-proof accept set. An ExtendedMatrix cannot be changed, so
 its cached commitment and axis tree always match its cells: a changed
@@ -56,7 +58,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from math import isqrt
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import merkle
 # rs_encode stays only because perfbench/test_perfbench.py reads
@@ -248,6 +250,15 @@ def prove_share(matrix: ExtendedMatrix, x: int, y: int, origin: int) -> tuple[by
     return share, matrix.commitment.share_proof(origin, j, matrix.axis_tree(origin, j).prove(pos))
 
 
+def prove_row(matrix: ExtendedMatrix, r: int) -> list[tuple[bytes, ShareProof]]:
+    """What prove_share(matrix, r, c, ROW) returns for each c, in order:
+    one row tree, and one root-tree proof that every cell's proof shares."""
+    tree = matrix.axis_tree(ROW, r)
+    commitment = matrix.commitment
+    root, root_proof = commitment.axis_root(ROW, r), commitment.prove_axis_root(ROW, r)
+    return [(share, ShareProof(root, tree.prove(c), root_proof)) for c, share in enumerate(matrix.cells[r])]
+
+
 def verify_share_merkle_proof(
     share: bytes,
     proof: ShareProof,
@@ -294,9 +305,10 @@ def verify_share_merkle_proofs(
 class PartialMatrix:
     """2k x 2k grid with absent cells, tracking how present cells arrived.
 
-    Cells added through add_share carry a proof origin (and optionally the
-    proof itself); cells filled by recovery carry neither, and are only
-    used as decode inputs when no originally received cell is available.
+    Cells added through add_share or add_missing carry a proof origin (and
+    optionally the proof itself); cells filled by recovery carry neither,
+    and are only used as decode inputs when no originally received cell is
+    available.
     """
 
     def __init__(self, k: int, share_size: int) -> None:
@@ -321,11 +333,12 @@ class PartialMatrix:
         partial = cls(matrix.k, matrix.share_size)
         hidden = set(withhold)
         for r in range(matrix.width):
-            for c in range(matrix.width):
-                if (r, c) in hidden:
-                    continue
-                proof = prove_share(matrix, r, c, ROW)[1] if with_proofs else None
-                partial.add_share(r, c, matrix.cells[r][c], ROW, proof)
+            proofs = [proof for _, proof in prove_row(matrix, r)] if with_proofs else [None] * matrix.width
+            partial.add_missing(
+                (r, c, share, proofs[c])
+                for c, share in enumerate(matrix.cells[r])
+                if (r, c) not in hidden
+            )
         return partial
 
     def add_share(
@@ -345,6 +358,25 @@ class PartialMatrix:
         if existing is None or self.origins[x][y] is None:
             self.origins[x][y] = origin
             self.proofs[x][y] = proof
+
+    def add_missing(
+        self, cells: Iterable[tuple[int, int, bytes, Optional[ShareProof]]]
+    ) -> list[tuple[int, int, bytes, Optional[ShareProof]]]:
+        """Store each (x, y, share, row proof or None) whose cell is absent,
+        with origin ROW, and return those, in order; present cells are left
+        as they are, unchecked against the offered share."""
+        grid, origins, proofs = self.cells, self.origins, self.proofs
+        added = []
+        for cell in cells:
+            x, y, share, proof = cell
+            if grid[x][y] is None:
+                if len(share) != self.share_size:
+                    raise ValueError("share has wrong size")
+                grid[x][y] = share
+                origins[x][y] = ROW
+                proofs[x][y] = proof
+                added.append(cell)
+        return added
 
     def missing(self) -> int:
         return sum(row.count(None) for row in self.cells)

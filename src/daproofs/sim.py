@@ -10,11 +10,20 @@ proofs; light clients run the sampling protocol and reach a verdict:
                      axis roots do not hash to the header's data root
   reject-fraudproof  a verified fraud proof arrived before acceptance
 
+A light client checks the advertised row and column roots against the
+header's data root once, when the header arrives, and then checks each
+sampled share against the row root it holds: the path in the row tree
+alone. A super-light client holds no roots, so it checks each sample's
+whole proof against the data root: the row-tree path, and the row root's
+path in the root-level tree.
+
 Time is integer ticks. Every message crosses a hop through one call,
 `_Simulation.send`, which delivers it `delay` ticks later; the only other
 scheduled events are local timers (a client's sampling deadline and
 response window, the enhanced pool's same-tick flush, and the header a
-client receives two hops after the start). Topology:
+client receives two hops after the start). Events run in tick order and,
+within a tick, in the order they were scheduled (FIFO), an event
+scheduled for the running tick included. Topology:
 full nodes form a complete graph and all talk to the producer; each
 client talks to one full node. Sample requests go client -> full node,
 are answered locally when the full node has the cell, and are forwarded
@@ -48,10 +57,11 @@ import csv
 import heapq
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
-from . import fraud, rs2d
+from . import fraud, merkle, rs2d
 from .block import (
     BlockHeader,
     BuiltBlock,
@@ -226,6 +236,16 @@ class Scenario:
     cell_proofs: dict[tuple[int, int], tuple[bytes, ShareProof]]
     withheld: frozenset[tuple[int, int]]
 
+    @cached_property
+    def download(self) -> list[tuple[int, int, bytes, ShareProof]]:
+        """The cells the producer volunteers to each full node, row-major,
+        with their row proofs; every run and node shares this one list."""
+        return [
+            (r, c, share, proof)
+            for (r, c), (share, proof) in self.cell_proofs.items()
+            if (r, c) not in self.withheld
+        ]
+
 
 def _parse_withhold_pattern(pattern: str, k: int) -> tuple[str, int]:
     """("all", 0), ("submatrix", 0) or ("random", N) with 0 <= N <= (2k)^2."""
@@ -278,8 +298,11 @@ def prepare_scenario(config: SimConfig) -> Scenario:
         mode=config.adversary if faulty else MODE_HONEST,
     )
     width = built.matrix.width
-    cells = [(r, c) for r in range(width) for c in range(width)]  # row-major: one tree per row
-    cell_proofs = {cell: rs2d.prove_share(built.matrix, *cell, ROW) for cell in cells}
+    cell_proofs = {
+        (r, c): proved
+        for r in range(width)
+        for c, proved in enumerate(rs2d.prove_row(built.matrix, r))
+    }
     return Scenario(
         genesis_state=genesis_state,
         genesis=genesis,
@@ -299,24 +322,33 @@ def draw_coordinates(rng: random.Random, width: int, s: int) -> list[tuple[int, 
 
 
 class _Engine:
+    """Runs events in (tick, scheduling order): one FIFO list per pending
+    tick, and the pending ticks in a heap. An event scheduled with delay 0
+    joins the end of the tick being run. Delays must not be negative."""
+
     def __init__(self) -> None:
-        self._queue: list[tuple[int, int, Callable[..., None], tuple]] = []
-        self._seq = 0
+        self._ticks: list[int] = []
+        self._pending: dict[int, list[tuple[Callable[..., None], tuple]]] = {}
         self.now = 0
         self.events: list[tuple[int, str, str, str]] = []
 
     def schedule(self, delay: int, handler: Callable[..., None], *args: object) -> None:
-        heapq.heappush(self._queue, (self.now + delay, self._seq, handler, args))
-        self._seq += 1
+        tick = self.now + delay
+        queue = self._pending.get(tick)
+        if queue is None:
+            queue = self._pending[tick] = []
+            heapq.heappush(self._ticks, tick)
+        queue.append((handler, args))
 
     def log(self, actor: str, kind: str, detail: str) -> None:
         self.events.append((self.now, actor, kind, detail))
 
     def run(self) -> int:
-        while self._queue:
-            tick, _, handler, args = heapq.heappop(self._queue)
-            self.now = tick
-            handler(*args)
+        while self._ticks:
+            self.now = tick = heapq.heappop(self._ticks)
+            for handler, args in self._pending[tick]:  # reads what this tick appends
+                handler(*args)
+            del self._pending[tick]
         return self.now
 
 
@@ -336,11 +368,7 @@ class _Producer:
         sim = self.sim
         if sim.config.adversary == "selective":
             return  # nothing is volunteered; only sampled shares leave
-        cells = [
-            (r, c, share, proof)
-            for (r, c), (share, proof) in sim.scenario.cell_proofs.items()
-            if (r, c) not in sim.scenario.withheld
-        ]
+        cells = sim.scenario.download
         sim.engine.log("producer", "serve-block", f"fullnode={node.node_id} cells={len(cells)}")
         sim.send(node.receive_cells, cells)
 
@@ -421,11 +449,7 @@ class _FullNode:
     def receive_cells(
         self, cells: list[tuple[int, int, bytes, ShareProof]], gossip: bool = False
     ) -> None:
-        added = []
-        for r, c, share, proof in cells:
-            if self.partial.cells[r][c] is None:
-                self.partial.add_share(r, c, share, ROW, proof)
-                added.append((r, c, share, proof))
+        added = self.partial.add_missing(cells)
         if not added:
             return
         if gossip:
@@ -539,19 +563,21 @@ class _Client:
         sim = self.sim
         if self.verdict or self.pending.pop(request_id, None) is None:
             return
-        header = sim.scenario.built.header
-        ok = rs2d.verify_share_merkle_proof(
-            share,
-            proof,
-            header.data_root,
-            header.data_length,
-            rs2d.share_index(ROW, cell[0], cell[1], ROW, 2 * sim.config.k, header.data_length),
-        )
-        if ok and not self.super_light:
+        r, c = cell
+        width = 2 * sim.config.k
+        if self.super_light:
+            header = sim.scenario.built.header
+            index = rs2d.share_index(ROW, r, c, ROW, width, header.data_length)
+            ok = rs2d.verify_share_merkle_proof(
+                share, proof, header.data_root, header.data_length, index
+            )
+        else:
+            # the held row roots were checked against the data root once
             assert self.roots is not None
-            ok = proof.axis_root == self.roots.row_roots[cell[0]]
+            row_root = self.roots.row_roots[r]
+            ok = merkle.verify_merkle_proof(share, proof.axis_proof, row_root, width, c)
         if ok:
-            self.gossip_buffer.append((cell[0], cell[1], share, proof))
+            self.gossip_buffer.append((r, c, share, proof))
         else:
             self.failed = True
         if not self.pending:

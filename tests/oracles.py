@@ -32,15 +32,18 @@ that have no place at run time.
 - predicted_deceived_prefix: the selective adversary's request budget
   replayed on the clients' sample draws, the simulator's expected
   deceived clients.
+- HeapEngine: the simulator's event loop as one heap of (tick, sequence)
+  entries, the oracle of sim._Engine's per-tick FIFO lists.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 import math
 import random
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -450,3 +453,23 @@ def predicted_deceived_prefix(config: SimConfig) -> list[int]:
             break  # the producer is dark; nobody later is served either
         deceived.append(client_id)
     return deceived
+
+
+class HeapEngine:
+    """sim._Engine's schedule and run over one heap ordered by (tick, sequence)."""
+
+    def __init__(self) -> None:
+        self._queue: list[tuple[int, int, Callable[..., None], tuple]] = []
+        self._seq = 0
+        self.now = 0
+
+    def schedule(self, delay: int, handler: Callable[..., None], *args: object) -> None:
+        heapq.heappush(self._queue, (self.now + delay, self._seq, handler, args))
+        self._seq += 1
+
+    def run(self) -> int:
+        while self._queue:
+            tick, _, handler, args = heapq.heappop(self._queue)
+            self.now = tick
+            handler(*args)
+        return self.now

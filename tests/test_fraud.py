@@ -177,7 +177,7 @@ def proof_verifies_at_period(share_size, p, tx_count, corrupt):
 
 
 @pytest.mark.parametrize("share_size", [64, 128, 184, 186, 256])
-def test_period_floor_is_where_every_transition_proof_verifies(share_size, monkeypatch):
+def test_period_floor_is_where_every_transition_proof_verifies(share_size):
     floor = min_period(share_size)
     for tx_count in range(0, 3 * floor + 2):
         for corrupt in ("trace", "header"):
@@ -190,10 +190,6 @@ def test_period_floor_is_where_every_transition_proof_verifies(share_size, monke
             genesis_header(tree), tree, transfer_chain(keys, 3, random.Random(0)),
             k=K, share_size=share_size, p=floor - 1,
         )
-    # One below the floor the first trace starts in share 0, which the
-    # verifier reads as block start: the header fault goes unproven.
-    monkeypatch.setattr(block, "min_period", lambda size: 1)
-    assert not proof_verifies_at_period(share_size, floor - 1, floor - 1, "header")
 
 
 def test_codec_fault_round_trip(invalid_code):
@@ -823,6 +819,46 @@ def test_period_overflow_is_proven_by_its_run(where):
     empty = StateWitness(())
     for extra in (dict(witnesses=(empty,)), dict(payout_witness=empty)):
         assert not verify_transition_fraud_proof(dataclasses.replace(proof, **extra), store, P)
+    decoded = decode_fraud_proof(encode_fraud_proof(proof))
+    assert decoded == proof
+    assert apply_fraud_proof(decoded, store, P)
+    assert store.is_rejected(built.header.block_hash())
+
+
+# (transfers before the first trace, copies of that trace, transfers after
+# them, whether a tampered trace follows them)
+SHARED_SHARE_LAYOUTS = {
+    "two-traces-then-tampered-trace": (P, 2, P, True),
+    "two-traces-then-overflow": (P, 2, P + 1, False),
+    "short-first-period": (1, 1, P, True),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(SHARED_SHARE_LAYOUTS))
+def test_period_after_a_trace_sharing_its_share_is_proven(layout):
+    """The faulty period's pre-root trace starts in the same share as an
+    earlier period's start: share 3 holds two equal traces, or share 0
+    holds block start and a trace after one transfer. The proof from that
+    share verifies, survives the wire and rejects the header."""
+    lead, copies, tail, tampered = SHARED_SHARE_LAYOUTS[layout]
+    tree, keys = funded_state()
+    genesis = genesis_header(tree)
+    txs = transfer_chain(keys, lead + tail, random.Random(6))
+    (trace,), _ = block._replay_block(tree, txs[:lead], lead, DEFAULT_PRODUCER)
+    messages = [*txs[:lead], *[trace] * copies, *txs[lead:]] + [b"\x22" * 32] * tampered
+    built = framed_block(genesis, messages, K, SHARE_SIZE, P)
+    parsed = parse_shares_with_spans(built.shares)
+    y = parsed[lead + copies - 1].first_share
+    assert y == (parsed[lead].first_share if copies > 1 else 0)
+
+    proof = check_block(PartialMatrix.from_matrix(built.matrix, with_proofs=True), built, tree)
+    assert isinstance(proof, TransitionFraudProof)
+    assert proof.start_index == y
+    assert len(proof.witnesses) == (tail if tampered else 0)
+    store = HeaderStore()
+    store.add(genesis)
+    store.add(built.header)
+    assert verify_transition_fraud_proof(proof, store, P) is True
     decoded = decode_fraud_proof(encode_fraud_proof(proof))
     assert decoded == proof
     assert apply_fraud_proof(decoded, store, P)

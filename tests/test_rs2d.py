@@ -23,6 +23,7 @@ from daproofs.rs2d import (
     ShareProof,
     commit,
     extend_shares,
+    prove_row,
     prove_share,
     recover_matrix,
     share_index,
@@ -229,6 +230,36 @@ def test_cached_trees_match_fresh_matrix_in_any_order():
             assert prove_share(changed, x, y, origin)[1].to_bytes() == _fresh_proof(
                 changed, x, y, origin
             )
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_prove_row_matches_prove_share(k):
+    """prove_row gives, cell by cell, the bytes that prove_share gives on a
+    fresh copy of the matrix with no cached trees."""
+    matrix, _ = build(k=k, seed=k)
+    for r in range(matrix.width):
+        proved = prove_row(matrix, r)
+        assert [share for share, _ in proved] == list(matrix.cells[r])
+        for c, (_, proof) in enumerate(proved):
+            assert proof.to_bytes() == _fresh_proof(matrix, r, c, ROW)
+
+
+def test_add_missing_stores_only_absent_cells():
+    matrix, _ = build(k=2)
+    partial = PartialMatrix.from_matrix(matrix, withhold=[(0, 0), (1, 2)])
+    share, proof = prove_share(matrix, 0, 0, ROW)
+    offered = [
+        (0, 0, share, proof),
+        (0, 1, b"\x00" * matrix.share_size, None),
+        (1, 2, matrix.cells[1][2], None),
+    ]
+    assert partial.add_missing(offered) == [offered[0], offered[2]]
+    assert partial.cells[0][:2] == list(matrix.cells[0][:2])
+    assert (partial.origins[0][0], partial.proofs[0][0]) == (ROW, proof)
+    assert (partial.origins[1][2], partial.proofs[1][2]) == (ROW, None)
+    assert partial.missing() == 0
+    with pytest.raises(ValueError, match="wrong size"):
+        PartialMatrix(2, matrix.share_size).add_missing([(0, 0, b"\x00", None)])
 
 
 def test_verify_share_wrong_everything():

@@ -3,8 +3,11 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from daproofs import prob, sim
+from daproofs.merkle import MerkleProof
 from daproofs.sim import (
     SimConfig,
     VERDICT_ACCEPT,
@@ -12,7 +15,12 @@ from daproofs.sim import (
     VERDICT_UNAVAILABLE,
     run_sampling,
 )
-from tests.oracles import pe_series_fraction, predicted_deceived_prefix, recovery_experiment
+from tests.oracles import (
+    HeapEngine,
+    pe_series_fraction,
+    predicted_deceived_prefix,
+    recovery_experiment,
+)
 
 BASE = dict(k=4, share_size=128, s=3, light_clients=8, full_nodes=2, tx_count=12)
 
@@ -206,6 +214,78 @@ def test_super_light_clients_follow_protocol():
     result = run_sampling(config)
     # codec proofs are self-contained, so super-light clients reject too
     assert verdicts(result) == [VERDICT_FRAUD] * 6
+
+
+def _zeroed(path: MerkleProof) -> MerkleProof:
+    return replace(path, siblings=tuple(bytes(len(sibling)) for sibling in path.siblings))
+
+
+SAMPLE_TAMPERS = {
+    "none": lambda share, proof: (share, proof),
+    "root-tree-path": lambda share, proof: (
+        share, replace(proof, root_proof=_zeroed(proof.root_proof))
+    ),
+    "share": lambda share, proof: (bytes([share[0] ^ 1]) + share[1:], proof),
+    "row-path": lambda share, proof: (share, replace(proof, axis_proof=_zeroed(proof.axis_proof))),
+}
+
+
+@pytest.mark.parametrize(
+    "super_light, tamper, accepted",
+    [
+        (False, "none", True),
+        (False, "root-tree-path", True),  # it checks against the row root it holds
+        (False, "share", False),
+        (False, "row-path", False),
+        (True, "none", True),
+        (True, "root-tree-path", False),
+        (True, "share", False),
+        (True, "row-path", False),
+    ],
+)
+def test_client_checks_a_sample_against_what_it_holds(super_light, tamper, accepted):
+    """A client that holds the roots checks a sample's row path against its
+    row root alone; a super-light client checks the whole proof against
+    the data root."""
+    config = SimConfig(**{**BASE, "s": 1, "light_clients": 2, "super_light_clients": 1})
+    scenario = sim.prepare_scenario(config)
+    simulation = sim._Simulation(config, scenario)
+    client = simulation.clients[int(super_light)]
+    assert client.super_light == super_light
+    client.receive_header(scenario.built.header, scenario.built.commitment)
+    ((request_id, cell),) = client.pending.items()
+    share, proof = SAMPLE_TAMPERS[tamper](*scenario.cell_proofs[cell])
+
+    client.receive_share(request_id, cell, share, proof)
+    assert not client.pending
+    assert client.failed is not accepted
+    assert client.gossip_buffer == ([(*cell, share, proof)] if accepted else [])
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(-1, 40)), max_size=60))
+def test_engine_runs_events_in_heap_order(plan):
+    """sim._Engine's per-tick FIFO lists run events in the order of one
+    (tick, sequence) heap, with the same horizon. plan[i] = (delay, parent)
+    schedules event i from the start (parent -1) or from the handler of an
+    earlier event, delay 0 included."""
+
+    def drive(engine):
+        children = {i: [] for i in range(-1, len(plan))}
+        for i, (delay, parent) in enumerate(plan):
+            children[parent if parent < i else -1].append((i, delay))
+        fired = []
+
+        def fire(i):
+            fired.append((engine.now, i))
+            for child, delay in children[i]:
+                engine.schedule(delay, fire, child)
+
+        for child, delay in children[-1]:
+            engine.schedule(delay, fire, child)
+        return fired, engine.run()
+
+    assert drive(sim._Engine()) == drive(HeapEngine())
 
 
 def test_recovery_experiment_boundaries():
